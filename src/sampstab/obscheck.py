@@ -10,18 +10,20 @@ inequality holds iff lambda_max(R R* - C G - delta I) <= 0 with R the
 N-period transition and G the Gramian sum of W_i* W_i.  A continuous-mode
 variant replaces the sum with int_0^T exp(At) B B* exp(At)* dt.
 
-Feasibility searches walk N upward and bisect C.  The kernel of G supplies a
-structural obstruction: on ker G the inequality collapses to
-||R* phi||^2 <= delta ||phi||^2, so if the transition preserves norm on the
-kernel no constant C can help at that horizon.
+Feasibility searches walk N upward, extending G and R by one period per step,
+and take the smallest C in closed form.  The kernel of G supplies a structural
+obstruction: on ker G the inequality collapses to ||R* phi||^2 <= delta
+||phi||^2, so if the transition preserves norm on the kernel no constant C can
+help at that horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg
 
 from . import linsys
 from .errors import SearchExhausted
@@ -45,8 +47,10 @@ RANK_RTOL = 1e-10
 PSD_TOL = 1e-10
 # Kernel transition norm within this of 1 certifies structural infeasibility.
 KERNEL_ONE_TOL = 1e-9
-_BISECT_STEPS = 60
-_MAX_DOUBLINGS = 60
+# Largest constant a search certifies; a horizon needing more counts as failed.
+_C_CEILING = 2.0 ** 60
+# Re-checks of a closed-form constant, each nudging C up by 4**k relative ulps.
+_NUDGES = 26
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -55,31 +59,39 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
-    """Transition R, PSD Gramian G, and an orthonormal basis of ker G.
+    """Transition R, PSD Gramian G, and its eigendecomposition G = V diag(w) V*.
 
     mode is "discrete" (horizon = N periods of length T) or "continuous"
-    (horizon = integration time, and T echoes it).
+    (horizon = integration time, and T echoes it).  w ascends, so ker G is
+    spanned by the leading columns of V, those with w <= RANK_RTOL * max w.
     """
 
     R: np.ndarray
     G: np.ndarray
-    kernel_basis: np.ndarray
     mode: str
     T: float
     horizon: float
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         G = _hermitize(np.asarray(self.G, dtype=complex))
-        scale = np.linalg.norm(G, 2)
-        w = np.linalg.eigvalsh(G)
-        if w.min() < -1e-12 * max(scale, 1.0):
+        w, V = np.linalg.eigh(G)
+        if w[0] < -1e-12 * max(np.abs(w).max(), 1.0):
             raise ValueError("Gramian has a significantly negative eigenvalue")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "R", np.asarray(self.R, dtype=complex))
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", V)
 
     @property
     def kernel_dim(self) -> int:
-        return self.kernel_basis.shape[1]
+        w = self.eigenvalues
+        return int(np.count_nonzero(w <= RANK_RTOL * max(w[-1], 0.0)))
+
+    @property
+    def kernel_basis(self) -> np.ndarray:
+        return self.eigenvectors[:, :self.kernel_dim]
 
 
 @dataclass(frozen=True)
@@ -127,43 +139,49 @@ class ObservabilityCertificate:
         return out
 
 
-def _kernel_basis(G: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(_hermitize(G))
-    thresh = RANK_RTOL * max(w.max(initial=0.0), 0.0)
-    return V[:, w <= thresh]
+def _walk(sys: ContinuousSystem | SpectralSystem, T: float, mode: str):
+    """(R, G) at horizons k T, k = 1, 2, ...: G_{k+1} = G_k + R_k G_1 R_k*, R_{k+1} = R_k Phi.
+
+    G_1 is W_1* W_1 (discrete) or int_0^T exp(At) B B* exp(At)* dt from one
+    block exponential (continuous); the step adds the next period's term,
+    e.g. W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.
+    """
+    if not T > 0:
+        raise ValueError("T must be > 0")
+    Phi = semigroup(sys, T)
+    if mode == "discrete":
+        W = observation_block(sys, T, 1)
+        G_1 = _hermitize(W.conj().T @ W)
+    else:
+        dense = linsys.to_dense(sys) if isinstance(sys, SpectralSystem) else sys
+        A, B, n = dense.A, dense.B, dense.state_dim
+        aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
+        F = linsys._check_finite(linsys._quiet_expm(aug * T), "continuous Gramian")
+        G_1 = _hermitize(F[n:, n:].conj().T @ F[:n, n:])
+    R, G = Phi, G_1
+    while True:
+        yield R, G
+        G = G + R @ G_1 @ R.conj().T
+        R = R @ Phi
+
+
+def _bundle(R: np.ndarray, G: np.ndarray, mode: str, T: float, k: int) -> GramianBundle:
+    """The bundle of horizon k T: N = k periods (discrete) or time k T (continuous)."""
+    if mode == "discrete":
+        return GramianBundle(R, G, mode, T, float(k))
+    return GramianBundle(R, G, mode, k * T, k * T)
 
 
 def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -> GramianBundle:
     """Gramian of the N interval-integrated observation blocks, G = sum W_i* W_i."""
-    if not T > 0:
-        raise ValueError("T must be > 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    W = observation_block(sys, T, 1)
-    Phi_adj = semigroup(sys, T).conj().T
-    G = np.zeros((W.shape[1], W.shape[1]), dtype=complex)
-    for _ in range(N):
-        G += W.conj().T @ W
-        W = W @ Phi_adj
-    G = _hermitize(G)
-    R = semigroup(sys, N * T)
-    return GramianBundle(R, G, _kernel_basis(G), "discrete", T, float(N))
+    return _bundle(*next(islice(_walk(sys, T, "discrete"), N - 1, None)), "discrete", T, N)
 
 
 def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> GramianBundle:
     """G = int_0^{T_h} exp(At) B B* exp(At)* dt via the block-exponential construction."""
-    if not T_h > 0:
-        raise ValueError("horizon T_h must be > 0")
-    dense = linsys.to_dense(sys) if isinstance(sys, SpectralSystem) else sys
-    n = dense.state_dim
-    aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    aug[:n, :n] = -dense.A
-    aug[:n, n:] = dense.B @ dense.B.conj().T
-    aug[n:, n:] = dense.A.conj().T
-    F = expm(aug * T_h)
-    G = _hermitize(F[n:, n:].conj().T @ F[:n, n:])
-    R = semigroup(sys, T_h)
-    return GramianBundle(R, G, _kernel_basis(G), "continuous", T_h, T_h)
+    return _bundle(*next(_walk(sys, T_h, "continuous")), "continuous", T_h, 1)
 
 
 def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityCertificate:
@@ -187,59 +205,58 @@ def min_delta_on_kernel(g: GramianBundle) -> float:
     This is the infimum of admissible delta in the C -> infinity limit: some
     (C, delta < 1) satisfies the inequality only if this value is < 1.
     """
-    P = g.kernel_basis
-    if P.shape[1] == 0:
-        return 0.0
-    M = P.conj().T @ g.R @ g.R.conj().T @ P
-    return float(np.linalg.eigvalsh(_hermitize(M)).max())
+    Y = g.kernel_basis.conj().T @ g.R
+    return float(np.linalg.eigvalsh(_hermitize(Y @ Y.conj().T)).max(initial=0.0))
 
 
-def _bisect_constant(g: GramianBundle, delta: float):
-    """Smallest feasible C for a bundle at fixed delta, or None.
+def _min_constant(g: GramianBundle, delta: float) -> float:
+    """Smallest C >= 0 with lambda_max(R R* - C G - delta I) <= 0.
 
-    Tries C = 0, grows the bracket by doubling from C = 1, then bisects.
-    Returns (certificate or None, most negative margin seen).
+    In the eigenbasis of G, kernel first and the range scaled by G_r^-1/2,
+    M = R R* - delta I has blocks S (kernel), Q (range-kernel), P (range) and
+    G becomes B = diag(W_k, I) with W_k the kernel eigenvalues, clipped at 0.
+    Taking W_k = 0 gives the Schur-complement bound
+    C_t = lambda_max(P - Q S^-1 Q*)_+, which needs S < 0, i.e.
+    min_delta_on_kernel(g) < delta (the caller's guard), and is exact for a
+    trivial kernel.  Otherwise N = 2 C_t B - M > 0 and the definite pencil
+    gives C_min = 2 C_t - 1 / lambda_max(N^-1 B) exactly.
     """
-    best_margin = np.inf
-    cert = check_inequality(g, 0.0, delta)
-    best_margin = min(best_margin, cert.margin)
-    if cert.feasible:
-        return cert, best_margin
-    hi = 1.0
-    cert_hi = check_inequality(g, hi, delta)
-    best_margin = min(best_margin, cert_hi.margin)
-    doublings = 0
-    while not cert_hi.feasible and doublings < _MAX_DOUBLINGS:
-        hi *= 2.0
-        cert_hi = check_inequality(g, hi, delta)
-        best_margin = min(best_margin, cert_hi.margin)
-        doublings += 1
-    if not cert_hi.feasible:
-        return None, best_margin
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        cert_mid = check_inequality(g, mid, delta)
-        if cert_mid.feasible:
-            hi, cert_hi = mid, cert_mid
-        else:
-            lo = mid
-    return cert_hi, best_margin
+    d, w = g.kernel_dim, g.eigenvalues
+    X = g.eigenvectors.conj().T @ g.R
+    scale = np.concatenate([np.ones(d), 1.0 / np.sqrt(w[d:])])
+    M = _hermitize(X @ X.conj().T - delta * np.eye(w.size)) * np.outer(scale, scale)
+    H = M[d:, d:] - M[d:, :d] @ np.linalg.solve(M[:d, :d], M[:d, d:])
+    C = float(np.linalg.eigvalsh(_hermitize(H)).max(initial=0.0))
+    if d == 0 or C == 0.0:
+        return C
+    b = np.concatenate([np.maximum(w[:d], 0.0), np.ones(w.size - d)])
+    try:
+        mu = scipy.linalg.eigh(np.diag(b), 2.0 * C * np.diag(b) - M, eigvals_only=True)[-1]
+    except np.linalg.LinAlgError:
+        return C  # not numerically definite: keep the bound, which is re-checked
+    return max(2.0 * C - 1.0 / mu, 0.0)
 
 
-def _search_horizons(bundles, delta_target: float):
-    """Walk Gramian bundles in order of preference, bisecting C at each.
+def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str, N_max: int,
+                     delta_target: float, exhausted: str, best_horizon) -> ObservabilityCertificate:
+    """Walk horizons k T, k = 1..N_max; return the first feasible certificate.
 
-    Returns ("feasible", certificate) for the first horizon that admits a
-    constant, ("blocked", margin, kernel_norm, kernel_dim) when every horizon
-    carried a norm-preserving kernel (a structural proof that no (C, delta<1)
-    works at the searched horizons), or ("exhausted", margin) otherwise.
+    Returns an infeasible certificate when every horizon carried a
+    norm-preserving kernel (a structural proof that no (C, delta<1) works at
+    the searched horizons), else raises SearchExhausted(exhausted).  C is
+    computed on, and nudged until check_inequality passes on, the bundle the
+    public Gramian function returns at that horizon.
     """
+    if N_max < 1:
+        raise ValueError("N_max must be >= 1")
+    if not (0 < delta_target < 1):
+        raise ValueError("delta_target must lie in (0, 1)")
     best_margin = np.inf
     worst_kernel = 0.0
     worst_dim = 0
     all_blocked = True
-    for g in bundles:
+    for k, (R, G) in enumerate(islice(_walk(sys, T, mode), N_max), start=1):
+        g = _bundle(R, G, mode, T, k)
         kn = min_delta_on_kernel(g)
         if kn > worst_kernel:
             worst_kernel, worst_dim = kn, g.kernel_dim
@@ -247,77 +264,59 @@ def _search_horizons(bundles, delta_target: float):
             # No C can rescue this horizon; record a margin data point.
             best_margin = min(best_margin, check_inequality(g, 1.0, delta_target).margin)
             continue
-        if kn > delta_target:
-            # Kernel slack already exceeds the requested delta: C-search futile
+        all_blocked = False
+        if kn >= delta_target:
+            # Kernel slack already reaches the requested delta: C-search futile
             # here, but a larger delta < 1 might work, so this is not proof.
-            all_blocked = False
             best_margin = min(best_margin, kn - delta_target)
             continue
-        all_blocked = False
-        cert, margin = _bisect_constant(g, delta_target)
-        best_margin = min(best_margin, margin)
-        if cert is not None:
-            feasible = ObservabilityCertificate(
-                mode=cert.mode, T=cert.T, N=cert.N, C=cert.C, delta=cert.delta,
-                margin=cert.margin, feasible=True, kernel_dim=g.kernel_dim,
-                kernel_norm=kn,
-            )
-            return "feasible", feasible, worst_kernel, worst_dim
-    state = "blocked" if all_blocked else "exhausted"
-    return state, float(best_margin), worst_kernel, worst_dim
+        target = g if mode == "discrete" or k == 1 else continuous_gramian(sys, g.horizon)
+        C = _min_constant(target, delta_target)
+        if not C <= _C_CEILING:
+            best_margin = min(best_margin, check_inequality(target, _C_CEILING, delta_target).margin)
+            continue
+        for i in range(_NUDGES):
+            cert = check_inequality(target, C, delta_target)
+            if cert.feasible:
+                return replace(cert, kernel_norm=kn)
+            C *= 1.0 + np.finfo(float).eps * 4.0 ** i
+        best_margin = min(best_margin, cert.margin)
+    if all_blocked:
+        return ObservabilityCertificate(
+            mode=g.mode, T=g.T, N=g.horizon, C=0.0, delta=delta_target,
+            margin=float(best_margin), feasible=False, kernel_dim=worst_dim,
+            kernel_norm=worst_kernel,
+        )
+    raise SearchExhausted(exhausted, best_margin=float(best_margin), best_horizon=best_horizon)
 
 
 def decide_dc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
               delta_target: float = 0.9) -> ObservabilityCertificate:
     """Search horizons N = 1..N_max for a feasible (N, C) at the target delta.
 
-    Returns the first feasible certificate (smallest N, then smallest C).  If
-    every horizon is blocked by a norm-preserving kernel (transition norm on
-    ker G within KERNEL_ONE_TOL of 1), returns an infeasible certificate:
-    growing N or C provably cannot help at the searched horizons.  Otherwise a
-    fruitless search raises SearchExhausted, which does not claim anything
-    beyond the horizon.
+    Returns the first feasible certificate (smallest N, then the exact smallest
+    C, re-checked on discrete_gramian(sys, T, N)).  If every horizon is
+    blocked by a norm-preserving kernel (transition norm on ker G within
+    KERNEL_ONE_TOL of 1), returns an infeasible certificate: growing N or C
+    provably cannot help at the searched horizons.  Otherwise a fruitless
+    search raises SearchExhausted, which does not claim anything beyond the
+    horizon.
     """
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
-    if not (0 < delta_target < 1):
-        raise ValueError("delta_target must lie in (0, 1)")
-    bundles = (discrete_gramian(sys, T, N) for N in range(1, N_max + 1))
-    state, payload, kernel, dim = _search_horizons(bundles, delta_target)
-    if state == "feasible":
-        return payload
-    if state == "blocked":
-        return ObservabilityCertificate(
-            mode="discrete", T=T, N=float(N_max), C=0.0, delta=delta_target,
-            margin=payload, feasible=False, kernel_dim=dim, kernel_norm=kernel,
-        )
-    raise SearchExhausted(
+    return _search_horizons(
+        sys, T, "discrete", N_max, delta_target,
         f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "
-        "infeasibility not proven",
-        best_margin=payload, best_horizon=N_max,
-    )
+        "infeasibility not proven", N_max)
 
 
 def decide_cc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
               delta_target: float = 0.9) -> ObservabilityCertificate:
-    """Continuous-mode analogue of decide_dc over horizons T_h = k T, k <= N_max."""
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
-    if not (0 < delta_target < 1):
-        raise ValueError("delta_target must lie in (0, 1)")
-    bundles = (continuous_gramian(sys, k * T) for k in range(1, N_max + 1))
-    state, payload, kernel, dim = _search_horizons(bundles, delta_target)
-    if state == "feasible":
-        return payload
-    if state == "blocked":
-        return ObservabilityCertificate(
-            mode="continuous", T=N_max * T, N=N_max * T, C=0.0, delta=delta_target,
-            margin=payload, feasible=False, kernel_dim=dim, kernel_norm=kernel,
-        )
-    raise SearchExhausted(
-        f"no feasible horizon k*T with k <= {N_max} at delta = {delta_target}",
-        best_margin=payload, best_horizon=N_max * T,
-    )
+    """Continuous-mode analogue of decide_dc over horizons T_h = k T, k <= N_max.
+
+    Certificates are re-checked on continuous_gramian(sys, k T).
+    """
+    return _search_horizons(
+        sys, T, "continuous", N_max, delta_target,
+        f"no feasible horizon k*T with k <= {N_max} at delta = {delta_target}", N_max * T)
 
 
 def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
@@ -353,7 +352,7 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
 
 def gramian_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
     """phi* G phi for each column of phis (brute-force evaluation helper)."""
-    return np.real(np.einsum("ij,ik,kj->j", phis.conj(), g.G, phis))
+    return np.real(np.einsum("ij,ij->j", phis.conj(), g.G @ phis))
 
 
 def transition_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from sampstab import ContinuousSystem, SampledSystem
+from sampstab import (ContinuousSystem, GramianBundle, SampledSystem,
+                      SpectralSystem, check_inequality, min_delta_on_kernel,
+                      to_dense)
+from sampstab.obscheck import KERNEL_ONE_TOL
 
 
 def expm_taylor(M: np.ndarray) -> np.ndarray:
@@ -99,6 +103,74 @@ def random_unit_states(rng, n: int, count: int) -> np.ndarray:
     """Columns: unit-norm complex states."""
     phis = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
     return phis / np.linalg.norm(phis, axis=0)
+
+
+def scratch_bundle(sys, T: float, N: int, mode: str) -> GramianBundle:
+    """Gramian bundle at horizon N T built from scratch, without the horizon walk.
+
+    R = expm(A N T).  Discrete: G = sum W_i* W_i = sum D_i D_i* with
+    D_i = (J(iT) - J((i-1)T)) B, where J(t) = int_0^t exp(As) ds comes from its
+    own block exponential at each t.  Continuous: the block exponential of
+    [[-A, B B*], [0, A*]] over N T.
+    """
+    dense = to_dense(sys) if isinstance(sys, SpectralSystem) else sys
+    A, B = dense.A, dense.B
+    n = A.shape[0]
+    R = expm(A * (N * T))
+    if mode == "continuous":
+        aug = np.zeros((2 * n, 2 * n), dtype=complex)
+        aug[:n, :n], aug[:n, n:], aug[n:, n:] = -A, B @ B.conj().T, A.conj().T
+        F = expm(aug * (N * T))
+        return GramianBundle(R, F[n:, n:].conj().T @ F[:n, n:], mode, N * T, N * T)
+    aug = np.zeros((2 * n, 2 * n), dtype=complex)
+    aug[:n, :n], aug[:n, n:] = A, np.eye(n)
+    J = [expm(aug * (i * T))[:n, n:] for i in range(N + 1)]
+    D = [(J[i] - J[i - 1]) @ B for i in range(1, N + 1)]
+    G = sum(d @ d.conj().T for d in D)
+    return GramianBundle(R, G, mode, T, float(N))
+
+
+def bisect_constant(g: GramianBundle, delta: float, steps: int = 60,
+                    doublings: int = 60) -> float | None:
+    """Oracle: smallest C with check_inequality(g, C, delta) feasible.
+
+    Probes C = 0, doubles from C = 1 up to 2**doublings, then bisects the
+    bracket; None when even the largest probe is infeasible.
+    """
+    if check_inequality(g, 0.0, delta).feasible:
+        return 0.0
+    hi = 1.0
+    while not check_inequality(g, hi, delta).feasible:
+        if hi >= 2.0 ** doublings:
+            return None
+        hi *= 2.0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if check_inequality(g, mid, delta).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bisect_verdict(bundles, delta: float):
+    """Oracle horizon search: ("feasible", horizon, C), ("blocked",) or ("exhausted",).
+
+    Blocked means every horizon carried a norm-preserving kernel.
+    """
+    blocked = True
+    for g in bundles:
+        kn = min_delta_on_kernel(g)
+        if kn >= 1.0 - KERNEL_ONE_TOL:
+            continue
+        blocked = False
+        if kn > delta:
+            continue
+        C = bisect_constant(g, delta)
+        if C is not None:
+            return "feasible", g.horizon, C
+    return ("blocked",) if blocked else ("exhausted",)
 
 
 @pytest.fixture

@@ -77,7 +77,7 @@ class TestFractionalHeat:
 
     def test_weaker_nested_mask_needs_larger_constant(self):
         # Pointwise-smaller weighted masks order the Gramians, so the
-        # bisected constant grows as control authority thins out.
+        # smallest certificate constant grows as control authority thins out.
         n = 33
         idx = np.arange(n)
         full = np.ones(n)

@@ -46,6 +46,12 @@ class TestAnalyze:
                      "--N-max", "2", "--delta", "0.5", "--out", str(tmp_path)])
         assert code == EXIT_EXHAUSTED
 
+    def test_stiff_heat_overflow_is_numeric_failure(self, tmp_path, capsys):
+        code = main(["analyze", "--example", "frac-heat", "--modes", "64",
+                     "--xi-max", "20", "--s", "2", "--T", "5", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+
     def test_reports_are_byte_identical(self, tmp_path):
         argv = ["analyze", "--example", "oscillator", "--T", "1.0",
                 "--seed", "7", "--out", str(tmp_path)]

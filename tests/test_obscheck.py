@@ -1,5 +1,7 @@
 """Gramians, weak observability feasibility, and period pathology."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
+from sampstab import obscheck
 from sampstab.obscheck import brute_force_max_violation
 
-from conftest import (random_mixed_system, random_neutral_system,
-                      random_stable_system, random_unit_states)
+from conftest import (bisect_verdict, random_mixed_system, random_neutral_system,
+                      random_stable_system, random_unit_states, scratch_bundle)
 
 OSC = st.harmonic_oscillator()
 
@@ -174,6 +177,12 @@ class TestContinuousGramian:
             ref = np.array([[entry(p, q) for q in range(3)] for p in range(3)])
             assert np.abs(g.G - ref).max() <= 1e-8
 
+    def test_overflow_raises(self):
+        # exp(399 T_h) overflows in the block exponential of this stiff truncation.
+        heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
+        with pytest.raises(st.NumericOverflowError):
+            st.continuous_gramian(heat, 5.0)
+
     def test_holder_bridge(self, rng):
         # Interval-integrated blocks are dominated by T times the running
         # continuous energy over the same window.
@@ -187,6 +196,103 @@ class TestContinuousGramian:
             lhs = np.real(np.einsum("ij,ik,kj->j", phis.conj(), gd.G, phis))
             rhs = np.real(np.einsum("ij,ik,kj->j", phis.conj(), gc.G, phis))
             assert np.all(lhs <= T * rhs + 1e-10)
+
+
+
+WALK_SYSTEMS = {
+    "dense-mixed": random_mixed_system(0),
+    "dense-neutral": random_neutral_system(2),
+    "frac-heat": st.fractional_heat(16, 1.5, 1.0),
+    "schrodinger": st.schrodinger(12, 3.0),
+}
+
+
+class TestHorizonWalk:
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+    def test_every_step_matches_a_scratch_build(self, name, mode):
+        sys = WALK_SYSTEMS[name]
+        for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4, mode), 16), start=1):
+            ref = scratch_bundle(sys, 0.4, N, mode)
+            assert np.linalg.norm(G - ref.G, 2) <= 1e-10 * np.linalg.norm(ref.G, 2)
+            assert np.linalg.norm(R - ref.R, 2) <= 1e-10 * np.linalg.norm(ref.R, 2)
+
+    def test_continuous_walk_stays_accurate_on_long_stable_horizons(self):
+        # A single block exponential over k T loses digits here (about 1e-5
+        # relative by k = 16); the walk tracks the Lyapunov closed form
+        # G(t) = X - exp(At) X exp(At)*, with A X + X A* = -B B*.
+        from scipy.linalg import expm, solve_continuous_lyapunov
+        sys = random_stable_system(2)
+        X = solve_continuous_lyapunov(sys.A, -sys.B @ sys.B.conj().T)
+        for k, (_, G) in enumerate(islice(obscheck._walk(sys, 0.4, "continuous"), 16), start=1):
+            E = expm(sys.A * (k * 0.4))
+            ref = X - E @ X @ E.conj().T
+            assert np.linalg.norm(G - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+    def test_public_gramians_are_the_walk(self):
+        sys = WALK_SYSTEMS["dense-mixed"]
+        for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4, "discrete"), 5), start=1):
+            g = st.discrete_gramian(sys, 0.4, N)
+            assert np.array_equal(g.R, R) and np.array_equal(g.G, 0.5 * (G + G.conj().T))
+            assert (g.T, g.horizon) == (0.4, float(N))
+        R, G = next(obscheck._walk(sys, 0.7, "continuous"))
+        g = st.continuous_gramian(sys, 0.7)
+        assert np.array_equal(g.R, R) and (g.T, g.horizon) == (0.7, 0.7)
+
+
+def _decided(sys, T, N_max, mode, delta):
+    decide = st.decide_dc if mode == "discrete" else st.decide_cc
+    try:
+        cert = decide(sys, T, N_max=N_max, delta_target=delta)
+    except st.SearchExhausted as exc:
+        return ("exhausted",), exc
+    return (("feasible", cert.N, cert.C) if cert.feasible else ("blocked",)), cert
+
+
+def assert_matches_bisection(sys, T, N_max, mode, delta=0.9):
+    """Closed-form search against the bisection oracle on the public bundles."""
+    def public(h):
+        if mode == "discrete":
+            return st.discrete_gramian(sys, T, int(h))
+        return st.continuous_gramian(sys, h)
+
+    # Built lazily, as far as the oracle searches: a single block exponential
+    # over a long horizon can lose so many digits that G fails the PSD check.
+    horizons = [float(k) if mode == "discrete" else k * T for k in range(1, N_max + 1)]
+    want = bisect_verdict((public(h) for h in horizons), delta)
+    got, cert = _decided(sys, T, N_max, mode, delta)
+    assert got[0] == want[0]
+    if want[0] == "feasible":
+        (_, N, C), (_, N_ref, C_ref) = got, want
+        assert N == N_ref
+        assert C == C_ref == 0.0 or abs(C - C_ref) <= 1e-6 * C_ref
+        assert st.check_inequality(public(N), C, delta).feasible
+    return cert
+
+
+class TestClosedFormConstant:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=hs.integers(0, 10_000), T=hs.floats(0.1, 2.5),
+           N_max=hs.integers(1, 6), mode=hs.sampled_from(["discrete", "continuous"]))
+    def test_random_systems_match_bisection(self, seed, T, N_max, mode):
+        assert_matches_bisection(random_mixed_system(seed), T, N_max, mode)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("offset", [-1e-3, -1e-4, 0.0, 1e-5, 1e-4, 1e-2])
+    def test_oscillator_near_pi_matches_bisection(self, offset, mode):
+        assert_matches_bisection(OSC, np.pi + offset, 8, mode)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_exhausted_matches_bisection(self, mode):
+        assert_matches_bisection(scalar_system(-0.001, 0.0), 1.0, 2, mode, delta=0.5)
+
+    def test_reach_ends_at_the_former_ceiling(self):
+        # Scalar integrator: C_min = (1 - delta) / b^2, about 5e17 and 5e19 here,
+        # on either side of 2**60.
+        assert_matches_bisection(scalar_system(0.0, 1e-9), 1.0, 1, "discrete", 0.5)
+        exc = assert_matches_bisection(scalar_system(0.0, 1e-10), 1.0, 1, "discrete", 0.5)
+        g = st.discrete_gramian(scalar_system(0.0, 1e-10), 1.0, 1)
+        assert exc.best_margin == st.check_inequality(g, 2.0 ** 60, 0.5).margin
 
 
 class TestBruteForceAgreement:
