@@ -1,10 +1,11 @@
 """Feedback synthesis through the sampled LQ kernel.
 
 One period of the flow turns the continuous system into a discrete pair
-(Phi, D).  Value iteration on K = Phi* K (I + D D* K)^{-1} Phi + I yields the
-stabilizing kernel whenever the pair is stabilizable; the induced gain
-F = -(I + D* K D)^{-1} D* K Phi puts the closed loop strictly inside the
-unit disk.
+(Phi, D).  The fixed point of K = Phi* K (I + D D* K)^{-1} Phi + I is the
+stabilizing kernel whenever the pair is stabilizable; riccati_solve reaches
+it by doubling, each step covering twice the horizon of the last.  The
+induced gain F = -(I + D* K D)^{-1} D* K Phi puts the closed loop strictly
+inside the unit disk.
 """
 
 import numpy as np
@@ -32,11 +33,13 @@ pair = st.sample(osc, T)
 sol = st.riccati_solve(pair)
 gain = st.feedback_gain(sol, pair)
 print(f"\noscillator sampled at T = {T}:")
-print(f"  iterations = {sol.iterations}, residual = {sol.residual:.2e}")
+print(f"  doublings = {sol.iterations} (horizon 2^{sol.iterations}), "
+      f"residual = {sol.residual:.2e}")
 print(f"  gain F = {np.round(gain.F.real, 6)}")
 print(f"  spectral radius of Phi + D F = {gain.spectral_radius:.6f}")
 
 y0 = np.array([1.0, 0.0])
 print(f"  kernel cost <K y0, y0>      = {st.lq_optimal_cost(sol, y0):.6f}")
 print(f"  simulated closed-loop cost  = {st.closed_loop_cost(gain, pair, y0):.6f}")
-print("  (both are reported; the second sums ||y_i||^2 + ||u_i||^2 from i = 1)")
+print("  (the second sums ||y_i||^2 + ||u_i||^2 from i = 1, so it is the first"
+      " minus ||y0||^2)")

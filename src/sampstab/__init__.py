@@ -2,7 +2,7 @@
 
 The package decides weak observability inequalities for continuous and
 T-periodic discrete observation modes, synthesizes stabilizing feedback
-through a discrete LQ value iteration, certifies the closed loops by
+through the discrete LQ Riccati kernel, certifies the closed loops by
 simulation, and ships the benchmark systems on which sampled observation
 provably differs from continuous observation.
 """

@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--tol", type=float, default=lqsynth.DEFAULT_TOL)
-    sp.add_argument("--max-iter", type=int, default=lqsynth.DEFAULT_MAX_ITER)
+    sp.add_argument("--max-iter", type=int, default=lqsynth.DEFAULT_MAX_ITER,
+                    help="cap on Riccati doublings")
 
     sp = sub.add_parser("simulate", help="closed-loop trajectory with a synthesized gain")
     common(sp)
@@ -217,7 +218,7 @@ def _synthesize(system, T: float, tol: float, max_iter: int):
     sol = lqsynth.riccati_solve(sampled, tol=tol, max_iter=max_iter)
     if not sol.converged:
         raise RiccatiDivergenceError(
-            f"value iteration did not converge in {sol.iterations} steps "
+            f"Riccati doubling did not converge in {sol.iterations} doublings "
             f"(residual {sol.residual:.3g}); the sampled pair is likely not "
             "stabilizable -- cross-check with 'analyze'"
         )
@@ -229,18 +230,17 @@ def cmd_synthesize(args) -> int:
     system = _resolve_system(args)
     sampled, sol, gain = _synthesize(system, args.T, args.tol, args.max_iter)
     y0 = _default_y0(sampled.state_dim)
-    results = {
-        "riccati": sol.to_json(),
-        "gain": gain.to_json(),
-        "cost_check": {
-            "y0": "normalized ones vector",
-            "kernel_quadratic_form": lqsynth.lq_optimal_cost(sol, y0),
-            "simulated_cost": lqsynth.closed_loop_cost(gain, sampled, y0),
-        },
+    # Costs first: the Lyapunov solve's workspace is freed before the
+    # matrices are expanded into JSON lists.
+    cost_check = {
+        "y0": "normalized ones vector",
+        "kernel_quadratic_form": lqsynth.lq_optimal_cost(sol, y0),
+        "simulated_cost": lqsynth.closed_loop_cost(gain, sampled, y0),
     }
+    results = {"riccati": sol.to_json(), "gain": gain.to_json(), "cost_check": cost_check}
     _write_report(args, results)
     print(f"spectral radius {gain.spectral_radius:.6g} "
-          f"({sol.iterations} iterations, residual {sol.residual:.3g})")
+          f"({sol.iterations} doublings, residual {sol.residual:.3g})")
     return EXIT_OK
 
 

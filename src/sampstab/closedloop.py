@@ -7,11 +7,13 @@ Regimes (gain F constant unless noted):
 * dp: y' = A y + B F(t) y(kT), F(t) T-periodic operator-valued
 * cp: y' = A y + B F(t) y,     F(t) T-periodic operator-valued
 
-cc and dc propagate exactly through matrix exponentials.  dp evaluates the
-forced term, a product of two exponentials with no elementary closed form,
-by composite Gauss-Legendre panels that are doubled until the one-period
-propagator stabilizes.  cp integrates the time-varying generator with a
-fixed-step classical Runge-Kutta scheme whose grid is locked to the period.
+cc propagates exactly through the closed-loop matrix exponential.  dc and dp
+share one exact sample-and-hold propagator: on [kT, (k+1)T) the input is
+B F exp(H tau) y(kT) with H = 0 (dc) or H = A + B F (dp), so the augmented
+state (y, w) with y' = A y + B F w, w' = H w, y(kT) = w(kT) has the block
+generator [[A, B F], [0, H]], whose exponential over one substep (Van Loan,
+IEEE TAC 1978) advances both.  cp integrates the time-varying generator with
+a fixed-step classical Runge-Kutta scheme whose grid is locked to the period.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .linsys import ContinuousSystem, sample, semigroup, transition_integral
+from .linsys import ContinuousSystem
 
 __all__ = [
     "FeedbackLaw",
@@ -38,13 +40,6 @@ __all__ = [
     "fit_decay",
     "trajectory_to_csv",
 ]
-
-# Target defect of the one-period propagator under panel doubling.
-_PERIOD_DEFECT_TOL = 1e-10
-_MAX_PANELS = 256
-# 8-point Gauss-Legendre nodes/weights on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
 
 @dataclass(frozen=True)
 class ObservationOperator:
@@ -153,6 +148,41 @@ def simulate_cc(sys: ContinuousSystem, F: np.ndarray, y0: np.ndarray,
     return Trajectory(times, states, controls)
 
 
+def _sample_and_hold(sys: ContinuousSystem, F: np.ndarray, H: np.ndarray, T: float,
+                     y0: np.ndarray, horizon: float, steps_per_period: int) -> Trajectory:
+    """Loop y' = A y + B F exp(H (t - kT)) y(kT) on [kT, (k+1)T), exactly.
+
+    With E = expm([[A, B F], [0, H]] h) and X_j = E^j [I; I], the state at
+    kT + j h is X_j[:n] y(kT) and the control is F X_j[n:] y(kT).
+    """
+    if horizon < T:
+        raise ValueError("horizon must cover at least one period")
+    if steps_per_period < 1:
+        raise ValueError("steps_per_period must be >= 1")
+    y0 = np.asarray(y0, dtype=complex).ravel()
+    n, S = sys.state_dim, steps_per_period
+    h = T / S
+    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    M[:n, :n], M[:n, n:], M[n:, n:] = sys.A, sys.B @ F, H
+    E = expm(M * h)
+    # rows[j] = [X_j[:n]; F X_j[n:]] maps y(kT) to [state; control] at kT + j h.
+    rows = np.empty((S + 1, n + F.shape[0], n), dtype=complex)
+    X = np.vstack([np.eye(n), np.eye(n)])
+    for j in range(S + 1):
+        rows[j] = np.vstack([X[:n], F @ X[n:]])
+        X = E @ X
+
+    K = _num_periods(horizon, T)
+    samples = np.empty((K + 1, n), dtype=complex)
+    samples[0] = y0
+    for k in range(K):
+        samples[k + 1] = rows[S, :n] @ samples[k]
+    grid = np.empty((K * S + 1, rows.shape[1]), dtype=complex)
+    grid[:-1].reshape(K, S, -1)[:] = (rows[:S] @ samples[:K].T).transpose(2, 0, 1)
+    grid[-1] = rows[0] @ samples[K]
+    return Trajectory(np.arange(K * S + 1) * h, grid[:, :n], grid[:, n:])
+
+
 def simulate_dc(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
                 horizon: float, steps_per_period: int) -> Trajectory:
     """Sampled-observation loop with constant gain, propagated exactly.
@@ -163,125 +193,22 @@ def simulate_dc(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
     """
     if not T > 0:
         raise ValueError("T must be > 0")
-    if horizon < T:
-        raise ValueError("horizon must cover at least one period")
-    if steps_per_period < 1:
-        raise ValueError("steps_per_period must be >= 1")
     F = np.atleast_2d(np.asarray(F, dtype=complex))
-    y0 = np.asarray(y0, dtype=complex).ravel()
-    sampled = sample(sys, T)
-    M = sampled.Phi + sampled.D @ F
-
-    h = T / steps_per_period
-    E_h = semigroup(sys, h)
-    J_h = transition_integral(sys, h)
-    # Intra-period propagators at tau = j h: state = (E_j + J_j B F) y(kT).
-    intra = []
-    E_j = np.eye(sys.state_dim, dtype=complex)
-    J_j = np.zeros_like(E_j)
-    for _ in range(steps_per_period - 1):
-        J_j = J_h + E_h @ J_j
-        E_j = E_h @ E_j
-        intra.append(E_j + J_j @ sys.B @ F)
-
-    K = _num_periods(horizon, T)
-    n_points = K * steps_per_period + 1
-    times = np.arange(n_points) * h
-    states = np.empty((n_points, sys.state_dim), dtype=complex)
-    controls = np.empty((n_points, sys.input_dim), dtype=complex)
-    y_k = y0
-    for k in range(K):
-        base = k * steps_per_period
-        states[base] = y_k
-        u_k = F @ y_k
-        controls[base:base + steps_per_period] = u_k
-        for j, P in enumerate(intra, start=1):
-            states[base + j] = P @ y_k
-        y_k = M @ y_k
-    states[-1] = y_k
-    controls[-1] = F @ y_k
-    return Trajectory(times, states, controls)
-
-
-def _period_family(sys: ContinuousSystem, law: FeedbackLaw,
-                   steps_per_period: int, panels: int) -> list[np.ndarray]:
-    """Propagators P_j with y(kT + j h) = P_j y(kT), forced term by composite GL.
-
-    The forced term over one substep reduces to a single integral on [0, h]:
-    Q_j = exp(A h) Q_{j-1} + R1 exp(Acl (j-1) h) with
-    R1 = int_0^h exp(A (h - s)) B F exp(Acl s) ds.
-    """
-    h = law.T / steps_per_period
-    A, BF, Acl = sys.A, sys.B @ law.F, law.closed_loop_generator
-    width = h / panels
-    R1 = np.zeros_like(A)
-    for p in range(panels):
-        a = p * width
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            s = a + 0.5 * width * (x + 1.0)
-            R1 += (0.5 * width * w) * (expm(A * (h - s)) @ BF @ expm(Acl * s))
-    E_h = semigroup(sys, h)
-    Scl_h = expm(Acl * h)
-    family = []
-    Q = np.zeros_like(A)
-    E_acc = np.eye(sys.state_dim, dtype=complex)   # exp(A j h)
-    S_prev = np.eye(sys.state_dim, dtype=complex)  # exp(Acl (j-1) h)
-    for _ in range(steps_per_period):
-        Q = E_h @ Q + R1 @ S_prev
-        E_acc = E_h @ E_acc
-        S_prev = Scl_h @ S_prev
-        family.append(E_acc + Q)
-    return family
+    return _sample_and_hold(sys, F, np.zeros_like(sys.A), T, y0, horizon,
+                            steps_per_period)
 
 
 def simulate_dp(sys: ContinuousSystem, law: FeedbackLaw, y0: np.ndarray,
                 horizon: float, steps_per_period: int) -> Trajectory:
     """Sampled observation under a periodic law: y' = A y + B F(t) y(kT).
 
-    Variation of constants over each period; the Gauss-Legendre panel count
-    starts at one per substep and doubles until the one-period propagator
-    changes by less than the defect tolerance, then the finer family is kept.
+    With F(t) = F exp((A + B F)(t - kT)) the loop reproduces the continuous
+    loop y' = (A + B F) y exactly, between samples too.
     """
     if law.kind != "periodic":
         raise ValueError("simulate_dp requires a periodic feedback law")
-    if steps_per_period < 1:
-        raise ValueError("steps_per_period must be >= 1")
-    T = law.T
-    if horizon < T:
-        raise ValueError("horizon must cover at least one period")
-    y0 = np.asarray(y0, dtype=complex).ravel()
-
-    panels = 1
-    family = _period_family(sys, law, steps_per_period, panels)
-    while panels < _MAX_PANELS:
-        finer = _period_family(sys, law, steps_per_period, 2 * panels)
-        defect = np.linalg.norm(finer[-1] - family[-1], 2)
-        family, panels = finer, 2 * panels
-        if defect < _PERIOD_DEFECT_TOL:
-            break
-
-    h = T / steps_per_period
-    # Control weights on the substep grid: F(tau_j) = F exp(Acl tau_j).
-    Scl_h = expm(law.closed_loop_generator * h)
-    F_sched = [law.F.copy()]
-    for _ in range(steps_per_period):
-        F_sched.append(F_sched[-1] @ Scl_h)
-
-    K = _num_periods(horizon, T)
-    n_points = K * steps_per_period + 1
-    times = np.arange(n_points) * h
-    states = np.empty((n_points, sys.state_dim), dtype=complex)
-    controls = np.empty((n_points, law.F.shape[0]), dtype=complex)
-    y_k = y0
-    for k in range(K):
-        base = k * steps_per_period
-        states[base] = y_k
-        for j in range(steps_per_period):
-            controls[base + j] = F_sched[j] @ y_k
-            states[base + j + 1] = family[j] @ y_k
-        y_k = states[base + steps_per_period]
-    controls[-1] = F_sched[0] @ y_k
-    return Trajectory(times, states, controls)
+    return _sample_and_hold(sys, law.F, law.closed_loop_generator, law.T, y0,
+                            horizon, steps_per_period)
 
 
 def simulate_cp(sys: ContinuousSystem, law: FeedbackLaw, y0: np.ndarray,
@@ -375,14 +302,11 @@ def trajectory_to_csv(traj: Trajectory, path, header: dict | None = None) -> Non
     cols = ["t", "norm_y"]
     cols += [f"y{i}_{p}" for i in range(n) for p in ("re", "im")]
     cols += [f"u{j}_{p}" for j in range(m) for p in ("re", "im")]
-    norms = traj.norms()
+    # Viewing complex as float interleaves Re/Im, matching the column order.
+    table = np.column_stack([traj.times, traj.norms(),
+                             np.ascontiguousarray(traj.states).view(float),
+                             np.ascontiguousarray(traj.controls).view(float)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(cols) + "\n")
-        for idx, t in enumerate(traj.times):
-            row = [f"{t:.16g}", f"{norms[idx]:.16g}"]
-            for z in traj.states[idx]:
-                row += [f"{z.real:.16g}", f"{z.imag:.16g}"]
-            for z in traj.controls[idx]:
-                row += [f"{z.real:.16g}", f"{z.imag:.16g}"]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, table, fmt="%.16g", delimiter=",")

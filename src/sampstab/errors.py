@@ -10,7 +10,7 @@ class NumericOverflowError(SampstabError):
 
 
 class RiccatiDivergenceError(SampstabError):
-    """Value iteration diverged or hit the iteration cap without converging."""
+    """Riccati doubling diverged or hit its doubling cap without converging."""
 
 
 class SpectralRadiusError(SampstabError):

@@ -4,9 +4,11 @@ The stabilizing kernel is the fixed point of
 
     K = Phi* K (I + D D* K)^{-1} Phi + I,
 
-found by value iteration from K_0 = 0 (the same backward recursion that
-represents the finite-horizon optimal cost, so the finite-horizon iterates
-double as a brute-force oracle).  The feedback gain is
+whose value iteration from K_0 = 0 is the finite-horizon optimal cost
+(``dp_value_iterate``, kept as the brute-force oracle).  ``riccati_solve``
+reaches the fixed point by structure-preserving doubling (Lin & Xu, SIAM
+J. Matrix Anal. Appl. 28, 2006): its k-th iterate equals 2^k value steps.
+The feedback gain is
 
     F_K = -(I + D* K D)^{-1} D* K Phi,
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import SpectralRadiusError
 from .linsys import SampledSystem
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
+DEFAULT_MAX_ITER = 64
 # trace(K) beyond this reports structural divergence rather than slow progress.
 _DIVERGENCE_TRACE = 1e12
 
@@ -86,9 +89,13 @@ def _value_step(K: np.ndarray, Phi: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> RiccatiSolution:
-    """Iterate the value recursion from K = 0 until the step norm drops below tol.
+    """Double the value recursion until its relative step drops to tol.
 
-    A non-converged result (iteration cap, or trace blow-up past 1e12) signals
+    From A_0 = Phi, G_0 = D D*, H_0 = I, each doubling sets W = (I + G H)^{-1}
+    and A <- A W A, G <- G + A W G A*, H <- H + A* H W A; H_k equals the
+    value iterate after 2^k steps.  Stops when ||H_{k+1} - H_k|| <= tol
+    ||H_{k+1}|| (2-norms); max_iter counts doublings.  A non-converged result
+    (doubling cap, non-finite entries, or trace blow-up past 1e12) signals
     that the sampled pair is likely not stabilizable; cross-check with the
     observability decision procedure.
     """
@@ -98,27 +105,33 @@ def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
         raise ValueError("max_iter must be >= 1")
     Phi, D = sys.Phi, sys.D
     n = Phi.shape[0]
-    K = np.zeros((n, n), dtype=complex)
+    A, G, H = Phi, D @ D.conj().T, np.eye(n, dtype=complex)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        K_next = _value_step(K, Phi, D)
-        step = np.linalg.norm(K_next - K, 2)
-        K = K_next
-        if step < tol:
+        WA, WG = np.hsplit(np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G])), 2)
+        H_next = _hermitize(H + A.conj().T @ H @ WA)
+        if not np.isfinite(H_next).all():
+            break
+        G = _hermitize(G + A @ WG @ A.conj().T)
+        A = A @ WA
+        step = np.linalg.norm(H_next - H, 2)
+        H = H_next
+        if step <= tol * np.linalg.norm(H, 2):
             converged = True
             break
-        if np.trace(K).real > _DIVERGENCE_TRACE:
+        if np.trace(H).real > _DIVERGENCE_TRACE:
             break
-    residual = float(np.linalg.norm(K - _value_step(K, Phi, D), 2))
-    return RiccatiSolution(K=K, residual=residual, iterations=iterations,
+    residual = float(np.linalg.norm(H - _value_step(H, Phi, D), 2))
+    return RiccatiSolution(K=H, residual=residual, iterations=iterations,
                            converged=converged)
 
 
 def dp_value_iterate(sys: SampledSystem, n: int) -> np.ndarray:
     """Finite-horizon optimal cost operator after n backward steps from P = 0.
 
-    Identical recursion to riccati_solve; serves as its brute-force oracle.
+    riccati_solve's k-th doubling equals n = 2^k of these steps; serves as
+    its brute-force oracle.
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
@@ -153,23 +166,16 @@ def lq_optimal_cost(sol: RiccatiSolution, y0: np.ndarray) -> float:
     return float(np.real(y0.conj() @ sol.K @ y0))
 
 
-def closed_loop_cost(gain: FeedbackGain, sys: SampledSystem, y0: np.ndarray,
-                     max_steps: int = 100_000, rtol: float = 1e-16) -> float:
-    """Accumulated cost sum(||y_i||^2 + ||u_i||^2) of the feedback recursion.
+def closed_loop_cost(gain: FeedbackGain, sys: SampledSystem, y0: np.ndarray) -> float:
+    """Cost sum_{i>=1} (||y_i||^2 + ||u_i||^2) of the feedback recursion, exactly.
 
-    The loop y_i = (Phi + D F) y_{i-1}, u_i = F y_{i-1} is run until the state
-    energy falls below rtol relative to ||y0||^2.  Reported alongside the
-    kernel quadratic form; equality of the two is not asserted anywhere.
+    With y_i = M y_{i-1}, u_i = F y_{i-1} and M = Phi + D F, the sum is
+    y0* X y0 for the solution X = M* X M + M* M + F* F of the discrete
+    Lyapunov equation.  For the LQ-optimal gain X = K - I, so the cost equals
+    lq_optimal_cost - ||y0||^2.
     """
     y = np.asarray(y0, dtype=complex).ravel()
-    scale = np.linalg.norm(y) ** 2
-    if scale == 0.0:
-        return 0.0
-    total = 0.0
-    for _ in range(max_steps):
-        u = gain.F @ y
-        y = sys.Phi @ y + sys.D @ u
-        total += float(np.linalg.norm(y) ** 2 + np.linalg.norm(u) ** 2)
-        if np.linalg.norm(y) ** 2 <= rtol * scale:
-            break
-    return total
+    F = gain.F
+    M = sys.Phi + sys.D @ F
+    X = solve_discrete_lyapunov(M.conj().T, M.conj().T @ M + F.conj().T @ F)
+    return float(np.real(y.conj() @ X @ y))

@@ -86,6 +86,13 @@ class TestSynthesize:
         cost = report["results"]["cost_check"]
         assert cost["simulated_cost"] <= cost["kernel_quadratic_form"] + 1e-9
 
+    def test_near_degenerate_period_converges(self, tmp_path):
+        # analyze is feasible at T = 3.1415, so synthesis must succeed there.
+        code = main(["synthesize", "--example", "oscillator", "--T", "3.1415",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert read_report(tmp_path)["results"]["gain"]["spectral_radius"] < 1.0
+
     def test_divergence_is_numeric_failure(self, tmp_path):
         code = main(["synthesize", "--example", "oscillator", "--T", str(np.pi),
                      "--max-iter", "2000", "--out", str(tmp_path)])

@@ -92,6 +92,12 @@ class TestSimulateDc:
             ydot_fd = (traj.states[idx + 1] - traj.states[idx - 1]) / (2 * h)
             resid = ydot_fd - (osc.A @ y + osc.B @ u)
             assert np.abs(resid).max() < 1e-2  # second-order stencil error only
+            # Exactly: y(kT + tau) = exp(A tau) y_k + J_tau B F y_k.
+            k, j = divmod(idx, steps)
+            y_k = traj.states[k * steps]
+            exact = (st.semigroup(osc, j * h) @ y_k
+                     + st.transition_integral(osc, j * h) @ osc.B @ F @ y_k)
+            assert np.linalg.norm(y - exact) <= 1e-12 * np.linalg.norm(exact)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +174,11 @@ class TestSimulateDp:
                 ref = cc.states[k * steps]
                 err = np.linalg.norm(dp.states[k * steps] - ref)
                 assert err <= 1e-8 * max(np.linalg.norm(ref), 1e-30)
+            # The periodic law reproduces the continuous loop between samples too.
+            assert dp.times.shape == cc.times.shape
+            for got, ref in ((dp.states, cc.states), (dp.controls, cc.controls)):
+                err = np.linalg.norm(got - ref, axis=1)
+                assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=1))
 
     def test_requires_periodic_law(self):
         law = st.FeedbackLaw(kind="constant", F=np.zeros((1, 1)))
@@ -266,3 +277,17 @@ class TestTrajectoryExport:
         assert len(lines) == 2 + len(traj.times)
         first = [float(x) for x in lines[2].split(",")]
         assert first[0] == 0.0 and abs(first[1] - 1.0) < 1e-15
+
+        # Edge values print exactly as the shortest-round-trip "%.16g" cell.
+        edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+                         np.nan, 1.7976931348623157e308, 0.1, -1 / 3, 123456789.0])
+        states = np.zeros((2, 5), dtype=complex)
+        states.real[1], states.imag[1] = edge[0::2], edge[1::2]
+        controls = np.array([[0.0], [-2.5e-17 + 1e300j]])
+        odd = st.Trajectory([0.0, 1e-9], states, controls)
+        with np.errstate(over="ignore", invalid="ignore"):
+            st.trajectory_to_csv(odd, path)
+            norm = odd.norms()[1]
+        cells = path.read_text().splitlines()[3].split(",")
+        want = [1e-9, norm, *edge, -2.5e-17, 1e300]
+        assert cells == [f"{x:.16g}" for x in want]

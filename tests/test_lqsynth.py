@@ -1,13 +1,17 @@
 """Riccati kernel, finite-horizon oracle, and feedback gain."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
 import sampstab as st
 
-from conftest import random_stabilizable_pair
+from conftest import random_mixed_system, random_stabilizable_pair
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -29,10 +33,10 @@ class TestRiccatiSolve:
         assert sol.residual <= 10 * st.lqsynth.DEFAULT_TOL
 
     def test_uncontrolled_neutral_mode_diverges(self):
-        sol = st.riccati_solve(scalar_pair(1.0, 0.0), max_iter=500)
+        sol = st.riccati_solve(scalar_pair(1.0, 0.0), max_iter=9)
         assert not sol.converged
-        # K_j = j for this recursion.
-        assert_allclose(sol.K[0, 0].real, 500.0, atol=1e-9)
+        # K_j = j for this recursion, and 9 doublings take j = 2^9 steps.
+        assert_allclose(sol.K[0, 0].real, 512.0, atol=1e-9)
 
     def test_unstable_uncontrolled_trips_trace_guard(self):
         sol = st.riccati_solve(scalar_pair(2.0, 0.0))
@@ -58,6 +62,15 @@ class TestRiccatiSolve:
             n = pair.state_dim
             X = solve_discrete_are(pair.Phi, pair.D, np.eye(n), np.eye(pair.input_dim))
             assert np.linalg.norm(sol.K - X, 2) <= 1e-8 * np.linalg.norm(X, 2)
+
+    def test_doublings_are_value_iterates(self):
+        # The k-th doubling is the value iterate after 2^k backward steps.
+        for seed in range(4):
+            pair = random_stabilizable_pair(seed)
+            for k in range(1, 6):
+                sol = st.riccati_solve(pair, max_iter=k)
+                P = st.dp_value_iterate(pair, 2 ** sol.iterations)
+                assert np.linalg.norm(sol.K - P, 2) <= 1e-12 * np.linalg.norm(P, 2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -170,3 +183,41 @@ class TestOptimalCost:
             y0 = rng.standard_normal(pair.state_dim)
             simulated = st.closed_loop_cost(gain, pair, y0)
             assert 0.0 <= simulated <= st.lq_optimal_cost(sol, y0) + 1e-6
+            # Under the optimal gain the loop's cost from i = 1 is K - I.
+            kernel = st.lq_optimal_cost(sol, y0) - np.linalg.norm(y0) ** 2
+            assert_allclose(simulated, kernel, rtol=1e-10)
+
+
+def synthesizes_where_feasible(system, T) -> bool:
+    """analyze-feasible at T implies a converged kernel with rho < 1.
+
+    Returns whether the discrete decision was feasible, so callers can check
+    that a sweep is not vacuous.
+    """
+    try:
+        feasible = st.decide_dc(system, T).feasible
+    except st.SearchExhausted:
+        return False
+    if feasible:
+        pair = st.sample(system, T)
+        sol = st.riccati_solve(pair)
+        assert sol.converged, f"T={T!r}: {sol.iterations} doublings"
+        assert st.feedback_gain(sol, pair).spectral_radius < 1.0
+    return feasible
+
+
+class TestAnalyzeSynthesizeAgreement:
+    def test_oscillator_sweep(self):
+        osc = st.harmonic_oscillator()
+        grid = [round(0.05 * k, 10) for k in range(1, 200)]  # 0.05 .. 9.95
+        assert sum(synthesizes_where_feasible(osc, T) for T in grid) >= 190
+
+    @pytest.mark.parametrize("T", [3.1415, 3.14159, 3.1416, 6.2831, 6.28318,
+                                   math.pi - 1e-3, math.pi + 1e-3])
+    def test_oscillator_near_degenerate_periods(self, T):
+        assert synthesizes_where_feasible(st.harmonic_oscillator(), T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), T=hs.sampled_from([0.3, 1.0, 2.5]))
+    def test_random_mixed_systems(self, seed, T):
+        synthesizes_where_feasible(random_mixed_system(seed), T)
