@@ -191,10 +191,13 @@ def _quiet_expm(M: np.ndarray) -> np.ndarray:
 
 
 def _phi1(lam: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise int_0^t exp(lam s) ds = (exp(lam t) - 1) / lam, with lam=0 -> t."""
+    """Elementwise int_0^t exp(lam s) ds = (exp(lam t) - 1) / lam, with lam=0 -> t.
+
+    A subnormal lam also gives t: complex division by it overflows.
+    """
     lam = np.asarray(lam, dtype=complex)
     out = np.full(lam.shape, complex(t))
-    nz = lam != 0
+    nz = np.abs(lam) >= np.finfo(float).tiny
     out[nz] = np.expm1(lam[nz] * t) / lam[nz]
     return out
 

@@ -15,6 +15,10 @@ and take the smallest C in closed form.  The kernel of G supplies a structural
 obstruction: on ker G the inequality collapses to ||R* phi||^2 <= delta
 ||phi||^2, so if the transition preserves norm on the kernel no constant C can
 help at that horizon.
+
+A spectral (diagonal) system stays diagonal: R and G are 1-D arrays of
+per-mode entries, and each eigenvalue problem above becomes a maximum over
+modes.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ class GramianBundle:
     """Transition R, PSD Gramian G, and its eigendecomposition G = V diag(w) V*.
 
     mode is "discrete" (horizon = N periods of length T) or "continuous"
-    (horizon = integration time, and T echoes it).  w ascends, so ker G is
-    spanned by the leading columns of V, those with w <= RANK_RTOL * max w.
+    (horizon = integration time, and T echoes it).  ker G is spanned by the
+    eigenvectors with w <= RANK_RTOL * max w.  For a dense G, w ascends, so
+    these are the leading columns of V.  A 1-D G holds the diagonal of a
+    diagonal system's Gramian (and R the diagonal of its transition): w is G
+    itself, V is None (the identity), and ker G is spanned by unit modes.
     """
 
     R: np.ndarray
@@ -72,12 +79,18 @@ class GramianBundle:
     T: float
     horizon: float
     eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        G = _hermitize(np.asarray(self.G, dtype=complex))
-        w, V = np.linalg.eigh(G)
-        if w[0] < -1e-12 * max(np.abs(w).max(), 1.0):
+        if np.ndim(self.G) == 1:
+            G = np.asarray(self.G, dtype=float)
+            if np.shape(self.R) != G.shape:
+                raise ValueError("a 1-D Gramian needs a 1-D transition of the same length")
+            w, V = G, None
+        else:
+            G = _hermitize(np.asarray(self.G, dtype=complex))
+            w, V = np.linalg.eigh(G)
+        if w.min() < -1e-12 * max(np.abs(w).max(), 1.0):
             raise ValueError("Gramian has a significantly negative eigenvalue")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "R", np.asarray(self.R, dtype=complex))
@@ -85,13 +98,23 @@ class GramianBundle:
         object.__setattr__(self, "eigenvectors", V)
 
     @property
-    def kernel_dim(self) -> int:
+    def kernel_mask(self) -> np.ndarray:
+        """True at the eigenvalues that span ker G."""
         w = self.eigenvalues
-        return int(np.count_nonzero(w <= RANK_RTOL * max(w[-1], 0.0)))
+        return w <= RANK_RTOL * max(w.max(), 0.0)
+
+    @property
+    def kernel_dim(self) -> int:
+        return int(np.count_nonzero(self.kernel_mask))
 
     @property
     def kernel_basis(self) -> np.ndarray:
-        return self.eigenvectors[:, :self.kernel_dim]
+        if self.eigenvectors is not None:
+            return self.eigenvectors[:, :self.kernel_dim]
+        modes = np.flatnonzero(self.kernel_mask)
+        P = np.zeros((self.G.size, modes.size), dtype=complex)
+        P[modes, np.arange(modes.size)] = 1.0
+        return P
 
 
 @dataclass(frozen=True)
@@ -144,17 +167,33 @@ def _walk(sys: ContinuousSystem | SpectralSystem, T: float, mode: str):
 
     G_1 is W_1* W_1 (discrete) or int_0^T exp(At) B B* exp(At)* dt from one
     block exponential (continuous); the step adds the next period's term,
-    e.g. W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.
+    e.g. W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  A spectral system walks the
+    1-D diagonals: Phi = exp(lambda T), and with mask b, G_1 = |b phi1(lambda, T)|^2
+    (discrete) or b^2 phi1(2 Re lambda, T) (continuous), where
+    phi1(z, t) = int_0^t exp(z s) ds.
     """
     if not T > 0:
         raise ValueError("T must be > 0")
+    if isinstance(sys, SpectralSystem):
+        lam, b = sys.symbol_values, sys.control_mask
+        with np.errstate(over="ignore", invalid="ignore"):
+            Phi = linsys._check_finite(np.exp(lam * T), "semigroup")
+            if mode == "discrete":
+                G_1 = np.abs(b * linsys._phi1(lam, T)) ** 2
+            else:
+                G_1 = b ** 2 * linsys._phi1(2.0 * lam.real, T).real
+        G_1 = linsys._check_finite(G_1, f"{mode} Gramian")
+        R, G = Phi, G_1
+        while True:
+            yield R, G
+            G = G + np.abs(R) ** 2 * G_1
+            R = R * Phi
     Phi = semigroup(sys, T)
     if mode == "discrete":
         W = observation_block(sys, T, 1)
         G_1 = _hermitize(W.conj().T @ W)
     else:
-        dense = linsys.to_dense(sys) if isinstance(sys, SpectralSystem) else sys
-        A, B, n = dense.A, dense.B, dense.state_dim
+        A, B, n = sys.A, sys.B, sys.state_dim
         aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
         F = linsys._check_finite(linsys._quiet_expm(aug * T), "continuous Gramian")
         G_1 = _hermitize(F[n:, n:].conj().T @ F[:n, n:])
@@ -173,14 +212,20 @@ def _bundle(R: np.ndarray, G: np.ndarray, mode: str, T: float, k: int) -> Gramia
 
 
 def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -> GramianBundle:
-    """Gramian of the N interval-integrated observation blocks, G = sum W_i* W_i."""
+    """Gramian of the N interval-integrated observation blocks, G = sum W_i* W_i.
+
+    A spectral system gives a 1-D bundle (per-mode diagonals).
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     return _bundle(*next(islice(_walk(sys, T, "discrete"), N - 1, None)), "discrete", T, N)
 
 
 def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> GramianBundle:
-    """G = int_0^{T_h} exp(At) B B* exp(At)* dt via the block-exponential construction."""
+    """G = int_0^{T_h} exp(At) B B* exp(At)* dt via the block-exponential construction.
+
+    A spectral system gives a 1-D bundle from the per-mode closed form.
+    """
     return _bundle(*next(_walk(sys, T_h, "continuous")), "continuous", T_h, 1)
 
 
@@ -190,9 +235,12 @@ def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityC
         raise ValueError("C must be >= 0")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    n = g.R.shape[0]
-    M = _hermitize(g.R @ g.R.conj().T - C * g.G - delta * np.eye(n))
-    margin = float(np.linalg.eigvalsh(M).max())
+    if g.G.ndim == 1:
+        margin = float(np.max(np.abs(g.R) ** 2 - C * g.G - delta))
+    else:
+        n = g.R.shape[0]
+        M = _hermitize(g.R @ g.R.conj().T - C * g.G - delta * np.eye(n))
+        margin = float(np.linalg.eigvalsh(M).max())
     return ObservabilityCertificate(
         mode=g.mode, T=g.T, N=g.horizon, C=float(C), delta=float(delta),
         margin=margin, feasible=margin <= PSD_TOL, kernel_dim=g.kernel_dim,
@@ -205,6 +253,8 @@ def min_delta_on_kernel(g: GramianBundle) -> float:
     This is the infimum of admissible delta in the C -> infinity limit: some
     (C, delta < 1) satisfies the inequality only if this value is < 1.
     """
+    if g.G.ndim == 1:
+        return float(np.max(np.abs(g.R[g.kernel_mask]) ** 2, initial=0.0))
     Y = g.kernel_basis.conj().T @ g.R
     return float(np.linalg.eigvalsh(_hermitize(Y @ Y.conj().T)).max(initial=0.0))
 
@@ -219,8 +269,13 @@ def _min_constant(g: GramianBundle, delta: float) -> float:
     C_t = lambda_max(P - Q S^-1 Q*)_+, which needs S < 0, i.e.
     min_delta_on_kernel(g) < delta (the caller's guard), and is exact for a
     trivial kernel.  Otherwise N = 2 C_t B - M > 0 and the definite pencil
-    gives C_min = 2 C_t - 1 / lambda_max(N^-1 B) exactly.
+    gives C_min = 2 C_t - 1 / lambda_max(N^-1 B) exactly.  Per mode of a
+    1-D bundle this is C_min = max over range modes of (|R|^2 - delta)_+ / G;
+    kernel modes need no C since |R|^2 < delta there.
     """
+    if g.G.ndim == 1:
+        r = ~g.kernel_mask
+        return float(np.max(np.maximum(np.abs(g.R[r]) ** 2 - delta, 0.0) / g.G[r], initial=0.0))
     d, w = g.kernel_dim, g.eigenvalues
     X = g.eigenvectors.conj().T @ g.R
     scale = np.concatenate([np.ones(d), 1.0 / np.sqrt(w[d:])])
@@ -352,11 +407,15 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
 
 def gramian_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
     """phi* G phi for each column of phis (brute-force evaluation helper)."""
+    if g.G.ndim == 1:
+        return g.G @ np.abs(phis) ** 2
     return np.real(np.einsum("ij,ij->j", phis.conj(), g.G @ phis))
 
 
 def transition_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
     """||R* phi||^2 for each column of phis."""
+    if g.G.ndim == 1:
+        return np.abs(g.R) ** 2 @ np.abs(phis) ** 2
     v = g.R.conj().T @ phis
     return np.real(np.einsum("ij,ij->j", v.conj(), v))
 

@@ -130,6 +130,28 @@ def scratch_bundle(sys, T: float, N: int, mode: str) -> GramianBundle:
     return GramianBundle(R, G, mode, T, float(N))
 
 
+def witness_observed_loop(grid: np.ndarray, phi: np.ndarray, T: float, N: int) -> float:
+    """Oracle: the witness observability sum, one interval at a time.
+
+    Interval i contributes || exp(-i xi^2 (i-1) T) c(xi) phi ||^2 on the
+    trapezoid rule, where c = (exp(-i xi^2 T) - 1) / (-i xi^2) integrates the
+    adjoint flow over one period (c = T at xi = 0).
+    """
+    d = np.diff(grid)
+    w = np.zeros(grid.size)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    lam = -1j * grid.astype(float) ** 2
+    coef = np.full(grid.shape, complex(T))
+    nz = lam != 0
+    coef[nz] = np.expm1(lam[nz] * T) / lam[nz]
+    total = 0.0
+    for i in range(1, N + 1):
+        g = np.exp(lam * (i - 1) * T) * coef * phi
+        total += float(np.sum(w * np.abs(g) ** 2))
+    return total
+
+
 def bisect_constant(g: GramianBundle, delta: float, steps: int = 60,
                     doublings: int = 60) -> float | None:
     """Oracle: smallest C with check_inequality(g, C, delta) feasible.

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 import sampstab as st
 from sampstab.benchmarks import _witness_observed
 
+from conftest import witness_observed_loop
+
 
 class TestHarmonicOscillator:
     def test_spectrum(self):
@@ -163,6 +165,13 @@ class TestWitness:
     def test_grid_too_coarse(self):
         with pytest.raises(st.GridTooCoarse):
             st.schrodinger_witness(1.0, 2, 0.01, np.linspace(0.0, 4.0, 64))
+
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    def test_observed_sum_matches_the_interval_loop(self, N):
+        # One interval times N against the interval-by-interval oracle.
+        wit = st.schrodinger_witness(0.5, N, 0.001, self.grid(0.5, N, 0.001, points=4096))
+        ref = witness_observed_loop(wit.grid, wit.phi, 0.5, N)
+        assert_allclose(wit.observed, ref, rtol=1e-12, atol=0.0)
 
     def test_interval_integral_against_quadrature(self):
         # The per-mode coefficient integrates exp(-i xi^2 t) over [(i-1)T, iT].

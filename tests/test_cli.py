@@ -46,11 +46,22 @@ class TestAnalyze:
                      "--N-max", "2", "--delta", "0.5", "--out", str(tmp_path)])
         assert code == EXIT_EXHAUSTED
 
-    def test_stiff_heat_overflow_is_numeric_failure(self, tmp_path, capsys):
+    def test_stiff_heat_is_decided(self, tmp_path):
+        # The spectral system is decided per mode, so the block exponential
+        # that overflows for its dense form never runs.
         code = main(["analyze", "--example", "frac-heat", "--modes", "64",
                      "--xi-max", "20", "--s", "2", "--T", "5", "--out", str(tmp_path)])
-        assert code == EXIT_NUMERIC
-        assert "non-finite" in capsys.readouterr().err
+        assert code == EXIT_OK
+        results = read_report(tmp_path)["results"]
+        heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
+        dc, cc = results["discrete"]["certificate"], results["continuous"]["certificate"]
+        assert results["discrete"]["brute_force"]["contradicts"] is False
+        assert (dc["N"], cc["N"]) == (1.0, 5.0)
+        assert abs(dc["C"] - 0.826844) <= 1e-6 and abs(cc["C"] - 1.79846) <= 1e-5
+        for g, cert in ((st.discrete_gramian(heat, 5.0, int(dc["N"])), dc),
+                        (st.continuous_gramian(heat, cc["N"]), cc)):
+            assert cert["feasible"]
+            assert st.check_inequality(g, cert["C"], cert["delta"]).feasible
 
     def test_reports_are_byte_identical(self, tmp_path):
         argv = ["analyze", "--example", "oscillator", "--T", "1.0",

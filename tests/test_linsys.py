@@ -200,6 +200,13 @@ class TestTransitionIntegral:
                 ref[p, q] = re + 1j * im
         assert_allclose(J, ref, atol=1e-9)
 
+    def test_subnormal_spectral_entry(self):
+        # Complex division by a subnormal lambda overflows; the integral is T.
+        heat = st.fractional_heat(3, 2.0, 1e-310)
+        J = np.diag(transition_integral(heat, 0.7))
+        edge = (1 - np.exp(-16 * 0.7)) / 16
+        assert_allclose(J, [edge, 0.7, edge], rtol=1e-13)
+
 
 class TestJson:
     def test_dense_round_trip(self):

@@ -1,5 +1,6 @@
 """Gramians, weak observability feasibility, and period pathology."""
 
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import sampstab as st
 from sampstab import obscheck
+from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
 from conftest import (bisect_verdict, random_mixed_system, random_neutral_system,
@@ -181,7 +183,17 @@ class TestContinuousGramian:
         # exp(399 T_h) overflows in the block exponential of this stiff truncation.
         heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
         with pytest.raises(st.NumericOverflowError):
-            st.continuous_gramian(heat, 5.0)
+            st.continuous_gramian(st.to_dense(heat), 5.0)
+
+    def test_stiff_spectral_gramian_is_the_mode_integral(self):
+        # The spectral form of the same truncation needs no block exponential:
+        # int_0^T_h exp(2 Re lambda t) dt per mode, with the identity mask.
+        heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
+        g = st.continuous_gramian(heat, 5.0)
+        a = 2.0 * heat.symbol_values.real
+        assert g.G.shape == (64,) and np.all(a != 0)
+        assert_allclose(g.G, np.expm1(a * 5.0) / a, rtol=1e-14)
+        assert_allclose(g.R, np.exp(heat.symbol_values * 5.0), rtol=1e-14)
 
     def test_holder_bridge(self, rng):
         # Interval-integrated blocks are dominated by T times the running
@@ -213,6 +225,9 @@ class TestHorizonWalk:
     def test_every_step_matches_a_scratch_build(self, name, mode):
         sys = WALK_SYSTEMS[name]
         for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4, mode), 16), start=1):
+            if isinstance(sys, st.SpectralSystem):
+                assert R.ndim == G.ndim == 1
+                R, G = np.diag(R), np.diag(G)
             ref = scratch_bundle(sys, 0.4, N, mode)
             assert np.linalg.norm(G - ref.G, 2) <= 1e-10 * np.linalg.norm(ref.G, 2)
             assert np.linalg.norm(R - ref.R, 2) <= 1e-10 * np.linalg.norm(ref.R, 2)
@@ -293,6 +308,80 @@ class TestClosedFormConstant:
         exc = assert_matches_bisection(scalar_system(0.0, 1e-10), 1.0, 1, "discrete", 0.5)
         g = st.discrete_gramian(scalar_system(0.0, 1e-10), 1.0, 1)
         assert exc.best_margin == st.check_inequality(g, 2.0 ** 60, 0.5).margin
+
+
+@hs.composite
+def spectral_systems(draw, n_max=64):
+    """Frac-heat or Schroedinger truncations whose masks mix 0, 1 and fractions."""
+    n = draw(hs.integers(1, n_max))
+    xi_max = draw(hs.floats(0.5, 5.0))
+    mask = draw(hs.lists(hs.one_of(hs.just(0.0), hs.just(1.0), hs.floats(0.05, 1.0)),
+                         min_size=n, max_size=n))
+    if draw(hs.booleans()):
+        return st.fractional_heat(n, draw(hs.floats(1.1, 2.5)), draw(hs.floats(0.0, 1.5)),
+                                  mask=np.array(mask), xi_max=xi_max)
+    return st.SpectralSystem(np.linspace(0.0, xi_max, n), schrodinger_symbol(), mask)
+
+
+class TestDenseEqualsSpectral:
+    """The per-mode decision of a spectral system against its dense form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=spectral_systems(), T=hs.floats(0.1, 3.0),
+           mode=hs.sampled_from(["discrete", "continuous"]))
+    def test_same_verdict(self, spec, T, mode):
+        got, cert = _decided(spec, T, 4, mode, 0.9)
+        want, dense_cert = _decided(st.to_dense(spec), T, 4, mode, 0.9)
+        assert got[0] == want[0]
+        if got[0] == "exhausted":
+            return
+        assert (cert.N, cert.kernel_dim) == (dense_cert.N, dense_cert.kernel_dim)
+        if got[0] == "feasible":
+            C, C_dense = got[2], want[2]
+            assert C == C_dense == 0.0 or abs(C - C_dense) <= 1e-6 * C_dense
+            dense = st.to_dense(spec)
+            g = (st.discrete_gramian(dense, T, int(cert.N)) if mode == "discrete"
+                 else st.continuous_gramian(dense, cert.N))
+            assert st.check_inequality(g, C, cert.delta).feasible
+
+    def test_bundles_are_the_dense_diagonals(self):
+        spec = st.fractional_heat(9, 1.5, 1.0, mask=np.array([0, 0.5, 1] * 3))
+        for mode, g, d in (
+                ("discrete", st.discrete_gramian(spec, 0.7, 3),
+                 st.discrete_gramian(st.to_dense(spec), 0.7, 3)),
+                ("continuous", st.continuous_gramian(spec, 2.1),
+                 st.continuous_gramian(st.to_dense(spec), 2.1))):
+            assert g.G.shape == g.R.shape == (9,), mode
+            assert_allclose(np.diag(d.G).real, g.G, rtol=1e-12, atol=1e-15)
+            assert_allclose(np.diag(d.R), g.R, rtol=1e-12)
+            assert g.kernel_dim == d.kernel_dim == 3
+            assert_allclose(st.min_delta_on_kernel(g), st.min_delta_on_kernel(d), rtol=1e-12)
+            P = g.kernel_basis
+            assert_allclose(P.conj().T @ P, np.eye(3))
+            assert np.all(g.G[np.flatnonzero(P.any(axis=1))] == 0.0)
+            phis = random_unit_states(np.random.default_rng(4), 9, 20)
+            assert_allclose(obscheck.gramian_quadratic_form(g, phis),
+                            obscheck.gramian_quadratic_form(d, phis), rtol=1e-12)
+            assert_allclose(obscheck.transition_quadratic_form(g, phis),
+                            obscheck.transition_quadratic_form(d, phis), rtol=1e-12)
+            for C in (0.0, 1.0, 50.0):
+                assert_allclose(st.check_inequality(g, C, 0.5).margin,
+                                st.check_inequality(d, C, 0.5).margin, rtol=1e-9, atol=1e-12)
+            with pytest.raises(ValueError):
+                st.GramianBundle(d.R, g.G, mode, g.T, g.horizon)
+
+    def test_decides_1e5_modes_in_little_memory(self):
+        # The dense n x n form of this truncation would take 160 GB.
+        heat = st.fractional_heat(10**5, 1.5, 1.0)
+        tracemalloc.start()
+        try:
+            dc, cc = st.decide_dc(heat, 1.0), st.decide_cc(heat, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert dc.feasible and dc.N == 1 and abs(dc.C - 2.19782) <= 1e-5
+        assert cc.feasible and cc.N == 1 and abs(cc.C - 2.0313) <= 1e-4
 
 
 class TestBruteForceAgreement:
