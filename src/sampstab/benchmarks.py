@@ -16,7 +16,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import GridTooCoarse
 from .linsys import (ContinuousSystem, SpectralSystem, _phi1, frac_heat_symbol,
@@ -56,6 +55,10 @@ def det_lambda(T: float) -> DetLambda:
     """
     if not T > 0:
         raise ValueError("T must be > 0")
+    # Imported here, not at module level: scipy.integrate would add over half
+    # to the import time of every CLI call, and no command calls det_lambda.
+    from scipy.integrate import IntegrationWarning, quad
+
     closed = -2.0 * math.sin(T) * (1.0 - math.cos(T))
     a = np.empty((2, 2))
     with warnings.catch_warnings():

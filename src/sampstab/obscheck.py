@@ -300,7 +300,9 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
     norm-preserving kernel (a structural proof that no (C, delta<1) works at
     the searched horizons), else raises SearchExhausted(exhausted).  C is
     computed on, and nudged until check_inequality passes on, the bundle the
-    public Gramian function returns at that horizon.
+    public Gramian function returns at that horizon.  The walk stops before
+    the first horizon whose R or G overflowed, and decides on the horizons
+    before it: an infeasible certificate then stands at the last finite one.
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
@@ -310,7 +312,10 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
     worst_kernel = 0.0
     worst_dim = 0
     all_blocked = True
+    g = None
     for k, (R, G) in enumerate(islice(_walk(sys, T, mode), N_max), start=1):
+        if not (np.isfinite(R).all() and np.isfinite(G).all()):
+            break
         g = _bundle(R, G, mode, T, k)
         kn = min_delta_on_kernel(g)
         if kn > worst_kernel:
@@ -336,7 +341,7 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
                 return replace(cert, kernel_norm=kn)
             C *= 1.0 + np.finfo(float).eps * 4.0 ** i
         best_margin = min(best_margin, cert.margin)
-    if all_blocked:
+    if all_blocked and g is not None:
         return ObservabilityCertificate(
             mode=g.mode, T=g.T, N=g.horizon, C=0.0, delta=delta_target,
             margin=float(best_margin), feasible=False, kernel_dim=worst_dim,

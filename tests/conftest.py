@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -193,6 +195,17 @@ def bisect_verdict(bundles, delta: float):
         if C is not None:
             return "feasible", g.horizon, C
     return ("blocked",) if blocked else ("exhausted",)
+
+
+def json_dump_oracle(obj) -> str:
+    """What serialize.dump_json must write: the standard library's text and a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def matrix_to_json_loop(m) -> list:
+    """Oracle: matrix_to_json as a per-entry [re, im] comprehension."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in m]
 
 
 @pytest.fixture

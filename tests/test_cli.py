@@ -1,6 +1,10 @@
 """Command-line front end: dispatch, artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,19 @@ class TestAnalyze:
         code = main(["analyze", "--system", str(path), "--T", "1.0",
                      "--N-max", "2", "--delta", "0.5", "--out", str(tmp_path)])
         assert code == EXIT_EXHAUSTED
+
+    def test_overflowing_unobserved_system_is_infeasible(self, tmp_path):
+        # exp(300 t) overflows the horizon walk from the third period on; the
+        # horizons before it already prove infeasibility (B = 0).
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"A": [[300.0]], "B": [[0.0]]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["analyze", "--system", str(path), "--T", "1.0",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        results = read_report(tmp_path)["results"]
+        assert results["discrete"]["status"] == "infeasible"
+        assert results["continuous"]["status"] == "infeasible"
 
     def test_stiff_heat_is_decided(self, tmp_path):
         # The spectral system is decided per mode, so the block exponential
@@ -173,3 +190,16 @@ class TestExample:
         assert code == EXIT_OK
         sys_back = st.load_system(tmp_path / f"{name}.json")
         assert sys_back.state_dim >= 1
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Only det_lambda's quadrature cross-check needs it, and no command calls
+    # det_lambda; loading it would add about half to every call's start-up.
+    src = Path(st.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, sampstab.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -132,6 +132,19 @@ class TestDecideDc:
         with pytest.raises(st.SearchExhausted):
             st.decide_dc(scalar_system(-0.001, 0.0), 1.0, N_max=2, delta_target=0.5)
 
+    @pytest.mark.parametrize("N_max", [1, 2, 4, 20])
+    def test_overflowing_walk_keeps_the_proven_infeasibility(self, N_max):
+        # R = exp(300 k) overflows at k = 3; horizons 1 and 2 are blocked by
+        # the kernel (B = 0), so both modes stop there with the same verdict.
+        sys = scalar_system(300.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dc = st.decide_dc(sys, 1.0, N_max=N_max)
+            cc = st.decide_cc(sys, 1.0, N_max=N_max)
+        for cert in (dc, cc):
+            assert not cert.feasible
+            assert (cert.N, cert.C, cert.kernel_dim) == (min(N_max, 2), 0.0, 1)
+            assert cert.kernel_norm >= 1.0
+
     def test_invariant_under_input_phase(self):
         for seed in range(3):
             sys = random_mixed_system(seed)

@@ -1,0 +1,104 @@
+"""report.json writer: the same bytes as json.dump(indent=2, sort_keys=True)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from sampstab.cli import EXIT_OK, main
+from sampstab.serialize import _pair_row, dump_json, matrix_to_json
+
+from conftest import json_dump_oracle, matrix_to_json_loop
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.8e308,
+               -1.8e308, 1.0, -2.5, 0.1, 1e-7, 1e16, 123456789.125]
+
+floats = hs.one_of(hs.sampled_from(EDGE_FLOATS), hs.floats())
+scalars = hs.one_of(hs.none(), hs.booleans(), hs.integers(), floats,
+                    floats.map(np.float64), hs.text())
+values = hs.recursive(
+    scalars,
+    lambda kids: hs.one_of(hs.lists(kids, max_size=4), hs.tuples(kids, kids),
+                           hs.dictionaries(hs.text(), kids, max_size=4)),
+    max_leaves=24)
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("serialize") / "out.json"
+
+
+def assert_same_bytes(obj, path):
+    dump_json(obj, path)
+    assert path.read_bytes() == json_dump_oracle(obj).encode("ascii")
+
+
+def complex_matrix(re, im, shape) -> np.ndarray:
+    m = np.empty(shape, dtype=complex)
+    m.real = np.reshape(re, shape)
+    m.imag = np.reshape(im, shape)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=values)
+def test_nested_values(obj, out_path):
+    assert_same_bytes(obj, out_path)
+
+
+def test_keys_and_strings_escape_like_json(out_path):
+    obj = {"é": "ü☃", "\x00\x1f": ["\n\t\"\\", "\U0001f600"], "z": {}, "": [],
+           "nested": {"b": [None, True, False, -3, 2 ** 70]}}
+    assert_same_bytes(obj, out_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=hs.tuples(hs.integers(1, 8), hs.integers(1, 8)), data=hs.data())
+def test_complex_matrices(shape, data, out_path):
+    size = shape[0] * shape[1]
+    parts = hs.lists(hs.sampled_from(EDGE_FLOATS), min_size=size, max_size=size)
+    m = complex_matrix(data.draw(parts), data.draw(parts), shape)
+    rows = matrix_to_json(m)
+    assert_same_bytes({"K": rows, "row": rows[0], "meta": {"n": shape[0]}}, out_path)
+
+
+@pytest.mark.parametrize("near", [
+    [[1, 2.0]],
+    [[1.0]],
+    [[1.0, 2.0, 3.0]],
+    [[1.0, 2.0], [3.0], [4.0, 5.0]],
+    [[1.0, 2.0], (3.0, 4.0)],
+    [[np.float64(1.0), 2.0]],
+    [[True, 2.0]],
+    [[[1.0, 2.0], [3.0, 4.0]]],
+])
+def test_near_pairs_take_the_general_path(near, out_path):
+    assert _pair_row(near, 0) is None
+    assert_same_bytes({"m": [near, near], "v": near}, out_path)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[1 + 2j, -0.0 - 0.0j], [np.nan + 1j, complex(np.inf, -np.inf)]]),
+    np.arange(6.0).reshape(2, 3),
+    np.array([1 - 1j, 5e-324j, -1.8e308]),
+    3.5 - 0.0j,
+])
+def test_matrix_to_json_is_the_entry_loop(m):
+    got, want = matrix_to_json(m), matrix_to_json_loop(m)
+    assert json.dumps(got) == json.dumps(want)
+    assert all(type(x) is float for row in got for pair in row for x in pair)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["synthesize", "--example", "frac-heat", "--modes", "8", "--T", "1"], "report.json"),
+    (["simulate", "--example", "frac-heat", "--modes", "8", "--T", "1",
+      "--horizon", "4", "--loop", "dp"], "report.json"),
+    (["example", "schrodinger", "--modes", "9"], "schrodinger.json"),
+])
+def test_cli_files_are_the_standard_library_text(argv, name, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    text = (tmp_path / name).read_text(encoding="utf-8")
+    assert text == json_dump_oracle(json.loads(text))
