@@ -10,17 +10,15 @@ provably differs from continuous observation.
 from .benchmarks import (CounterexampleWitness, ThickSetSpec, det_lambda,
                          fractional_heat, harmonic_oscillator, is_thick,
                          schrodinger, schrodinger_witness)
-from .closedloop import (FeedbackLaw, ObservationOperator, Trajectory,
-                         build_periodic_feedback, fit_decay, simulate_cc,
-                         simulate_cp, simulate_dc, simulate_dp,
-                         trajectory_to_csv)
+from .closedloop import (FeedbackLaw, Trajectory, build_periodic_feedback,
+                         fit_decay, simulate_cc, simulate_cp, simulate_dc,
+                         simulate_dp, trajectory_to_csv)
 from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SampstabError, SearchExhausted,
                      SpectralRadiusError)
 from .linsys import (ContinuousSystem, SampledSystem, SpectralSystem,
-                     load_system, observation_block, sample, semigroup,
-                     system_from_json, system_to_json, to_dense,
-                     transition_integral)
+                     load_system, sample, semigroup, system_from_json,
+                     system_to_json, to_dense)
 from .lqsynth import (FeedbackGain, RiccatiSolution, closed_loop_cost,
                       dp_value_iterate, feedback_gain, lq_optimal_cost,
                       riccati_solve)
@@ -33,16 +31,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContinuousSystem", "SpectralSystem", "SampledSystem",
-    "semigroup", "sample", "observation_block", "transition_integral",
-    "to_dense", "system_from_json", "system_to_json", "load_system",
+    "semigroup", "sample", "to_dense", "system_from_json", "system_to_json",
+    "load_system",
     "GramianBundle", "ObservabilityCertificate",
     "discrete_gramian", "continuous_gramian", "check_inequality",
     "min_delta_on_kernel", "decide_dc", "decide_cc", "pathological_periods",
     "RiccatiSolution", "FeedbackGain", "riccati_solve", "dp_value_iterate",
     "feedback_gain", "lq_optimal_cost", "closed_loop_cost",
-    "FeedbackLaw", "Trajectory", "ObservationOperator",
-    "build_periodic_feedback", "simulate_cc", "simulate_dc", "simulate_dp",
-    "simulate_cp", "fit_decay", "trajectory_to_csv",
+    "FeedbackLaw", "Trajectory", "build_periodic_feedback", "simulate_cc",
+    "simulate_dc", "simulate_dp", "simulate_cp", "fit_decay", "trajectory_to_csv",
     "harmonic_oscillator", "det_lambda", "fractional_heat", "schrodinger",
     "schrodinger_witness", "ThickSetSpec", "CounterexampleWitness", "is_thick",
     "SampstabError", "NumericOverflowError", "RiccatiDivergenceError",

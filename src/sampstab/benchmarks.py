@@ -135,12 +135,6 @@ def fractional_heat(n_modes: int, s: float, c: float,
     intervals on the |xi| grid), a raw per-mode array, or None for the
     identity input.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if not s > 1:
-        raise ValueError("exponent s must be > 1")
-    if c < 0:
-        raise ValueError("shift c must be >= 0")
     if modes is not None:
         grid = np.asarray(modes, dtype=float)
     elif n_modes == 1:
@@ -164,8 +158,6 @@ def schrodinger(n_modes: int, xi_max: float) -> SpectralSystem:
     control mask stands in for the full-strength input operator, whose
     unit-modulus scalar factor changes no norm used downstream.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
     if not xi_max > 0:
         raise ValueError("xi_max must be > 0")
     grid = np.linspace(0.0, xi_max, n_modes)

@@ -2,7 +2,8 @@
 
 Reports are deterministic JSON (sorted keys, no timestamps): the same
 configuration and seed produce byte-identical files.  Wall time goes to
-stdout only.  Exit codes: 0 success, 2 configuration error, 3 feasibility
+stdout only.  Exit codes: 0 success, 2 configuration error (a bad system
+definition or an out-of-range argument: every ValueError), 3 feasibility
 search exhausted, 4 numeric failure.
 """
 
@@ -22,7 +23,7 @@ from . import __version__, benchmarks, closedloop, linsys, lqsynth, obscheck
 from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SampstabError, SearchExhausted,
                      SpectralRadiusError)
-from .serialize import dump_json
+from .serialize import dump_json, vector_from_json
 
 _BACKEND = (f"numpy {np.__version__}, scipy {scipy.__version__}, "
             "expm=pade-scaling-squaring")
@@ -114,10 +115,7 @@ def _resolve_system(args):
         path = Path(args.system)
         if not path.exists():
             raise ConfigError(f"system file not found: {path}")
-        try:
-            return linsys.load_system(path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad system definition: {exc}") from exc
+        return linsys.load_system(path)
     name = getattr(args, "example", None) or getattr(args, "name", None)
     if name == "oscillator":
         return benchmarks.harmonic_oscillator()
@@ -126,10 +124,6 @@ def _resolve_system(args):
     if name == "schrodinger":
         return benchmarks.schrodinger(args.modes, args.xi_max)
     raise ConfigError("no system specified")
-
-
-def _as_dense(system):
-    return linsys.to_dense(system) if isinstance(system, linsys.SpectralSystem) else system
 
 
 def _config_echo(args) -> dict:
@@ -176,10 +170,6 @@ def _certificate_or_status(decide, *a, **kw):
 
 def cmd_analyze(args) -> int:
     system = _resolve_system(args)
-    if not args.T > 0:
-        raise ConfigError("--T must be > 0")
-    if not (0 < args.delta < 1):
-        raise ConfigError("--delta must lie in (0, 1)")
     dc_entry, dc_cert = _certificate_or_status(
         obscheck.decide_dc, system, args.T, args.N_max, args.delta)
     cc_entry, _ = _certificate_or_status(
@@ -246,14 +236,16 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     system = _resolve_system(args)
-    dense = _as_dense(system)
+    dense = linsys.to_dense(system) if isinstance(system, linsys.SpectralSystem) else system
     if args.horizon < args.T:
         raise ConfigError("--horizon must cover at least one period")
+    if args.steps_per_period < 1:
+        raise ConfigError("--steps-per-period must be >= 1")
     _, sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL,
                                lqsynth.DEFAULT_MAX_ITER)
     F = gain.F
     if args.y0:
-        y0 = linsys.state_from_json(json.loads(args.y0))
+        y0 = vector_from_json(json.loads(args.y0))
         if y0.size != dense.state_dim:
             raise ConfigError("--y0 has the wrong dimension")
     else:
@@ -342,6 +334,8 @@ def _witness_grid(T: float, N: int, epsilon: float, support_points: int) -> np.n
 
 
 def cmd_witness(args) -> int:
+    if not args.T > 0:
+        raise ConfigError("--T must be > 0")
     if args.N < 1:
         raise ConfigError("--N must be >= 1")
     if not args.epsilon > 0:
@@ -385,7 +379,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
-    except (ConfigError, GridTooCoarse) as exc:
+    except (ConfigError, GridTooCoarse, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SearchExhausted as exc:

@@ -14,6 +14,9 @@ state (y, w) with y' = A y + B F w, w' = H w, y(kT) = w(kT) has the block
 generator [[A, B F], [0, H]], whose exponential over one substep (Van Loan,
 IEEE TAC 1978) advances both.  cp integrates the time-varying generator with
 a fixed-step classical Runge-Kutta scheme whose grid is locked to the period.
+Neither evaluates the periodic law F(t) = F exp((A + B F)(t - kT)) pointwise:
+dp folds it into the block generator, and cp builds it on its half-step grid
+by repeated multiplication with one exponential.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .linsys import ContinuousSystem
 __all__ = [
     "FeedbackLaw",
     "Trajectory",
-    "ObservationOperator",
     "build_periodic_feedback",
     "simulate_cc",
     "simulate_dc",
@@ -41,55 +43,21 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-@dataclass(frozen=True)
-class ObservationOperator:
-    """Sample-and-hold in time: maps f to t -> f(floor(t/T) T)."""
+@dataclass(frozen=True, eq=False)
+class FeedbackLaw:
+    """T-periodic operator-valued law F(t) = F exp((A + B F)(t - kT)) on [kT, (k+1)T).
 
+    It carries the closed-loop generator A + B F from which the simulators
+    build the law.
+    """
+
+    F: np.ndarray
     T: float
+    closed_loop_generator: np.ndarray
 
     def __post_init__(self):
         if not self.T > 0:
-            raise ValueError("observation period T must be > 0")
-
-    def latest_sample_time(self, t: float) -> float:
-        return math.floor(t / self.T) * self.T
-
-    def __call__(self, f, t: float):
-        return f(self.latest_sample_time(t))
-
-
-@dataclass(frozen=True, eq=False)
-class FeedbackLaw:
-    """Constant gain, or a T-periodic operator-valued schedule.
-
-    The periodic kind carries the closed-loop generator A + B F and realizes
-    schedule(t) = F exp((A + B F) (t mod T)); the mod reduction makes
-    T-periodicity exact by construction.
-    """
-
-    kind: str
-    F: np.ndarray
-    T: float | None = None
-    closed_loop_generator: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "periodic"):
-            raise ValueError("kind must be 'constant' or 'periodic'")
-        if self.kind == "periodic":
-            if self.T is None or not self.T > 0:
-                raise ValueError("periodic law requires a period T > 0")
-            if self.closed_loop_generator is None:
-                raise ValueError("periodic law requires its closed-loop generator")
-
-    def schedule(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return self.F
-        u = t / self.T
-        frac = u - math.floor(u)
-        # A float t sitting just under a period boundary wraps to 0, not T.
-        if frac > 1.0 - 1e-12 * max(1.0, abs(u)):
-            frac = 0.0
-        return self.F @ expm(self.closed_loop_generator * (frac * self.T))
+            raise ValueError("periodic law requires a period T > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +87,7 @@ def build_periodic_feedback(sys: ContinuousSystem, F: np.ndarray, T: float) -> F
     F = np.atleast_2d(np.asarray(F, dtype=complex))
     if F.shape != (sys.input_dim, sys.state_dim):
         raise ValueError(f"gain must be {sys.input_dim}x{sys.state_dim}, got {F.shape}")
-    if not T > 0:
-        raise ValueError("period T must be > 0")
-    return FeedbackLaw(kind="periodic", F=F, T=T,
-                       closed_loop_generator=sys.A + sys.B @ F)
+    return FeedbackLaw(F=F, T=T, closed_loop_generator=sys.A + sys.B @ F)
 
 
 def _num_periods(horizon: float, T: float) -> int:
@@ -205,8 +170,6 @@ def simulate_dp(sys: ContinuousSystem, law: FeedbackLaw, y0: np.ndarray,
     With F(t) = F exp((A + B F)(t - kT)) the loop reproduces the continuous
     loop y' = (A + B F) y exactly, between samples too.
     """
-    if law.kind != "periodic":
-        raise ValueError("simulate_dp requires a periodic feedback law")
     return _sample_and_hold(sys, law.F, law.closed_loop_generator, law.T, y0,
                             horizon, steps_per_period)
 
@@ -218,8 +181,6 @@ def simulate_cp(sys: ContinuousSystem, law: FeedbackLaw, y0: np.ndarray,
     Classical fixed-step 4th-order Runge-Kutta; dt must divide the period so
     period boundaries land on grid points.
     """
-    if law.kind != "periodic":
-        raise ValueError("simulate_cp requires a periodic feedback law")
     if not dt > 0:
         raise ValueError("dt must be > 0")
     T = law.T

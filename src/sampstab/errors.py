@@ -6,7 +6,7 @@ class SampstabError(Exception):
 
 
 class NumericOverflowError(SampstabError):
-    """A matrix-function evaluation produced non-finite entries."""
+    """A matrix function produced non-finite entries, or a Gramian came out indefinite."""
 
 
 class RiccatiDivergenceError(SampstabError):

@@ -2,10 +2,12 @@
 
 Systems come in two representations: a dense pair (A, B) driving y' = Ay + Bu,
 and a diagonal spectral form given by a mode grid, a symbol xi -> lambda(xi),
-and a diagonal control mask.  The flow exp(At) is evaluated by scipy's
-Pade scaling-and-squaring matrix exponential; time integrals of the flow are
-obtained from augmented block exponentials rather than quadrature, so no
-integration tolerance enters the sampled operators.
+and a diagonal control mask.  Both are validated once, at construction: every
+entry, mode, mask weight and symbol value must be finite.  The flow exp(At) is
+evaluated by scipy's Pade scaling-and-squaring matrix exponential.  The
+one-period sampled pair comes from one block exponential,
+exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van Loan, IEEE TAC 23, 1978),
+so no quadrature tolerance enters it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NumericOverflowError
-from .serialize import matrix_from_json, matrix_to_json, vector_from_json
+from .serialize import matrix_from_json, matrix_to_json, reals_from_json
 
 __all__ = [
     "ContinuousSystem",
@@ -27,8 +29,6 @@ __all__ = [
     "SampledSystem",
     "semigroup",
     "sample",
-    "observation_block",
-    "transition_integral",
     "to_dense",
     "frac_heat_symbol",
     "schrodinger_symbol",
@@ -45,6 +45,8 @@ def _as_complex_matrix(m, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(m, dtype=complex))
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
     return arr
 
 
@@ -97,15 +99,20 @@ class SpectralSystem:
         mask = np.asarray(self.control_mask, dtype=float).ravel()
         if modes.size < 1:
             raise ValueError("at least one mode required")
+        if not np.isfinite(modes).all():
+            raise ValueError("modes must be finite")
         if np.unique(modes).size != modes.size:
             raise ValueError("modes must be pairwise distinct")
         if mask.size != modes.size:
             raise ValueError("control_mask must have one entry per mode")
-        if np.any(mask < 0) or np.any(mask > 1):
+        if not np.all((mask >= 0) & (mask <= 1)):
             raise ValueError("control_mask entries must lie in [0, 1]")
-        lam = np.asarray(self.symbol(modes), dtype=complex).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = np.asarray(self.symbol(modes), dtype=complex).ravel()
         if lam.size != modes.size:
             raise ValueError("symbol must map the mode grid elementwise")
+        if not np.isfinite(lam).all():
+            raise ValueError("symbol values must be finite on the mode grid")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "control_mask", mask)
         object.__setattr__(self, "symbol_values", lam)
@@ -119,9 +126,6 @@ class SpectralSystem:
         lam = self.symbol_values
         scale = 1.0 + np.abs(lam).max()
         return bool(np.abs(lam.real).max() <= _UNITARY_RTOL * scale)
-
-    def to_dense(self) -> ContinuousSystem:
-        return to_dense(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +158,11 @@ class SampledSystem:
 
 
 def frac_heat_symbol(s: float, c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Fourier symbol of the shifted fractional diffusion generator: c - |xi|^s."""
+    """Fourier symbol of the shifted fractional diffusion generator: c - |xi|^s, s > 1, c >= 0."""
+    if not s > 1:
+        raise ValueError("exponent s must be > 1")
+    if not c >= 0:
+        raise ValueError("shift c must be >= 0")
 
     def lam(xi):
         return c - np.abs(np.asarray(xi, dtype=float)) ** s + 0j
@@ -220,51 +228,27 @@ def semigroup(sys: ContinuousSystem | SpectralSystem, t: float) -> np.ndarray:
     return _check_finite(_quiet_expm(sys.A * t), "semigroup")
 
 
-def transition_integral(sys: ContinuousSystem | SpectralSystem, T: float) -> np.ndarray:
-    """J_T = int_0^T exp(As) ds, via the augmented block exponential."""
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    if isinstance(sys, SpectralSystem):
-        return np.diag(_phi1(sys.symbol_values, T))
-    n = sys.state_dim
-    aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    aug[:n, :n] = sys.A
-    aug[:n, n:] = np.eye(n)
-    return _check_finite(_quiet_expm(aug * T)[:n, n:], "transition integral")
-
-
 def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
-    """Sampled pair over one period: Phi = exp(AT), D = (int_0^T exp(As) ds) B."""
+    """Sampled pair over one period: Phi = exp(AT), D = (int_0^T exp(As) ds) B.
+
+    Dense systems read both from the top block row of one exponential,
+    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]].
+    """
     if not T > 0:
         raise ValueError("sampling period T must be > 0")
-    Phi = semigroup(sys, T)
     if isinstance(sys, SpectralSystem):
-        D = np.diag(_phi1(sys.symbol_values, T) * sys.control_mask)
-        return SampledSystem(Phi, D, T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = _check_finite(np.diag(_phi1(sys.symbol_values, T) * sys.control_mask),
+                              "sampled pair")
+        return SampledSystem(semigroup(sys, T), D, T)
     n, m = sys.state_dim, sys.input_dim
     aug = np.zeros((n + m, n + m), dtype=complex)
     aug[:n, :n] = sys.A
     aug[:n, n:] = sys.B
-    D = _check_finite(_quiet_expm(aug * T)[:n, n:], "sampled input map")
-    return SampledSystem(Phi, D, T)
+    top = _check_finite(_quiet_expm(aug * T)[:n], "sampled pair")
+    return SampledSystem(top[:, :n], top[:, n:], T)
 
 
-def observation_block(sys: ContinuousSystem | SpectralSystem, T: float, i: int) -> np.ndarray:
-    """W_i with W_i phi = int_{(i-1)T}^{iT} B* exp(A t)* phi dt.
-
-    W_1 = B* J_T*; later blocks compose with the adjoint of the (i-1)-step
-    transition, W_{i+1} = W_i exp(AT)*.
-    """
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    if i < 1:
-        raise ValueError("block index i must be >= 1")
-    dense = to_dense(sys) if isinstance(sys, SpectralSystem) else sys
-    W1 = dense.B.conj().T @ transition_integral(sys, T).conj().T
-    if i == 1:
-        return W1
-    Phi_adj = semigroup(sys, T).conj().T
-    return W1 @ np.linalg.matrix_power(Phi_adj, i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +271,23 @@ def system_from_json(obj: dict) -> ContinuousSystem | SpectralSystem:
         name = obj["symbol"]
         if name not in _SPECTRAL_SYMBOLS:
             raise ValueError(f"unknown symbol {name!r}, expected one of {_SPECTRAL_SYMBOLS}")
-        modes = np.asarray(obj["modes"], dtype=float)
-        mask = np.asarray(obj.get("mask", np.ones(modes.size)), dtype=float)
+        modes = reals_from_json(_field(obj, "modes"))
+        mask = reals_from_json(obj["mask"]) if "mask" in obj else np.ones(modes.size)
         if name == "frac_heat":
-            s, c = float(obj["s"]), float(obj["c"])
+            s, c = reals_from_json([_field(obj, "s"), _field(obj, "c")]).tolist()
             sym = frac_heat_symbol(s, c)
             spec = {"symbol": "frac_heat", "s": s, "c": c}
         else:
             sym = schrodinger_symbol()
             spec = {"symbol": "schrodinger"}
         return SpectralSystem(modes, sym, mask, symbol_spec=spec)
-    if "A" not in obj or "B" not in obj:
-        raise ValueError("dense system definition requires keys 'A' and 'B'")
-    return ContinuousSystem(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]))
+    return ContinuousSystem(matrix_from_json(_field(obj, "A")), matrix_from_json(_field(obj, "B")))
+
+
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise ValueError(f"system definition lacks key {key!r}")
+    return obj[key]
 
 
 def system_to_json(sys: ContinuousSystem | SpectralSystem) -> dict:
@@ -317,6 +305,3 @@ def load_system(path) -> ContinuousSystem | SpectralSystem:
     with open(path, "r", encoding="utf-8") as fh:
         return system_from_json(json.load(fh))
 
-
-def state_from_json(obj) -> np.ndarray:
-    return vector_from_json(obj)

@@ -11,7 +11,9 @@ N-period transition and G the Gramian sum of W_i* W_i.  A continuous-mode
 variant replaces the sum with int_0^T exp(At) B B* exp(At)* dt.
 
 Feasibility searches walk N upward, extending G and R by one period per step,
-and take the smallest C in closed form.  The kernel of G supplies a structural
+and take the smallest C in closed form.  In discrete mode both come from the
+sampled pair (Phi, D) of linsys.sample, one block exponential: W_1* W_1 = D D*
+and W_{i+1} = W_i Phi*.  The kernel of G supplies a structural
 obstruction: on ker G the inequality collapses to ||R* phi||^2 <= delta
 ||phi||^2, so if the transition preserves norm on the kernel no constant C can
 help at that horizon.
@@ -30,8 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from . import linsys
-from .errors import SearchExhausted
-from .linsys import ContinuousSystem, SpectralSystem, observation_block, semigroup
+from .errors import NumericOverflowError, SearchExhausted
+from .linsys import ContinuousSystem, SpectralSystem, sample, semigroup
 
 __all__ = [
     "GramianBundle",
@@ -91,7 +93,7 @@ class GramianBundle:
             G = _hermitize(np.asarray(self.G, dtype=complex))
             w, V = np.linalg.eigh(G)
         if w.min() < -1e-12 * max(np.abs(w).max(), 1.0):
-            raise ValueError("Gramian has a significantly negative eigenvalue")
+            raise NumericOverflowError("Gramian has a significantly negative eigenvalue")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "R", np.asarray(self.R, dtype=complex))
         object.__setattr__(self, "eigenvalues", w)
@@ -165,43 +167,43 @@ class ObservabilityCertificate:
 def _walk(sys: ContinuousSystem | SpectralSystem, T: float, mode: str):
     """(R, G) at horizons k T, k = 1, 2, ...: G_{k+1} = G_k + R_k G_1 R_k*, R_{k+1} = R_k Phi.
 
-    G_1 is W_1* W_1 (discrete) or int_0^T exp(At) B B* exp(At)* dt from one
-    block exponential (continuous); the step adds the next period's term,
-    e.g. W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  A spectral system walks the
-    1-D diagonals: Phi = exp(lambda T), and with mask b, G_1 = |b phi1(lambda, T)|^2
+    G_1 is W_1* W_1 = D D* with (Phi, D) the sampled pair of one block
+    exponential (discrete), or int_0^T exp(At) B B* exp(At)* dt from another
+    (continuous); the step adds the next period's term, e.g.
+    W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  A spectral system walks the 1-D
+    diagonals: Phi = exp(lambda T), and with mask b, G_1 = |b phi1(lambda, T)|^2
     (discrete) or b^2 phi1(2 Re lambda, T) (continuous), where
-    phi1(z, t) = int_0^t exp(z s) ds.
+    phi1(z, t) = int_0^t exp(z s) ds.  A step may overflow, silently, to inf
+    or NaN entries: the caller stops there.
     """
     if not T > 0:
         raise ValueError("T must be > 0")
-    if isinstance(sys, SpectralSystem):
-        lam, b = sys.symbol_values, sys.control_mask
-        with np.errstate(over="ignore", invalid="ignore"):
+    spectral = isinstance(sys, SpectralSystem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spectral:
+            lam, b = sys.symbol_values, sys.control_mask
             Phi = linsys._check_finite(np.exp(lam * T), "semigroup")
             if mode == "discrete":
                 G_1 = np.abs(b * linsys._phi1(lam, T)) ** 2
             else:
                 G_1 = b ** 2 * linsys._phi1(2.0 * lam.real, T).real
-        G_1 = linsys._check_finite(G_1, f"{mode} Gramian")
-        R, G = Phi, G_1
-        while True:
-            yield R, G
-            G = G + np.abs(R) ** 2 * G_1
-            R = R * Phi
-    Phi = semigroup(sys, T)
-    if mode == "discrete":
-        W = observation_block(sys, T, 1)
-        G_1 = _hermitize(W.conj().T @ W)
-    else:
-        A, B, n = sys.A, sys.B, sys.state_dim
-        aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
-        F = linsys._check_finite(linsys._quiet_expm(aug * T), "continuous Gramian")
-        G_1 = _hermitize(F[n:, n:].conj().T @ F[:n, n:])
+        elif mode == "discrete":
+            pair = sample(sys, T)
+            Phi, G_1 = pair.Phi, _hermitize(pair.D @ pair.D.conj().T)
+        else:
+            A, B, n = sys.A, sys.B, sys.state_dim
+            aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
+            F = linsys._quiet_expm(aug * T)
+            Phi, G_1 = semigroup(sys, T), _hermitize(F[n:, n:].conj().T @ F[:n, n:])
+    G_1 = linsys._check_finite(G_1, f"{mode} Gramian")
     R, G = Phi, G_1
     while True:
         yield R, G
-        G = G + R @ G_1 @ R.conj().T
-        R = R @ Phi
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spectral:
+                G, R = G + np.abs(R) ** 2 * G_1, R * Phi
+            else:
+                G, R = G + R @ G_1 @ R.conj().T, R @ Phi
 
 
 def _bundle(R: np.ndarray, G: np.ndarray, mode: str, T: float, k: int) -> GramianBundle:
@@ -271,15 +273,22 @@ def _min_constant(g: GramianBundle, delta: float) -> float:
     trivial kernel.  Otherwise N = 2 C_t B - M > 0 and the definite pencil
     gives C_min = 2 C_t - 1 / lambda_max(N^-1 B) exactly.  Per mode of a
     1-D bundle this is C_min = max over range modes of (|R|^2 - delta)_+ / G;
-    kernel modes need no C since |R|^2 < delta there.
+    kernel modes need no C since |R|^2 < delta there.  A range eigenvalue so
+    small that the scaling overflows gives C = inf, which fails the caller's
+    ceiling.
     """
     if g.G.ndim == 1:
         r = ~g.kernel_mask
-        return float(np.max(np.maximum(np.abs(g.R[r]) ** 2 - delta, 0.0) / g.G[r], initial=0.0))
+        with np.errstate(over="ignore"):
+            excess = np.maximum(np.abs(g.R[r]) ** 2 - delta, 0.0) / g.G[r]
+        return float(np.max(excess, initial=0.0))
     d, w = g.kernel_dim, g.eigenvalues
     X = g.eigenvectors.conj().T @ g.R
     scale = np.concatenate([np.ones(d), 1.0 / np.sqrt(w[d:])])
-    M = _hermitize(X @ X.conj().T - delta * np.eye(w.size)) * np.outer(scale, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _hermitize(X @ X.conj().T - delta * np.eye(w.size)) * np.outer(scale, scale)
+    if not np.isfinite(M).all():
+        return np.inf
     H = M[d:, d:] - M[d:, :d] @ np.linalg.solve(M[:d, :d], M[:d, d:])
     C = float(np.linalg.eigvalsh(_hermitize(H)).max(initial=0.0))
     if d == 0 or C == 0.0:
@@ -301,8 +310,10 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
     the searched horizons), else raises SearchExhausted(exhausted).  C is
     computed on, and nudged until check_inequality passes on, the bundle the
     public Gramian function returns at that horizon.  The walk stops before
-    the first horizon whose R or G overflowed, and decides on the horizons
-    before it: an infeasible certificate then stands at the last finite one.
+    the first horizon whose G or squared transition overflowed (|R|^2 per
+    mode; trace R R* for a dense R, which bounds every entry of R R*), and
+    decides on the horizons before it: an infeasible certificate then stands
+    at the last finite one.
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
@@ -314,7 +325,9 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
     all_blocked = True
     g = None
     for k, (R, G) in enumerate(islice(_walk(sys, T, mode), N_max), start=1):
-        if not (np.isfinite(R).all() and np.isfinite(G).all()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            RR = np.abs(R) ** 2 if R.ndim == 1 else np.vdot(R, R).real
+        if not (np.isfinite(RR).all() and np.isfinite(G).all()):
             break
         g = _bundle(R, G, mode, T, k)
         kn = min_delta_on_kernel(g)

@@ -23,13 +23,23 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def _real(x) -> float:
+    """A JSON number as a float; booleans, strings and containers are errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"number out of float range: {x}") from exc
+
+
 def entry_from_json(e) -> complex:
     """One matrix entry: a plain number or an [re, im] pair."""
     if isinstance(e, (list, tuple)):
-        if len(e) != 2 or any(isinstance(x, (list, tuple)) for x in e):
+        if len(e) != 2:
             raise ValueError(f"complex entry must be [re, im], got {e!r}")
-        return complex(float(e[0]), float(e[1]))
-    return complex(float(e))
+        return complex(_real(e[0]), _real(e[1]))
+    return complex(_real(e))
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -46,6 +56,13 @@ def vector_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("vector must be a non-empty list")
     return np.array([entry_from_json(e) for e in obj])
+
+
+def reals_from_json(obj) -> np.ndarray:
+    """A non-empty list of real numbers, such as a mode grid or mask weights."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError("vector must be a non-empty list")
+    return np.array([_real(x) for x in obj])
 
 
 def dump_json(obj, path) -> None:

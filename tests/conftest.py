@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import expm
 
-from sampstab import (ContinuousSystem, GramianBundle, SampledSystem,
-                      SpectralSystem, check_inequality, min_delta_on_kernel,
-                      to_dense)
+from sampstab import (ContinuousSystem, FeedbackLaw, GramianBundle,
+                      SampledSystem, SpectralSystem, check_inequality,
+                      min_delta_on_kernel, to_dense)
 from sampstab.obscheck import KERNEL_ONE_TOL
+
+# Every property test draws the same examples on every run.
+settings.register_profile("sampstab", derandomize=True, deadline=None)
+settings.load_profile("sampstab")
 
 
 def expm_taylor(M: np.ndarray) -> np.ndarray:
@@ -130,6 +136,18 @@ def scratch_bundle(sys, T: float, N: int, mode: str) -> GramianBundle:
     D = [(J[i] - J[i - 1]) @ B for i in range(1, N + 1)]
     G = sum(d @ d.conj().T for d in D)
     return GramianBundle(R, G, mode, T, float(N))
+
+
+def periodic_schedule(law: FeedbackLaw, t: float) -> np.ndarray:
+    """Oracle: the periodic law F exp((A + B F)(t mod T)), one exponential per call.
+
+    A float t sitting just under a period boundary wraps to 0, not T.
+    """
+    u = t / law.T
+    frac = u - math.floor(u)
+    if frac > 1.0 - 1e-12 * max(1.0, abs(u)):
+        frac = 0.0
+    return law.F @ expm(law.closed_loop_generator * (frac * law.T))
 
 
 def witness_observed_loop(grid: np.ndarray, phi: np.ndarray, T: float, N: int) -> float:

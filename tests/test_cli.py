@@ -1,13 +1,20 @@
 """Command-line front end: dispatch, artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import sampstab as st
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
@@ -17,6 +24,24 @@ from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
 def read_report(out_dir):
     with open(out_dir / "report.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def run_quietly(argv):
+    """(exit code, stderr lines) of one in-process call; each warning counts as a line."""
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def analyze_document(doc, out_dir, *extra):
+    """Run analyze --T 1 on a --system document written to out_dir."""
+    path = Path(out_dir) / "sys.json"
+    path.write_text(json.dumps(doc))
+    return run_quietly(["analyze", "--system", str(path), "--T", "1.0",
+                        "--out", str(out_dir), *extra])
 
 
 class TestAnalyze:
@@ -51,17 +76,16 @@ class TestAnalyze:
         assert code == EXIT_EXHAUSTED
 
     def test_overflowing_unobserved_system_is_infeasible(self, tmp_path):
-        # exp(300 t) overflows the horizon walk from the third period on; the
-        # horizons before it already prove infeasibility (B = 0).
-        path = tmp_path / "sys.json"
-        path.write_text(json.dumps({"A": [[300.0]], "B": [[0.0]]}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["analyze", "--system", str(path), "--T", "1.0",
-                         "--out", str(tmp_path)])
-        assert code == EXIT_OK
+        # |exp(300 t)|^2 overflows the horizon walk from the second period on;
+        # the first horizon already proves infeasibility (B = 0), and the
+        # overflow stays off stderr.
+        code, err = analyze_document({"A": [[300.0]], "B": [[0.0]]}, tmp_path)
+        assert (code, err) == (EXIT_OK, [])
         results = read_report(tmp_path)["results"]
-        assert results["discrete"]["status"] == "infeasible"
-        assert results["continuous"]["status"] == "infeasible"
+        for mode in ("discrete", "continuous"):
+            cert = results[mode]["certificate"]
+            assert results[mode]["status"] == "infeasible"
+            assert cert["N"] == 1.0 and math.isfinite(cert["kernel_norm"])
 
     def test_stiff_heat_is_decided(self, tmp_path):
         # The spectral system is decided per mode, so the block exponential
@@ -98,6 +122,98 @@ class TestAnalyze:
         bad.write_text("{\"A\": [[0.0]]}")
         assert main(["analyze", "--system", str(bad), "--T", "1.0",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc", [
+        {"symbol": "frac_heat", "s": 0.5, "c": -1, "modes": [0, 1, 2]},
+        {"A": [[True]], "B": [[1]]},
+        {"A": [[math.nan]], "B": [[1]]},
+        {"symbol": "frac_heat", "s": 1.5, "c": 1.0, "modes": [0, 1], "mask": [math.nan, 1]},
+        {"symbol": "schrodinger", "modes": [0, 1e200]},
+        {"symbol": "frac_heat", "modes": [0]},
+    ], ids=["frac-heat-s-below-1", "boolean-entry", "nan-entry", "nan-mask",
+            "overflowing-symbol", "missing-key"])
+    def test_invalid_system_is_config_error(self, tmp_path, doc):
+        code, err = analyze_document(doc, tmp_path)
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "synthesize --example oscillator --T -1",
+    "simulate --example oscillator --T 0 --horizon 1",
+    "sweep --example oscillator --sweep 0.5:1:0.5 --N-max 0",
+    "analyze --example oscillator --T 1 --N-max 0",
+    "witness --T -1",
+    "analyze --example frac-heat --modes 0 --T 1",
+    "analyze --example frac-heat --s 0.5 --T 1",
+    "analyze --example schrodinger --xi-max -1 --T 1",
+    "synthesize --example oscillator --T 1 --tol 0",
+    "simulate --example oscillator --T 1 --horizon 2 --steps-per-period 0",
+    "simulate --example oscillator --T 1 --horizon 2 --y0 [1,true]",
+])
+def test_out_of_range_argument_is_config_error(tmp_path, argv):
+    code, err = run_quietly(argv.split() + ["--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_EDGE_NUMBERS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 10 ** 400,
+                 True, False, "1", None)
+
+
+@hs.composite
+def _number(draw, finite=hs.floats(-50.0, 50.0)):
+    """Mostly a modest float; one draw in eight is an edge value or a non-number."""
+    if draw(hs.integers(0, 7)):
+        return draw(finite)
+    return draw(hs.sampled_from(_EDGE_NUMBERS))
+
+
+@hs.composite
+def _entry(draw):
+    """A matrix entry: a number, or a list of 1, 2 ([re, im]) or 3 numbers."""
+    kind = draw(hs.integers(0, 9))
+    if kind < 7:
+        return draw(_number())
+    return draw(hs.lists(_number(), min_size=kind - 6, max_size=kind - 6))
+
+
+@hs.composite
+def _matrix(draw, rows, cols):
+    ragged = draw(hs.integers(0, 15)) == 0
+    return [draw(hs.lists(_entry(), min_size=cols - ragged, max_size=cols + ragged))
+            for _ in range(rows)]
+
+
+@hs.composite
+def system_documents(draw):
+    """--system JSON: dense 1x1 to 3x3 pairs and spectral specs at their edges."""
+    if draw(hs.booleans()):
+        n, m = draw(hs.integers(1, 3)), draw(hs.integers(1, 3))
+        doc = {"A": draw(_matrix(n, n)), "B": draw(_matrix(n, m))}
+    else:
+        doc = {
+            "symbol": draw(hs.sampled_from(["frac_heat", "frac_heat", "schrodinger", "heat"])),
+            "s": draw(_number(hs.sampled_from([0.5, 1.0, 1.0 + 1e-12, 1.5, 2.0, 40.0]))),
+            "c": draw(_number(hs.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 30.0]))),
+            "modes": draw(hs.lists(_number(hs.sampled_from([0.0, 0.5, -1.0, 2.0, 1e200])),
+                                   min_size=1, max_size=4)),
+        }
+        if draw(hs.booleans()):
+            doc["mask"] = draw(hs.lists(
+                _number(hs.sampled_from([0.0, 0.25, 1.0, 1.5, -0.1])), min_size=1, max_size=4))
+    if draw(hs.integers(0, 9)) == 0:
+        del doc[draw(hs.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=100)
+@given(doc=system_documents())
+def test_fuzzed_system_documents_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, err = analyze_document(doc, out_dir, "--brute-samples", "64")
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC)
+    assert len(err) <= 1, err
 
 
 class TestSynthesize:

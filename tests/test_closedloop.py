@@ -10,25 +10,11 @@ from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
-from sampstab.closedloop import ObservationOperator, system_hash, with_decay
+from sampstab.closedloop import system_hash, with_decay
 
-from conftest import random_cc_stabilized
+from conftest import periodic_schedule, random_cc_stabilized
 
 SCALAR = st.ContinuousSystem([[0.0]], [[1.0]])
-
-
-class TestObservationOperator:
-    def test_sample_and_hold(self):
-        H = ObservationOperator(0.5)
-        assert H.latest_sample_time(0.0) == 0.0
-        assert H.latest_sample_time(0.49) == 0.0
-        assert H.latest_sample_time(0.5) == 0.5
-        assert H.latest_sample_time(1.74) == 1.5
-        assert H(lambda t: t ** 2, 1.74) == 1.5 ** 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservationOperator(0.0)
 
 
 class TestSimulateCc:
@@ -95,8 +81,7 @@ class TestSimulateDc:
             # Exactly: y(kT + tau) = exp(A tau) y_k + J_tau B F y_k.
             k, j = divmod(idx, steps)
             y_k = traj.states[k * steps]
-            exact = (st.semigroup(osc, j * h) @ y_k
-                     + st.transition_integral(osc, j * h) @ osc.B @ F @ y_k)
+            exact = st.semigroup(osc, j * h) @ y_k + st.sample(osc, j * h).D @ F @ y_k
             assert np.linalg.norm(y - exact) <= 1e-12 * np.linalg.norm(exact)
 
     def test_validation(self):
@@ -108,17 +93,17 @@ class TestPeriodicLaw:
     def test_zero_gain_schedule(self):
         law = st.build_periodic_feedback(SCALAR, [[0.0]], 1.0)
         for t in (0.0, 0.3, 2.7):
-            assert_allclose(law.schedule(t), 0.0, atol=1e-15)
+            assert_allclose(periodic_schedule(law, t), 0.0, atol=1e-15)
 
     def test_scalar_schedule_decay(self):
         law = st.build_periodic_feedback(SCALAR, [[-1.0]], 1.0)
         for tau in (0.0, 0.25, 0.9):
-            assert_allclose(law.schedule(tau)[0, 0].real, -np.exp(-tau), atol=1e-14)
+            assert_allclose(periodic_schedule(law, tau)[0, 0].real, -np.exp(-tau), atol=1e-14)
 
     def test_schedule_at_zero_is_gain(self):
         sys, F = random_cc_stabilized(5)
         law = st.build_periodic_feedback(sys, F, 0.7)
-        assert_allclose(law.schedule(0.0), F, atol=1e-14)
+        assert_allclose(periodic_schedule(law, 0.0), F, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(tau=hs.floats(0.0, 0.499), k=hs.integers(1, 40))
@@ -126,8 +111,8 @@ class TestPeriodicLaw:
         # Dyadic period: tau + kT is an exact float shift of tau mod T.
         sys, F = random_cc_stabilized(7)
         law = st.build_periodic_feedback(sys, F, 0.5)
-        a = law.schedule(tau)
-        b = law.schedule(tau + 0.5 * k)
+        a = periodic_schedule(law, tau)
+        b = periodic_schedule(law, tau + 0.5 * k)
         assert np.abs(a - b).max() <= 1e-14
 
     @settings(max_examples=30, deadline=None)
@@ -136,15 +121,15 @@ class TestPeriodicLaw:
         # Non-dyadic period: the shift itself carries float error.
         sys, F = random_cc_stabilized(7)
         law = st.build_periodic_feedback(sys, F, 0.7)
-        a = law.schedule(tau)
-        b = law.schedule(tau + 0.7 * k)
+        a = periodic_schedule(law, tau)
+        b = periodic_schedule(law, tau + 0.7 * k)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             st.build_periodic_feedback(SCALAR, [[0.0, 1.0]], 1.0)
         with pytest.raises(ValueError):
-            st.FeedbackLaw(kind="weird", F=np.zeros((1, 1)))
+            st.FeedbackLaw(F=np.zeros((1, 1)), T=0.0, closed_loop_generator=np.zeros((1, 1)))
 
 
 class TestSimulateDp:
@@ -180,10 +165,15 @@ class TestSimulateDp:
                 err = np.linalg.norm(got - ref, axis=1)
                 assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=1))
 
-    def test_requires_periodic_law(self):
-        law = st.FeedbackLaw(kind="constant", F=np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            st.simulate_dp(SCALAR, law, [1.0], 2.0, 4)
+    def test_controls_follow_the_schedule(self):
+        # On [kT, (k+1)T) the control is F(t) y(kT), with the law's oracle F(t).
+        sys, F = random_cc_stabilized(4)
+        T, steps = 0.7, 6
+        law = st.build_periodic_feedback(sys, F, T)
+        traj = st.simulate_dp(sys, law, [1.0, -0.5, 0.25], 3 * T, steps)
+        for idx in range(3 * steps):
+            want = periodic_schedule(law, traj.times[idx]) @ traj.states[idx - idx % steps]
+            assert np.abs(traj.controls[idx] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSimulateCp:
@@ -206,7 +196,7 @@ class TestSimulateCp:
         T = 0.5
         law = st.build_periodic_feedback(sys, F, T)
         for tau in (0.0, 0.2, 0.45):
-            assert_allclose(law.schedule(tau), F, atol=1e-14)
+            assert_allclose(periodic_schedule(law, tau), F, atol=1e-14)
         y0 = np.array([0.3, -1.1])
         cp = st.simulate_cp(sys, law, y0, 4 * T, T / 1000)
         cc = st.simulate_cc(sys, F, y0, 4 * T, T / 1000)
@@ -220,6 +210,16 @@ class TestSimulateCp:
         cp = st.simulate_cp(osc, law, y0, 5.0, 1e-3)
         cc = st.simulate_cc(osc, np.zeros((1, 2)), y0, 5.0, 1e-3)
         assert np.abs(cp.states - cc.states).max() <= 1e-8
+
+    def test_controls_follow_the_schedule(self):
+        # The control is F(t) y(t) on the grid, with the law's oracle F(t).
+        sys, F = random_cc_stabilized(6)
+        T = 0.5
+        law = st.build_periodic_feedback(sys, F, T)
+        traj = st.simulate_cp(sys, law, [0.3, 1.0, -0.7], 3 * T, T / 20)
+        for t, y, u in zip(traj.times, traj.states, traj.controls):
+            want = periodic_schedule(law, t) @ y
+            assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_step_must_divide_period(self):
         law = st.build_periodic_feedback(SCALAR, [[-1.0]], 1.0)

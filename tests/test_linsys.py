@@ -1,13 +1,13 @@
 """System representations, flows, and sampled operators."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import sampstab as st
-from sampstab.linsys import transition_integral
 
 from conftest import (expm_taylor, random_neutral_system, random_stable_system)
 
@@ -120,6 +120,14 @@ class TestSample:
             D_ref = np.linalg.solve(sys.A, (st.semigroup(sys, T) - np.eye(n)) @ sys.B)
             assert np.linalg.norm(p.D - D_ref, 2) <= 1e-10 * np.linalg.norm(D_ref, 2)
 
+    def test_overflowing_input_map_is_numeric_failure(self):
+        # exp(0.1 T) is finite at T = 7090, but its integral (exp(0.1 T) - 1) / 0.1 is not.
+        heat = st.fractional_heat(1, 1.5, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.NumericOverflowError):
+                st.sample(heat, 7090.0)
+
     def test_spectral_matches_dense(self):
         heat = st.fractional_heat(9, 1.7, 0.5)
         p_spec = st.sample(heat, 0.8)
@@ -129,41 +137,45 @@ class TestSample:
 
 
 class TestObservationBlock:
+    """The Gramian sum of the observation blocks W_i, which integrate
+    B* exp(At)* over [(i-1)T, iT]: W_1 = D*, G_N = sum_{i <= N} W_i* W_i."""
+
     def test_scalar_integrator(self):
         sys = st.ContinuousSystem([[0.0]], [[1.0]])
-        assert_allclose(st.observation_block(sys, 3.0, 1), [[3.0]])
+        assert_allclose(st.discrete_gramian(sys, 3.0, 1).G, [[9.0]])
 
     def test_oscillator_against_quadrature(self):
         # W_i phi integrates phi_1 sin t + phi_2 cos t over [(i-1)T, iT].
         from scipy.integrate import quad
         osc = st.harmonic_oscillator()
         T = 0.9
-        for i in (1, 2, 4):
-            W = st.observation_block(osc, T, i)
-            ref = np.array([
-                quad(np.sin, (i - 1) * T, i * T, epsabs=1e-14)[0],
-                quad(np.cos, (i - 1) * T, i * T, epsabs=1e-14)[0],
-            ])
-            assert_allclose(W.ravel().real, ref, atol=1e-12)
-            assert_allclose(W.ravel().imag, 0.0, atol=1e-14)
+        W = [np.array([quad(np.sin, (i - 1) * T, i * T, epsabs=1e-14)[0],
+                       quad(np.cos, (i - 1) * T, i * T, epsabs=1e-14)[0]])
+             for i in range(1, 5)]
+        for N in (1, 2, 4):
+            want = sum(np.outer(w, w) for w in W[:N])
+            assert_allclose(st.discrete_gramian(osc, T, N).G, want, atol=1e-12)
+        assert_allclose(st.sample(osc, T).D.ravel(), W[0], atol=1e-12)
 
     def test_oscillator_half_turn_block(self):
-        W = st.observation_block(st.harmonic_oscillator(), np.pi, 1)
-        assert_allclose(W.real, [[2.0, 0.0]], atol=1e-12)
+        assert_allclose(st.sample(st.harmonic_oscillator(), np.pi).D, [[2.0], [0.0]], atol=1e-12)
+        assert_allclose(st.discrete_gramian(st.harmonic_oscillator(), np.pi, 1).G,
+                        [[4.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_shift_consistency(self):
+        # W_{i+1} = W_i exp(AT)*, so period i+1 adds exp(AiT) W_1* W_1 exp(AiT)*.
         for seed in range(4):
             sys = random_stable_system(seed)
             T = 0.6
-            Phi_adj = st.semigroup(sys, T).conj().T
+            D = st.sample(sys, T).D
             for i in (1, 2, 3):
-                lhs = st.observation_block(sys, T, i + 1)
-                rhs = st.observation_block(sys, T, i) @ Phi_adj
-                assert np.abs(lhs - rhs).max() <= 1e-12
+                R = st.semigroup(sys, i * T)
+                step = st.discrete_gramian(sys, T, i + 1).G - st.discrete_gramian(sys, T, i).G
+                assert np.abs(step - R @ D @ D.conj().T @ R.conj().T).max() <= 1e-12
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            st.observation_block(st.harmonic_oscillator(), 1.0, 0)
+            st.discrete_gramian(st.harmonic_oscillator(), 1.0, 0)
 
 
 class TestToDense:
@@ -183,15 +195,17 @@ class TestToDense:
 
 
 class TestTransitionIntegral:
+    """J_T = int_0^T exp(As) ds is the input map D of the sampled pair with B = I."""
+
     def test_scalar(self):
         sys = st.ContinuousSystem([[-1.0]], [[1.0]])
-        assert_allclose(transition_integral(sys, 1.0)[0, 0], 1 - np.exp(-1), rtol=1e-13)
+        assert_allclose(st.sample(sys, 1.0).D[0, 0], 1 - np.exp(-1), rtol=1e-13)
 
     def test_matches_quadrature(self):
         from scipy.integrate import fixed_quad
         sys = random_stable_system(1, n=3)
         T = 0.8
-        J = transition_integral(sys, T)
+        J = st.sample(st.ContinuousSystem(sys.A, np.eye(3)), T).D
         ref = np.zeros_like(J)
         for p in range(3):
             for q in range(3):
@@ -203,7 +217,7 @@ class TestTransitionIntegral:
     def test_subnormal_spectral_entry(self):
         # Complex division by a subnormal lambda overflows; the integral is T.
         heat = st.fractional_heat(3, 2.0, 1e-310)
-        J = np.diag(transition_integral(heat, 0.7))
+        J = np.diag(st.sample(heat, 0.7).D)
         edge = (1 - np.exp(-16 * 0.7)) / 16
         assert_allclose(J, [edge, 0.7, edge], rtol=1e-13)
 

@@ -1,6 +1,7 @@
 """Gramians, weak observability feasibility, and period pathology."""
 
 import tracemalloc
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -134,16 +135,18 @@ class TestDecideDc:
 
     @pytest.mark.parametrize("N_max", [1, 2, 4, 20])
     def test_overflowing_walk_keeps_the_proven_infeasibility(self, N_max):
-        # R = exp(300 k) overflows at k = 3; horizons 1 and 2 are blocked by
-        # the kernel (B = 0), so both modes stop there with the same verdict.
+        # |R|^2 = exp(600 k) overflows at k = 2; horizon 1 is blocked by the
+        # kernel (B = 0), so both modes stop there with the same verdict, and
+        # the walk's overflowing step raises no warning.
         sys = scalar_system(300.0, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             dc = st.decide_dc(sys, 1.0, N_max=N_max)
             cc = st.decide_cc(sys, 1.0, N_max=N_max)
         for cert in (dc, cc):
             assert not cert.feasible
-            assert (cert.N, cert.C, cert.kernel_dim) == (min(N_max, 2), 0.0, 1)
-            assert cert.kernel_norm >= 1.0
+            assert (cert.N, cert.C, cert.kernel_dim) == (1, 0.0, 1)
+            assert_allclose(cert.kernel_norm, np.exp(600.0), rtol=1e-10)
 
     def test_invariant_under_input_phase(self):
         for seed in range(3):
