@@ -23,12 +23,12 @@ sys = st.ContinuousSystem(A, B)
 
 T, steps = 0.5, 10
 y0 = rng.standard_normal(3)
-law = st.build_periodic_feedback(sys, F, T)
 
-cc = st.simulate_cc(sys, F, y0, 16 * T, T / steps)
+# One signature and one grid for all four loops; cp is RK4 at step T / steps.
+cc = st.simulate_cc(sys, F, T, y0, 16 * T, steps)
 dc = st.simulate_dc(sys, F, T, y0, 16 * T, steps)
-dp = st.simulate_dp(sys, law, y0, 16 * T, steps)
-cp = st.simulate_cp(sys, law, y0, 16 * T, T / 1000)
+dp = st.simulate_dp(sys, F, T, y0, 16 * T, steps)
+cp = st.simulate_cp(sys, F, T, y0, 16 * T, steps)
 
 print("fitted decay rates (trailing half of the horizon):")
 for name, traj in (("cc", cc), ("dc", dc), ("dp", dp), ("cp", cp)):

@@ -18,10 +18,7 @@ import sampstab as st
 
 
 def witness_grid(T, N, eps, points=512):
-    rho = math.sqrt(eps / N)
-    eta = 2 * math.pi * rho / (T + rho)
-    lo = math.sqrt((2 * math.pi - eta) / T)
-    hi = math.sqrt((2 * math.pi + eta) / T)
+    _, lo, hi = st.witness_band(T, N, eps)
     return np.arange(0.0, 1.05 * hi, (hi - lo) / points)
 
 
@@ -42,7 +39,7 @@ for T in (0.5, 1.0, 2.0):
 print("\ncontinuous observation with uniform damping stabilizes the same flow:")
 sch = st.to_dense(st.schrodinger(33, 4.0))
 y0 = np.ones(33) / math.sqrt(33)
-open_loop = st.simulate_cc(sch, np.zeros((33, 33)), y0, 15.0, 0.25)
-damped = st.simulate_cc(sch, -0.3 * np.eye(33), y0, 15.0, 0.25)
+open_loop = st.simulate_cc(sch, np.zeros((33, 33)), 1.0, y0, 15.0, 4)
+damped = st.simulate_cc(sch, -0.3 * np.eye(33), 1.0, y0, 15.0, 4)
 print(f"  open loop fitted rate:   {st.fit_decay(open_loop)[0]:.6f}")
 print(f"  gamma = 0.3 fitted rate: {st.fit_decay(damped)[0]:.6f}")

@@ -9,10 +9,9 @@ provably differs from continuous observation.
 
 from .benchmarks import (CounterexampleWitness, ThickSetSpec, det_lambda,
                          fractional_heat, harmonic_oscillator, is_thick,
-                         schrodinger, schrodinger_witness)
-from .closedloop import (FeedbackLaw, Trajectory, build_periodic_feedback,
-                         fit_decay, simulate_cc, simulate_cp, simulate_dc,
-                         simulate_dp, trajectory_to_csv)
+                         schrodinger, schrodinger_witness, witness_band)
+from .closedloop import (Trajectory, fit_decay, simulate_cc, simulate_cp,
+                         simulate_dc, simulate_dp, trajectory_to_csv)
 from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SampstabError, SearchExhausted,
                      SpectralRadiusError)
@@ -38,10 +37,11 @@ __all__ = [
     "min_delta_on_kernel", "decide_dc", "decide_cc", "pathological_periods",
     "RiccatiSolution", "FeedbackGain", "riccati_solve", "dp_value_iterate",
     "feedback_gain", "lq_optimal_cost", "closed_loop_cost",
-    "FeedbackLaw", "Trajectory", "build_periodic_feedback", "simulate_cc",
-    "simulate_dc", "simulate_dp", "simulate_cp", "fit_decay", "trajectory_to_csv",
+    "Trajectory", "simulate_cc", "simulate_dc", "simulate_dp", "simulate_cp",
+    "fit_decay", "trajectory_to_csv",
     "harmonic_oscillator", "det_lambda", "fractional_heat", "schrodinger",
-    "schrodinger_witness", "ThickSetSpec", "CounterexampleWitness", "is_thick",
+    "schrodinger_witness", "witness_band", "ThickSetSpec", "CounterexampleWitness",
+    "is_thick",
     "SampstabError", "NumericOverflowError", "RiccatiDivergenceError",
     "SpectralRadiusError", "SearchExhausted", "GridTooCoarse",
     "__version__",

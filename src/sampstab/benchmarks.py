@@ -27,6 +27,7 @@ __all__ = [
     "fractional_heat",
     "schrodinger",
     "schrodinger_witness",
+    "witness_band",
     "ThickSetSpec",
     "CounterexampleWitness",
     "is_thick",
@@ -242,16 +243,11 @@ def _witness_observed(grid: np.ndarray, phi: np.ndarray, T: float, N: int) -> fl
     return N * float(np.sum(w * np.abs(coef * phi) ** 2))
 
 
-def schrodinger_witness(T: float, N: int, epsilon: float,
-                        grid: np.ndarray) -> CounterexampleWitness:
-    """Construct the witness state for given period, horizon, and target bound.
+def witness_band(T: float, N: int, epsilon: float) -> tuple[float, float, float]:
+    """(eta, lo, hi): the witness bump's half-width and its support band.
 
-    The bump half-width eta solves (eta T / (2 pi - eta))^2 = epsilon / N, so
-    the guaranteed bound equals epsilon; the support is the band
-    (sqrt((2 pi - eta)/T), sqrt((2 pi + eta)/T)).  The grid must place at
-    least 32 points inside the support, and the quadrature error estimate
-    (coarse-grid comparison) must fit inside the bound's slack, else
-    GridTooCoarse is raised.
+    eta solves (eta T / (2 pi - eta))^2 = epsilon / N, so the guaranteed bound
+    equals epsilon; the support is (sqrt((2 pi - eta)/T), sqrt((2 pi + eta)/T)).
     """
     if not T > 0:
         raise ValueError("T must be > 0")
@@ -259,14 +255,25 @@ def schrodinger_witness(T: float, N: int, epsilon: float,
         raise ValueError("N must be >= 1")
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
+    rho = math.sqrt(epsilon / N)
+    eta = 2.0 * math.pi * rho / (T + rho)
+    return eta, math.sqrt((2.0 * math.pi - eta) / T), math.sqrt((2.0 * math.pi + eta) / T)
+
+
+def schrodinger_witness(T: float, N: int, epsilon: float,
+                        grid: np.ndarray) -> CounterexampleWitness:
+    """Construct the witness state for given period, horizon, and target bound.
+
+    The bump lives on the band of ``witness_band``.  The grid must place at
+    least 32 points inside the support, and the quadrature error estimate
+    (coarse-grid comparison) must fit inside the bound's slack, else
+    GridTooCoarse is raised.
+    """
+    eta, lo, hi = witness_band(T, N, epsilon)
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
-    rho = math.sqrt(epsilon / N)
-    eta = 2.0 * math.pi * rho / (T + rho)
-    lo = math.sqrt((2.0 * math.pi - eta) / T)
-    hi = math.sqrt((2.0 * math.pi + eta) / T)
     bound = N * (eta * T / (2.0 * math.pi - eta)) ** 2
 
     inside = (grid > lo) & (grid < hi)

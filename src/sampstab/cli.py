@@ -237,34 +237,15 @@ def cmd_synthesize(args) -> int:
 def cmd_simulate(args) -> int:
     system = _resolve_system(args)
     dense = linsys.to_dense(system) if isinstance(system, linsys.SpectralSystem) else system
-    if args.horizon < args.T:
-        raise ConfigError("--horizon must cover at least one period")
-    if args.steps_per_period < 1:
-        raise ConfigError("--steps-per-period must be >= 1")
+    # Before the Riccati solve, which may diverge at a T the grid rejects.
+    closedloop.check_grid(args.T, args.horizon, args.steps_per_period)
     _, sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL,
                                lqsynth.DEFAULT_MAX_ITER)
-    F = gain.F
-    if args.y0:
-        y0 = vector_from_json(json.loads(args.y0))
-        if y0.size != dense.state_dim:
-            raise ConfigError("--y0 has the wrong dimension")
-    else:
-        y0 = _default_y0(dense.state_dim)
-
-    dt = args.T / args.steps_per_period
-    if args.loop == "dc":
-        traj = closedloop.simulate_dc(dense, F, args.T, y0, args.horizon,
-                                      args.steps_per_period)
-    elif args.loop == "cc":
-        traj = closedloop.simulate_cc(dense, F, y0, args.horizon, dt)
-    else:
-        law = closedloop.build_periodic_feedback(dense, F, args.T)
-        if args.loop == "dp":
-            traj = closedloop.simulate_dp(dense, law, y0, args.horizon,
-                                          args.steps_per_period)
-        else:
-            traj = closedloop.simulate_cp(dense, law, y0, args.horizon, dt)
-    traj = closedloop.with_decay(traj)
+    y0 = (vector_from_json(json.loads(args.y0)) if args.y0
+          else _default_y0(dense.state_dim))
+    simulate = getattr(closedloop, f"simulate_{args.loop}")
+    traj = simulate(dense, gain.F, args.T, y0, args.horizon, args.steps_per_period)
+    omega, c = closedloop.fit_decay(traj)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,17 +253,19 @@ def cmd_simulate(args) -> int:
         "system_hash": closedloop.system_hash(dense),
         "law": args.loop,
         "T": args.T,
+        "omega": omega,
+        "c": c,
     })
     norms = traj.norms()
     results = {
         "loop": args.loop,
         "riccati": {"iterations": sol.iterations, "residual": sol.residual},
         "gain": gain.to_json(),
-        "decay": {"omega": traj.decay_rate, "c": traj.decay_constant},
+        "decay": {"omega": omega, "c": c},
         "final_norm_ratio": float(norms[-1] / norms[0]),
     }
     _write_report(args, results)
-    print(f"{args.loop} loop: fitted omega = {traj.decay_rate:.6g}, "
+    print(f"{args.loop} loop: fitted omega = {omega:.6g}, "
           f"final/initial norm = {norms[-1] / norms[0]:.3g}")
     return EXIT_OK
 
@@ -323,24 +306,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _witness_grid(T: float, N: int, epsilon: float, support_points: int) -> np.ndarray:
-    rho = math.sqrt(epsilon / N)
-    eta = 2.0 * math.pi * rho / (T + rho)
-    lo = math.sqrt((2.0 * math.pi - eta) / T)
-    hi = math.sqrt((2.0 * math.pi + eta) / T)
+# Ceiling on witness grid points (80 MB per float array); --epsilon 1e-8 needs 7.4M.
+_MAX_WITNESS_POINTS = 10 ** 7
+
+
+def _witness_grid(lo: float, hi: float, support_points: int) -> np.ndarray:
+    """Uniform grid over [0, 1.02 hi] with support_points spacings across (lo, hi)."""
+    if support_points < 1:
+        raise ConfigError("--support-points must be >= 1")
     spacing = (hi - lo) / support_points
-    n = int(math.ceil(1.02 * hi / spacing)) + 1
-    return np.linspace(0.0, 1.02 * hi, n)
+    points = 1.02 * hi / spacing if spacing > 0 else math.inf
+    if points + 1 > _MAX_WITNESS_POINTS:
+        raise ConfigError(f"witness grid needs {points + 1:.3g} points, over the "
+                          f"ceiling of {_MAX_WITNESS_POINTS:.0e}; raise --epsilon "
+                          "or lower --T or --support-points")
+    return np.linspace(0.0, 1.02 * hi, int(math.ceil(points)) + 1)
 
 
 def cmd_witness(args) -> int:
-    if not args.T > 0:
-        raise ConfigError("--T must be > 0")
-    if args.N < 1:
-        raise ConfigError("--N must be >= 1")
-    if not args.epsilon > 0:
-        raise ConfigError("--epsilon must be > 0")
-    grid = _witness_grid(args.T, args.N, args.epsilon, args.support_points)
+    _, lo, hi = benchmarks.witness_band(args.T, args.N, args.epsilon)
+    grid = _witness_grid(lo, hi, args.support_points)
     wit = benchmarks.schrodinger_witness(args.T, args.N, args.epsilon, grid)
     results = {
         "witness": wit.to_json(),

@@ -7,16 +7,24 @@ Regimes (gain F constant unless noted):
 * dp: y' = A y + B F(t) y(kT), F(t) T-periodic operator-valued
 * cp: y' = A y + B F(t) y,     F(t) T-periodic operator-valued
 
-cc propagates exactly through the closed-loop matrix exponential.  dc and dp
-share one exact sample-and-hold propagator: on [kT, (k+1)T) the input is
-B F exp(H tau) y(kT) with H = 0 (dc) or H = A + B F (dp), so the augmented
-state (y, w) with y' = A y + B F w, w' = H w, y(kT) = w(kT) has the block
-generator [[A, B F], [0, H]], whose exponential over one substep (Van Loan,
-IEEE TAC 1978) advances both.  cp integrates the time-varying generator with
-a fixed-step classical Runge-Kutta scheme whose grid is locked to the period.
-Neither evaluates the periodic law F(t) = F exp((A + B F)(t - kT)) pointwise:
-dp folds it into the block generator, and cp builds it on its half-step grid
-by repeated multiplication with one exponential.
+with the periodic law F(t) = F exp((A + B F)(t - kT)) on [kT, (k+1)T).
+
+Every loop is linear and T-periodic, so each simulator only builds its
+one-period maps: maps[j] takes y(kT) to [state; control] at kT + j h, for
+h = T / steps_per_period and j = 0..steps_per_period.  One tabulator runs the
+sample recursion y((k+1)T) = maps[-1][:n] y(kT) and fills the period-locked
+grid from the maps, so all four loops share one signature and one grid, the
+horizon rounded up to whole periods.
+
+* cc: maps[j] = [E^j; F E^j] with E = exp((A + B F) h).
+* dc, dp: on [kT, (k+1)T) the input is B F exp(H tau) y(kT) with H = 0 (dc)
+  or H = A + B F (dp), so the augmented state (y, w) with y' = A y + B F w,
+  w' = H w, y(kT) = w(kT) has the block generator [[A, B F], [0, H]], whose
+  exponential over one substep (Van Loan, IEEE TAC 1978) advances both.
+* cp: classical fixed-step Runge-Kutta at step h.  RK4 on a linear ODE is a
+  linear map, so each step's stages are applied to the matrix of the map
+  itself, with F(t) built on the half-step grid by repeated multiplication
+  with one exponential.
 """
 
 from __future__ import annotations
@@ -24,17 +32,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
+from .errors import NumericOverflowError
 from .linsys import ContinuousSystem
 
 __all__ = [
-    "FeedbackLaw",
     "Trajectory",
-    "build_periodic_feedback",
+    "check_grid",
     "simulate_cc",
     "simulate_dc",
     "simulate_dp",
@@ -43,32 +51,14 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-@dataclass(frozen=True, eq=False)
-class FeedbackLaw:
-    """T-periodic operator-valued law F(t) = F exp((A + B F)(t - kT)) on [kT, (k+1)T).
-
-    It carries the closed-loop generator A + B F from which the simulators
-    build the law.
-    """
-
-    F: np.ndarray
-    T: float
-    closed_loop_generator: np.ndarray
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("periodic law requires a period T > 0")
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated states/controls on a time grid, with an optional decay fit."""
+    """Simulated states/controls on a time grid."""
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
-    decay_rate: float | None = None
-    decay_constant: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -82,70 +72,104 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def build_periodic_feedback(sys: ContinuousSystem, F: np.ndarray, T: float) -> FeedbackLaw:
-    """Periodic law schedule(tau) = F exp((A + B F) tau) on [0, T)."""
+def check_grid(T: float, horizon: float, steps_per_period: int) -> int:
+    """Validate a simulation grid; return the whole periods covering the horizon."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be finite and > 0")
+    if not (math.isfinite(horizon) and horizon >= T):
+        raise ValueError("horizon must be finite and cover at least one period")
+    if steps_per_period < 1:
+        raise ValueError("steps_per_period must be >= 1")
+    return math.ceil(horizon / T - 1e-12)
+
+
+def _tabulate(one_period, sys: ContinuousSystem, F: np.ndarray, T: float,
+              y0: np.ndarray, horizon: float, steps_per_period: int) -> Trajectory:
+    """The loop whose one-period maps one_period(A, B, F, h, S) builds, on the grid.
+
+    Raises NumericOverflowError, without numpy warnings, when a state or
+    control is not finite.
+    """
+    K = check_grid(T, horizon, steps_per_period)
     F = np.atleast_2d(np.asarray(F, dtype=complex))
     if F.shape != (sys.input_dim, sys.state_dim):
         raise ValueError(f"gain must be {sys.input_dim}x{sys.state_dim}, got {F.shape}")
-    return FeedbackLaw(F=F, T=T, closed_loop_generator=sys.A + sys.B @ F)
-
-
-def _num_periods(horizon: float, T: float) -> int:
-    K = int(np.ceil(horizon / T - 1e-12))
-    return max(K, 1)
-
-
-def simulate_cc(sys: ContinuousSystem, F: np.ndarray, y0: np.ndarray,
-                horizon: float, dt: float) -> Trajectory:
-    """Closed loop y' = (A + B F) y, exact on the grid via the closed-loop flow."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    F = np.atleast_2d(np.asarray(F, dtype=complex))
-    y0 = np.asarray(y0, dtype=complex).ravel()
-    n_steps = max(int(np.ceil(horizon / dt - 1e-12)), 1)
-    E = expm((sys.A + sys.B @ F) * dt)
-    states = np.empty((n_steps + 1, sys.state_dim), dtype=complex)
-    states[0] = y0
-    for j in range(n_steps):
-        states[j + 1] = E @ states[j]
-    times = np.arange(n_steps + 1) * dt
-    controls = states @ F.T
-    return Trajectory(times, states, controls)
-
-
-def _sample_and_hold(sys: ContinuousSystem, F: np.ndarray, H: np.ndarray, T: float,
-                     y0: np.ndarray, horizon: float, steps_per_period: int) -> Trajectory:
-    """Loop y' = A y + B F exp(H (t - kT)) y(kT) on [kT, (k+1)T), exactly.
-
-    With E = expm([[A, B F], [0, H]] h) and X_j = E^j [I; I], the state at
-    kT + j h is X_j[:n] y(kT) and the control is F X_j[n:] y(kT).
-    """
-    if horizon < T:
-        raise ValueError("horizon must cover at least one period")
-    if steps_per_period < 1:
-        raise ValueError("steps_per_period must be >= 1")
     y0 = np.asarray(y0, dtype=complex).ravel()
     n, S = sys.state_dim, steps_per_period
+    if y0.size != n:
+        raise ValueError(f"y0 must have {n} entries, got {y0.size}")
     h = T / S
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    M[:n, :n], M[:n, n:], M[n:, n:] = sys.A, sys.B @ F, H
-    E = expm(M * h)
-    # rows[j] = [X_j[:n]; F X_j[n:]] maps y(kT) to [state; control] at kT + j h.
-    rows = np.empty((S + 1, n + F.shape[0], n), dtype=complex)
-    X = np.vstack([np.eye(n), np.eye(n)])
-    for j in range(S + 1):
-        rows[j] = np.vstack([X[:n], F @ X[n:]])
-        X = E @ X
-
-    K = _num_periods(horizon, T)
-    samples = np.empty((K + 1, n), dtype=complex)
-    samples[0] = y0
-    for k in range(K):
-        samples[k + 1] = rows[S, :n] @ samples[k]
-    grid = np.empty((K * S + 1, rows.shape[1]), dtype=complex)
-    grid[:-1].reshape(K, S, -1)[:] = (rows[:S] @ samples[:K].T).transpose(2, 0, 1)
-    grid[-1] = rows[0] @ samples[K]
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = one_period(sys.A, sys.B, F, h, S)
+        samples = np.empty((K + 1, n), dtype=complex)
+        samples[0] = y0
+        for k in range(K):
+            samples[k + 1] = maps[S, :n] @ samples[k]
+        grid = np.empty((K * S + 1, maps.shape[1]), dtype=complex)
+        grid[:-1].reshape(K, S, -1)[:] = (maps[:S] @ samples[:K].T).transpose(2, 0, 1)
+        grid[-1] = maps[0] @ samples[K]
+    bad = ~np.isfinite(grid).all(axis=1)
+    if bad.any():
+        raise NumericOverflowError(
+            f"closed loop overflowed at t = {np.argmax(bad) * h:.6g}: the loop is "
+            "unstable, or the cp loop's RK4 step is too long for the system "
+            "(raise --steps-per-period)")
     return Trajectory(np.arange(K * S + 1) * h, grid[:, :n], grid[:, n:])
+
+
+def _power_maps(E, X, F, S):
+    """maps[j] = [first n rows of E^j X; F times its last n rows], j = 0..S."""
+    n = X.shape[1]
+    maps = np.empty((S + 1, n + F.shape[0], n), dtype=complex)
+    for j in range(S + 1):
+        maps[j] = np.vstack([X[:n], F @ X[-n:]])
+        X = E @ X
+    return maps
+
+
+def _cc_maps(A, B, F, h, S):
+    return _power_maps(expm((A + B @ F) * h), np.eye(A.shape[0], dtype=complex), F, S)
+
+
+def _hold_maps(A, B, F, H, h, S):
+    """With E = expm([[A, B F], [0, H]] h) and X_j = E^j [I; I], the state at
+    kT + j h is X_j[:n] y(kT) and the control is F X_j[n:] y(kT)."""
+    n = A.shape[0]
+    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    M[:n, :n], M[:n, n:], M[n:, n:] = A, B @ F, H
+    return _power_maps(expm(M * h), np.vstack([np.eye(n), np.eye(n)]), F, S)
+
+
+def _cp_maps(A, B, F, h, S):
+    n = A.shape[0]
+    # At t = j h: F0, F1, F2 = F(t), F(t + h/2), F(t + h), one exponential
+    # per half step, as the RK4 stages need them.
+    E_half = expm((A + B @ F) * (h / 2.0))
+    maps = np.empty((S + 1, n + F.shape[0], n), dtype=complex)
+    X, F0 = np.eye(n, dtype=complex), F
+    M0 = A + B @ F0
+    for j in range(S):
+        maps[j, :n], maps[j, n:] = X, F0 @ X
+        F1 = F0 @ E_half
+        F2 = F1 @ E_half
+        M1, M2 = A + B @ F1, A + B @ F2
+        k1 = M0 @ X
+        k2 = M1 @ (X + 0.5 * h * k1)
+        k3 = M1 @ (X + 0.5 * h * k2)
+        k4 = M2 @ (X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        F0, M0 = F2, M2
+    maps[S, :n], maps[S, n:] = X, F0 @ X
+    return maps
+
+
+def simulate_cc(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
+                horizon: float, steps_per_period: int) -> Trajectory:
+    """Closed loop y' = (A + B F) y, exact on the grid via the closed-loop flow.
+
+    T only sets the grid: the loop has no period of its own.
+    """
+    return _tabulate(_cc_maps, sys, F, T, y0, horizon, steps_per_period)
 
 
 def simulate_dc(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
@@ -156,63 +180,30 @@ def simulate_dc(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
     J_tau the integrated flow; successive samples follow
     y((k+1)T) = (Phi + D F) y(kT).
     """
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    F = np.atleast_2d(np.asarray(F, dtype=complex))
-    return _sample_and_hold(sys, F, np.zeros_like(sys.A), T, y0, horizon,
-                            steps_per_period)
+    return _tabulate(lambda A, B, F, h, S: _hold_maps(A, B, F, np.zeros_like(A), h, S),
+                     sys, F, T, y0, horizon, steps_per_period)
 
 
-def simulate_dp(sys: ContinuousSystem, law: FeedbackLaw, y0: np.ndarray,
+def simulate_dp(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
                 horizon: float, steps_per_period: int) -> Trajectory:
-    """Sampled observation under a periodic law: y' = A y + B F(t) y(kT).
+    """Sampled observation under the periodic law: y' = A y + B F(t) y(kT).
 
     With F(t) = F exp((A + B F)(t - kT)) the loop reproduces the continuous
     loop y' = (A + B F) y exactly, between samples too.
     """
-    return _sample_and_hold(sys, law.F, law.closed_loop_generator, law.T, y0,
-                            horizon, steps_per_period)
+    return _tabulate(lambda A, B, F, h, S: _hold_maps(A, B, F, A + B @ F, h, S),
+                     sys, F, T, y0, horizon, steps_per_period)
 
 
-def simulate_cp(sys: ContinuousSystem, law: FeedbackLaw, y0: np.ndarray,
-                horizon: float, dt: float) -> Trajectory:
-    """Continuous observation under a periodic law: y' = (A + B F(t)) y.
+def simulate_cp(sys: ContinuousSystem, F: np.ndarray, T: float, y0: np.ndarray,
+                horizon: float, steps_per_period: int) -> Trajectory:
+    """Continuous observation under the periodic law: y' = (A + B F(t)) y.
 
-    Classical fixed-step 4th-order Runge-Kutta; dt must divide the period so
-    period boundaries land on grid points.
+    Classical fixed-step 4th-order Runge-Kutta at step T / steps_per_period.
+    Explicit: a step too long for the system's fastest modes makes the loop
+    blow up, reported as NumericOverflowError once it overflows.
     """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    T = law.T
-    steps = int(round(T / dt))
-    if steps < 1 or abs(steps * dt - T) > 1e-12 * T:
-        raise ValueError("dt must divide the period T to within 1e-12")
-    y0 = np.asarray(y0, dtype=complex).ravel()
-
-    # Schedule on the half-step grid over one period, reused every period.
-    E_half = expm(law.closed_loop_generator * (dt / 2.0))
-    sched = [law.F.copy()]
-    for _ in range(2 * steps):
-        sched.append(sched[-1] @ E_half)
-    M = [sys.A + sys.B @ S for S in sched]
-
-    n_steps = max(int(np.ceil(horizon / dt - 1e-12)), 1)
-    states = np.empty((n_steps + 1, sys.state_dim), dtype=complex)
-    controls = np.empty((n_steps + 1, law.F.shape[0]), dtype=complex)
-    states[0] = y0
-    for j in range(n_steps):
-        idx = 2 * (j % steps)
-        M0, M1, M2 = M[idx], M[idx + 1], M[idx + 2]
-        y = states[j]
-        k1 = M0 @ y
-        k2 = M1 @ (y + 0.5 * dt * k1)
-        k3 = M1 @ (y + 0.5 * dt * k2)
-        k4 = M2 @ (y + dt * k3)
-        states[j + 1] = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        controls[j] = sched[idx] @ y
-    controls[-1] = sched[2 * (n_steps % steps)] @ states[-1]
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times, states, controls)
+    return _tabulate(_cp_maps, sys, F, T, y0, horizon, steps_per_period)
 
 
 def fit_decay(traj: Trajectory) -> tuple[float, float]:
@@ -235,11 +226,6 @@ def fit_decay(traj: Trajectory) -> tuple[float, float]:
     return float(omega), float(np.exp(intercept))
 
 
-def with_decay(traj: Trajectory) -> Trajectory:
-    omega, c = fit_decay(traj)
-    return replace(traj, decay_rate=omega, decay_constant=c)
-
-
 def system_hash(sys: ContinuousSystem) -> str:
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(sys.A).tobytes())
@@ -250,14 +236,11 @@ def system_hash(sys: ContinuousSystem) -> str:
 def trajectory_to_csv(traj: Trajectory, path, header: dict | None = None) -> None:
     """CSV export: t, ||y||, Re/Im of each state and control component.
 
-    A JSON header line (prefixed '#') records provenance metadata plus the
-    fitted decay parameters when present.
+    A JSON header line (prefixed '#') records the header's metadata, with
+    sorted keys and a schema number.
     """
     meta = dict(header or {})
     meta.setdefault("schema", 1)
-    if traj.decay_rate is not None:
-        meta["omega"] = traj.decay_rate
-        meta["c"] = traj.decay_constant
     n = traj.states.shape[1]
     m = traj.controls.shape[1]
     cols = ["t", "norm_y"]

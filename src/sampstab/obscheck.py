@@ -445,6 +445,8 @@ def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
     Random sampling can only under-detect violations; it never exceeds the
     eigenvalue margin (up to roundoff).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = g.R.shape[0]
     phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))

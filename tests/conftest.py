@@ -10,9 +10,9 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from sampstab import (ContinuousSystem, FeedbackLaw, GramianBundle,
-                      SampledSystem, SpectralSystem, check_inequality,
-                      min_delta_on_kernel, to_dense)
+from sampstab import (ContinuousSystem, GramianBundle, SampledSystem,
+                      SpectralSystem, check_inequality, min_delta_on_kernel,
+                      to_dense)
 from sampstab.obscheck import KERNEL_ONE_TOL
 
 # Every property test draws the same examples on every run.
@@ -138,16 +138,64 @@ def scratch_bundle(sys, T: float, N: int, mode: str) -> GramianBundle:
     return GramianBundle(R, G, mode, T, float(N))
 
 
-def periodic_schedule(law: FeedbackLaw, t: float) -> np.ndarray:
+def periodic_schedule(sys: ContinuousSystem, F, T: float, t: float) -> np.ndarray:
     """Oracle: the periodic law F exp((A + B F)(t mod T)), one exponential per call.
 
     A float t sitting just under a period boundary wraps to 0, not T.
     """
-    u = t / law.T
+    F = np.atleast_2d(np.asarray(F, dtype=complex))
+    u = t / T
     frac = u - math.floor(u)
     if frac > 1.0 - 1e-12 * max(1.0, abs(u)):
         frac = 0.0
-    return law.F @ expm(law.closed_loop_generator * (frac * law.T))
+    return F @ expm((sys.A + sys.B @ F) * (frac * T))
+
+
+def cc_stepper(sys: ContinuousSystem, F, y0, horizon: float, dt: float):
+    """Oracle: the cc loop advanced one exponential step dt at a time.
+
+    Returns (times, states, controls) on ceil(horizon / dt) + 1 points.
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=complex))
+    n_steps = max(int(np.ceil(horizon / dt - 1e-12)), 1)
+    E = expm((sys.A + sys.B @ F) * dt)
+    states = np.empty((n_steps + 1, sys.state_dim), dtype=complex)
+    states[0] = np.asarray(y0, dtype=complex).ravel()
+    for j in range(n_steps):
+        states[j + 1] = E @ states[j]
+    return np.arange(n_steps + 1) * dt, states, states @ F.T
+
+
+def cp_stepper(sys: ContinuousSystem, F, T: float, y0, horizon: float, dt: float):
+    """Oracle: the cp loop by classical RK4 on the state vector, one step dt at a time.
+
+    dt must divide T; the law is built on the half-step grid of one period.
+    Returns (times, states, controls) on ceil(horizon / dt) + 1 points.
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=complex))
+    steps = int(round(T / dt))
+    assert steps >= 1 and abs(steps * dt - T) <= 1e-12 * T
+    E_half = expm((sys.A + sys.B @ F) * (dt / 2.0))
+    sched = [F]
+    for _ in range(2 * steps):
+        sched.append(sched[-1] @ E_half)
+    M = [sys.A + sys.B @ S for S in sched]
+    n_steps = max(int(np.ceil(horizon / dt - 1e-12)), 1)
+    states = np.empty((n_steps + 1, sys.state_dim), dtype=complex)
+    controls = np.empty((n_steps + 1, F.shape[0]), dtype=complex)
+    states[0] = np.asarray(y0, dtype=complex).ravel()
+    for j in range(n_steps):
+        idx = 2 * (j % steps)
+        M0, M1, M2 = M[idx], M[idx + 1], M[idx + 2]
+        y = states[j]
+        k1 = M0 @ y
+        k2 = M1 @ (y + 0.5 * dt * k1)
+        k3 = M1 @ (y + 0.5 * dt * k2)
+        k4 = M2 @ (y + dt * k3)
+        states[j + 1] = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        controls[j] = sched[idx] @ y
+    controls[-1] = sched[2 * (n_steps % steps)] @ states[-1]
+    return np.arange(n_steps + 1) * dt, states, controls
 
 
 def witness_observed_loop(grid: np.ndarray, phi: np.ndarray, T: float, N: int) -> float:

@@ -110,12 +110,11 @@ def test_criterion_5_sample_instant_equivalence():
         for seed in range(20):
             sys, F = random_cc_stabilized(seed, n=3, m=2)
             T = 0.5 + 0.05 * (seed % 5)
-            law = st.build_periodic_feedback(sys, F, T)
             rng = np.random.default_rng(1000 + seed)
             y0 = rng.standard_normal(3)
             steps = 8
-            dp = st.simulate_dp(sys, law, y0, 20 * T, steps)
-            cc = st.simulate_cc(sys, F, y0, 20 * T, T / steps)
+            dp = st.simulate_dp(sys, F, T, y0, 20 * T, steps)
+            cc = st.simulate_cc(sys, F, T, y0, 20 * T, steps)
             for k in range(21):
                 ref = cc.states[k * steps]
                 err = np.linalg.norm(dp.states[k * steps] - ref)
@@ -127,10 +126,7 @@ def test_criterion_6_schrodinger_witness_matrix():
         for T in (0.5, 1.0, 2.0):
             for N in (1, 2, 4):
                 for eps in (0.1, 0.01):
-                    rho = math.sqrt(eps / N)
-                    eta = 2 * math.pi * rho / (T + rho)
-                    hi = math.sqrt((2 * math.pi + eta) / T)
-                    lo = math.sqrt((2 * math.pi - eta) / T)
+                    _, lo, hi = st.witness_band(T, N, eps)
                     spacing = (hi - lo) / 256
                     grid = np.arange(0.0, 1.05 * hi, spacing)
                     wit = st.schrodinger_witness(T, N, eps, grid)
@@ -139,7 +135,7 @@ def test_criterion_6_schrodinger_witness_matrix():
                     assert wit.observed <= wit.bound + 1e-10
         sch = st.to_dense(st.schrodinger(33, 4.0))
         y0 = np.ones(33) / math.sqrt(33)
-        traj = st.simulate_cc(sch, -0.3 * np.eye(33), y0, 15.0, 0.25)
+        traj = st.simulate_cc(sch, -0.3 * np.eye(33), 1.0, y0, 15.0, 4)
         omega, _ = st.fit_decay(traj)
         assert abs(omega - 0.3) <= 1e-3
 

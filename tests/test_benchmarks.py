@@ -119,23 +119,20 @@ class TestSchrodinger:
     def test_open_loop_does_not_decay(self):
         sch = st.to_dense(st.schrodinger(17, 3.0))
         y0 = np.ones(17) / math.sqrt(17)
-        traj = st.simulate_cc(sch, np.zeros((17, 17)), y0, 15.0, 0.25)
+        traj = st.simulate_cc(sch, np.zeros((17, 17)), 1.0, y0, 15.0, 4)
         assert st.fit_decay(traj)[0] == 0.0
 
     def test_uniform_damping_rate(self):
         sch = st.to_dense(st.schrodinger(17, 3.0))
         y0 = np.ones(17) / math.sqrt(17)
-        traj = st.simulate_cc(sch, -0.3 * np.eye(17), y0, 15.0, 0.25)
+        traj = st.simulate_cc(sch, -0.3 * np.eye(17), 1.0, y0, 15.0, 4)
         omega, _ = st.fit_decay(traj)
         assert abs(omega - 0.3) <= 1e-3
 
 
 class TestWitness:
     def grid(self, T, N, epsilon, points=400):
-        rho = math.sqrt(epsilon / N)
-        eta = 2 * math.pi * rho / (T + rho)
-        hi = math.sqrt((2 * math.pi + eta) / T)
-        lo = math.sqrt((2 * math.pi - eta) / T)
+        _, lo, hi = st.witness_band(T, N, epsilon)
         spacing = (hi - lo) / points
         return np.arange(0.0, 1.05 * hi, spacing)
 

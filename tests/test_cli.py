@@ -150,6 +150,14 @@ class TestAnalyze:
     "synthesize --example oscillator --T 1 --tol 0",
     "simulate --example oscillator --T 1 --horizon 2 --steps-per-period 0",
     "simulate --example oscillator --T 1 --horizon 2 --y0 [1,true]",
+    # The horizon is checked before the Riccati solve, which diverges at T = pi.
+    "simulate --example oscillator --T 3.141592653589793 --horizon 1",
+    "analyze --example oscillator --T 1 --brute-samples 0",
+    "analyze --example oscillator --T 1 --brute-samples -1",
+    # Witness grids of 7.4e9 and 7.4e17 points are refused before allocating.
+    "witness --T 1e6 --N 2 --epsilon 0.01",
+    "witness --T 1 --N 2 --epsilon 1e-30",
+    "witness --T 1 --support-points 0",
 ])
 def test_out_of_range_argument_is_config_error(tmp_path, argv):
     code, err = run_quietly(argv.split() + ["--out", str(tmp_path)])
@@ -256,6 +264,24 @@ class TestSimulate:
         meta = json.loads(lines[0].lstrip("# "))
         assert meta["law"] == loop
         assert lines[1].startswith("t,norm_y,y0_re")
+
+    @pytest.mark.parametrize("loop", ["dc", "cc", "dp", "cp"])
+    def test_every_loop_rounds_the_horizon_up_to_whole_periods(self, tmp_path, loop):
+        code = main(["simulate", "--example", "oscillator", "--T", "1", "--horizon", "2.5",
+                     "--steps-per-period", "4", "--loop", loop, "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
+        assert len(rows) == 13
+        assert float(rows[-1].split(",")[0]) == 3.0
+
+    def test_overflowing_cp_loop_is_numeric_failure(self, tmp_path):
+        # RK4 at h lambda = -100 blows up; the loop must not exit 0 with NaN.
+        path = tmp_path / "heat.json"
+        path.write_text(json.dumps({"symbol": "frac_heat", "s": 2, "c": 0, "modes": [0, 40]}))
+        code, err = run_quietly(["simulate", "--system", str(path), "--T", "1", "--horizon", "3",
+                                 "--loop", "cp", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert len(err) == 1 and "--steps-per-period" in err[0]
 
     def test_spectral_system_pipeline(self, tmp_path):
         code = main(["simulate", "--example", "frac-heat", "--modes", "17",

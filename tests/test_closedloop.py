@@ -1,7 +1,8 @@
-"""Closed-loop simulators, the periodic feedback construction, and decay fits."""
+"""Closed-loop simulators, the periodic feedback law, and decay fits."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,27 +11,54 @@ from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
-from sampstab.closedloop import system_hash, with_decay
+from sampstab.closedloop import system_hash
 
-from conftest import periodic_schedule, random_cc_stabilized
+from conftest import cc_stepper, cp_stepper, periodic_schedule, random_cc_stabilized
 
 SCALAR = st.ContinuousSystem([[0.0]], [[1.0]])
+LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp": st.simulate_cp}
+
+
+def _frac_heat_64():
+    heat = st.fractional_heat(64, 1.5, 1.0)
+    pair = st.sample(heat, 1.0)
+    return st.to_dense(heat), st.feedback_gain(st.riccati_solve(pair), pair).F
+
+
+@pytest.mark.parametrize("loop", ["cc", "cp"])
+@pytest.mark.parametrize("case", ["seed0", "seed1", "seed2", "seed3", "frac-heat-64"])
+def test_tabulated_loop_matches_step_by_step_oracle(loop, case):
+    # The period tabulator against the loop advanced one step at a time.
+    if case == "frac-heat-64":
+        (sys, F), T, S, K = _frac_heat_64(), 1.0, 16, 40
+    else:
+        (sys, F), T, S, K = random_cc_stabilized(int(case[4:])), 0.6, 8, 15
+    y0 = np.ones(sys.state_dim) / math.sqrt(sys.state_dim)
+    traj = LOOPS[loop](sys, F, T, y0, K * T, S)
+    if loop == "cc":
+        times, states, controls = cc_stepper(sys, F, y0, K * T, T / S)
+    else:
+        times, states, controls = cp_stepper(sys, F, T, y0, K * T, T / S)
+    assert_allclose(traj.times, times, rtol=1e-15)
+    for got, ref in ((traj.states, states), (traj.controls, controls)):
+        err = np.linalg.norm(got - ref, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
 
 
 class TestSimulateCc:
     def test_open_loop_matches_flow(self):
         sys = st.ContinuousSystem([[-1.0]], [[1.0]])
-        traj = st.simulate_cc(sys, [[0.0]], [1.0], 5.0, 0.25)
+        traj = st.simulate_cc(sys, [[0.0]], 1.0, [1.0], 5.0, 4)
         assert_allclose(traj.states[:, 0].real, np.exp(-traj.times), rtol=1e-12)
 
     def test_scalar_closed_loop(self):
-        traj = st.simulate_cc(SCALAR, [[-1.0]], [2.0], 3.0, 0.1)
+        traj = st.simulate_cc(SCALAR, [[-1.0]], 1.0, [2.0], 3.0, 10)
         assert_allclose(traj.states[:, 0].real, 2 * np.exp(-traj.times), rtol=1e-12)
 
     def test_schrodinger_uniform_damping(self):
         sch = st.to_dense(st.schrodinger(17, 3.0))
         y0 = np.ones(17) / math.sqrt(17)
-        traj = st.simulate_cc(sch, -0.3 * np.eye(17), y0, 10.0, 0.1)
+        traj = st.simulate_cc(sch, -0.3 * np.eye(17), 1.0, y0, 10.0, 10)
         assert_allclose(traj.norms(), np.exp(-0.3 * traj.times), rtol=1e-10)
 
 
@@ -91,28 +119,25 @@ class TestSimulateDc:
 
 class TestPeriodicLaw:
     def test_zero_gain_schedule(self):
-        law = st.build_periodic_feedback(SCALAR, [[0.0]], 1.0)
         for t in (0.0, 0.3, 2.7):
-            assert_allclose(periodic_schedule(law, t), 0.0, atol=1e-15)
+            assert_allclose(periodic_schedule(SCALAR, [[0.0]], 1.0, t), 0.0, atol=1e-15)
 
     def test_scalar_schedule_decay(self):
-        law = st.build_periodic_feedback(SCALAR, [[-1.0]], 1.0)
         for tau in (0.0, 0.25, 0.9):
-            assert_allclose(periodic_schedule(law, tau)[0, 0].real, -np.exp(-tau), atol=1e-14)
+            assert_allclose(periodic_schedule(SCALAR, [[-1.0]], 1.0, tau)[0, 0].real,
+                            -np.exp(-tau), atol=1e-14)
 
     def test_schedule_at_zero_is_gain(self):
         sys, F = random_cc_stabilized(5)
-        law = st.build_periodic_feedback(sys, F, 0.7)
-        assert_allclose(periodic_schedule(law, 0.0), F, atol=1e-14)
+        assert_allclose(periodic_schedule(sys, F, 0.7, 0.0), F, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(tau=hs.floats(0.0, 0.499), k=hs.integers(1, 40))
     def test_periodicity_exact_shift(self, tau, k):
         # Dyadic period: tau + kT is an exact float shift of tau mod T.
         sys, F = random_cc_stabilized(7)
-        law = st.build_periodic_feedback(sys, F, 0.5)
-        a = periodic_schedule(law, tau)
-        b = periodic_schedule(law, tau + 0.5 * k)
+        a = periodic_schedule(sys, F, 0.5, tau)
+        b = periodic_schedule(sys, F, 0.5, tau + 0.5 * k)
         assert np.abs(a - b).max() <= 1e-14
 
     @settings(max_examples=30, deadline=None)
@@ -120,28 +145,28 @@ class TestPeriodicLaw:
     def test_periodicity_inexact_shift(self, tau, k):
         # Non-dyadic period: the shift itself carries float error.
         sys, F = random_cc_stabilized(7)
-        law = st.build_periodic_feedback(sys, F, 0.7)
-        a = periodic_schedule(law, tau)
-        b = periodic_schedule(law, tau + 0.7 * k)
+        a = periodic_schedule(sys, F, 0.7, tau)
+        b = periodic_schedule(sys, F, 0.7, tau + 0.7 * k)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            st.build_periodic_feedback(SCALAR, [[0.0, 1.0]], 1.0)
-        with pytest.raises(ValueError):
-            st.FeedbackLaw(F=np.zeros((1, 1)), T=0.0, closed_loop_generator=np.zeros((1, 1)))
+        # The law is (sys, F, T): every simulator rejects a misshapen F and T <= 0.
+        for simulate in LOOPS.values():
+            with pytest.raises(ValueError, match="gain must be 1x1"):
+                simulate(SCALAR, [[0.0, 1.0]], 1.0, [1.0], 2.0, 4)
+            for T in (0.0, -1.0):
+                with pytest.raises(ValueError, match="T must be"):
+                    simulate(SCALAR, [[0.0]], T, [1.0], 2.0, 4)
 
 
 class TestSimulateDp:
     def test_zero_schedule_is_open_loop(self):
         sys = st.ContinuousSystem([[-0.3]], [[1.0]])
-        law = st.build_periodic_feedback(sys, [[0.0]], 1.0)
-        traj = st.simulate_dp(sys, law, [1.0], 4.0, 8)
+        traj = st.simulate_dp(sys, [[0.0]], 1.0, [1.0], 4.0, 8)
         assert_allclose(traj.states[:, 0].real, np.exp(-0.3 * traj.times), rtol=1e-11)
 
     def test_scalar_first_period(self):
-        law = st.build_periodic_feedback(SCALAR, [[-1.0]], 1.0)
-        traj = st.simulate_dp(SCALAR, law, [1.0], 2.0, 10)
+        traj = st.simulate_dp(SCALAR, [[-1.0]], 1.0, [1.0], 2.0, 10)
         idx = 10  # t = 1
         assert_allclose(traj.states[idx, 0].real, np.exp(-1), atol=1e-12)
 
@@ -149,12 +174,11 @@ class TestSimulateDp:
         for seed in range(3):
             sys, F = random_cc_stabilized(seed)
             T = 0.6
-            law = st.build_periodic_feedback(sys, F, T)
             rng = np.random.default_rng(seed)
             y0 = rng.standard_normal(sys.state_dim)
             steps = 8
-            dp = st.simulate_dp(sys, law, y0, 15 * T, steps)
-            cc = st.simulate_cc(sys, F, y0, 15 * T, T / steps)
+            dp = st.simulate_dp(sys, F, T, y0, 15 * T, steps)
+            cc = st.simulate_cc(sys, F, T, y0, 15 * T, steps)
             for k in range(16):
                 ref = cc.states[k * steps]
                 err = np.linalg.norm(dp.states[k * steps] - ref)
@@ -169,23 +193,20 @@ class TestSimulateDp:
         # On [kT, (k+1)T) the control is F(t) y(kT), with the law's oracle F(t).
         sys, F = random_cc_stabilized(4)
         T, steps = 0.7, 6
-        law = st.build_periodic_feedback(sys, F, T)
-        traj = st.simulate_dp(sys, law, [1.0, -0.5, 0.25], 3 * T, steps)
+        traj = st.simulate_dp(sys, F, T, [1.0, -0.5, 0.25], 3 * T, steps)
         for idx in range(3 * steps):
-            want = periodic_schedule(law, traj.times[idx]) @ traj.states[idx - idx % steps]
+            want = periodic_schedule(sys, F, T, traj.times[idx]) @ traj.states[idx - idx % steps]
             assert np.abs(traj.controls[idx] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSimulateCp:
     def test_zero_schedule_is_open_loop(self):
         sys = st.ContinuousSystem([[-0.4]], [[1.0]])
-        law = st.build_periodic_feedback(sys, [[0.0]], 1.0)
-        traj = st.simulate_cp(sys, law, [1.0], 3.0, 0.01)
+        traj = st.simulate_cp(sys, [[0.0]], 1.0, [1.0], 3.0, 100)
         assert_allclose(traj.states[:, 0].real, np.exp(-0.4 * traj.times), rtol=1e-9)
 
     def test_scalar_closed_form(self):
-        law = st.build_periodic_feedback(SCALAR, [[-1.0]], 1.0)
-        traj = st.simulate_cp(SCALAR, law, [1.0], 1.0, 1e-3)
+        traj = st.simulate_cp(SCALAR, [[-1.0]], 1.0, [1.0], 1.0, 1000)
         assert_allclose(traj.states[-1, 0].real, np.exp(np.exp(-1) - 1), atol=1e-12)
 
     def test_constant_schedule_reduces_to_continuous_loop(self):
@@ -194,43 +215,45 @@ class TestSimulateCp:
         sys = st.ContinuousSystem(osc.A, np.eye(2))
         F = -osc.A
         T = 0.5
-        law = st.build_periodic_feedback(sys, F, T)
         for tau in (0.0, 0.2, 0.45):
-            assert_allclose(periodic_schedule(law, tau), F, atol=1e-14)
+            assert_allclose(periodic_schedule(sys, F, T, tau), F, atol=1e-14)
         y0 = np.array([0.3, -1.1])
-        cp = st.simulate_cp(sys, law, y0, 4 * T, T / 1000)
-        cc = st.simulate_cc(sys, F, y0, 4 * T, T / 1000)
+        cp = st.simulate_cp(sys, F, T, y0, 4 * T, 1000)
+        cc = st.simulate_cc(sys, F, T, y0, 4 * T, 1000)
         assert np.abs(cp.states - cc.states).max() <= 1e-8
 
     def test_open_loop_oscillator_accuracy(self):
         # F = 0: fixed-step integration against the exact rotation flow.
         osc = st.harmonic_oscillator()
-        law = st.build_periodic_feedback(osc, np.zeros((1, 2)), 1.0)
         y0 = np.array([1.0, 0.0])
-        cp = st.simulate_cp(osc, law, y0, 5.0, 1e-3)
-        cc = st.simulate_cc(osc, np.zeros((1, 2)), y0, 5.0, 1e-3)
+        cp = st.simulate_cp(osc, np.zeros((1, 2)), 1.0, y0, 5.0, 1000)
+        cc = st.simulate_cc(osc, np.zeros((1, 2)), 1.0, y0, 5.0, 1000)
         assert np.abs(cp.states - cc.states).max() <= 1e-8
 
     def test_controls_follow_the_schedule(self):
         # The control is F(t) y(t) on the grid, with the law's oracle F(t).
         sys, F = random_cc_stabilized(6)
         T = 0.5
-        law = st.build_periodic_feedback(sys, F, T)
-        traj = st.simulate_cp(sys, law, [0.3, 1.0, -0.7], 3 * T, T / 20)
+        traj = st.simulate_cp(sys, F, T, [0.3, 1.0, -0.7], 3 * T, 20)
         for t, y, u in zip(traj.times, traj.states, traj.controls):
-            want = periodic_schedule(law, t) @ y
+            want = periodic_schedule(sys, F, T, t) @ y
             assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_step_must_divide_period(self):
-        law = st.build_periodic_feedback(SCALAR, [[-1.0]], 1.0)
-        with pytest.raises(ValueError):
-            st.simulate_cp(SCALAR, law, [1.0], 2.0, 0.3)
+    def test_overflow_is_numeric_failure(self):
+        # h lambda = -100 is far outside RK4's stability region: the state
+        # overflows, reported without numpy warnings.
+        heat = st.to_dense(st.system_from_json(
+            {"symbol": "frac_heat", "s": 2, "c": 0, "modes": [0, 40]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.NumericOverflowError, match="--steps-per-period"):
+                st.simulate_cp(heat, np.zeros((2, 2)), 1.0, [1.0, 1.0], 3.0, 16)
 
 
 class TestFitDecay:
     def test_exact_exponential(self):
         sys = st.ContinuousSystem([[-2.0]], [[1.0]])
-        traj = st.simulate_cc(sys, [[0.0]], [1.0], 8.0, 0.05)
+        traj = st.simulate_cc(sys, [[0.0]], 1.0, [1.0], 8.0, 20)
         omega, c = st.fit_decay(traj)
         assert abs(omega - 2.0) <= 1e-6
         assert abs(c - 1.0) <= 1e-6
@@ -238,7 +261,7 @@ class TestFitDecay:
     def test_unitary_flow_reports_zero(self):
         sch = st.to_dense(st.schrodinger(9, 2.0))
         y0 = np.ones(9) / 3.0
-        traj = st.simulate_cc(sch, np.zeros((9, 9)), y0, 12.0, 0.1)
+        traj = st.simulate_cc(sch, np.zeros((9, 9)), 1.0, y0, 12.0, 10)
         assert st.fit_decay(traj)[0] == 0.0
 
     def test_sampled_sequence_rate(self):
@@ -266,9 +289,11 @@ class TestFitDecay:
 class TestTrajectoryExport:
     def test_csv_layout_and_header(self, tmp_path):
         osc = st.harmonic_oscillator()
-        traj = with_decay(st.simulate_cc(osc, [[-0.5, -1.0]], [1.0, 0.0], 10.0, 0.05))
+        traj = st.simulate_cc(osc, [[-0.5, -1.0]], 1.0, [1.0, 0.0], 10.0, 20)
+        omega, c = st.fit_decay(traj)
         path = tmp_path / "traj.csv"
-        st.trajectory_to_csv(traj, path, header={"system_hash": system_hash(osc), "law": "cc", "T": 1.0})
+        st.trajectory_to_csv(traj, path, header={"system_hash": system_hash(osc), "law": "cc",
+                                                 "T": 1.0, "omega": omega, "c": c})
         lines = path.read_text().splitlines()
         meta = json.loads(lines[0].lstrip("# "))
         assert meta["law"] == "cc" and "omega" in meta
