@@ -21,8 +21,7 @@ import scipy
 
 from . import __version__, benchmarks, closedloop, linsys, lqsynth, obscheck
 from .errors import (GridTooCoarse, NumericOverflowError,
-                     RiccatiDivergenceError, SampstabError, SearchExhausted,
-                     SpectralRadiusError)
+                     RiccatiDivergenceError, SearchExhausted, SpectralRadiusError)
 from .serialize import dump_json, vector_from_json
 
 _BACKEND = (f"numpy {np.__version__}, scipy {scipy.__version__}, "
@@ -32,10 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EXHAUSTED = 3
 EXIT_NUMERIC = 4
-
-
-class ConfigError(SampstabError):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,7 +109,7 @@ def _resolve_system(args):
     if getattr(args, "system", None):
         path = Path(args.system)
         if not path.exists():
-            raise ConfigError(f"system file not found: {path}")
+            raise ValueError(f"system file not found: {path}")
         return linsys.load_system(path)
     name = getattr(args, "example", None) or getattr(args, "name", None)
     if name == "oscillator":
@@ -123,7 +118,7 @@ def _resolve_system(args):
         return benchmarks.fractional_heat(args.modes, args.s, args.c, xi_max=args.xi_max)
     if name == "schrodinger":
         return benchmarks.schrodinger(args.modes, args.xi_max)
-    raise ConfigError("no system specified")
+    raise ValueError("no system specified")
 
 
 def _config_echo(args) -> dict:
@@ -238,7 +233,8 @@ def cmd_simulate(args) -> int:
     system = _resolve_system(args)
     dense = linsys.to_dense(system) if isinstance(system, linsys.SpectralSystem) else system
     # Before the Riccati solve, which may diverge at a T the grid rejects.
-    closedloop.check_grid(args.T, args.horizon, args.steps_per_period)
+    closedloop.check_grid(args.T, args.horizon, args.steps_per_period,
+                          dense.state_dim + dense.input_dim)
     _, sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL,
                                lqsynth.DEFAULT_MAX_ITER)
     y0 = (vector_from_json(json.loads(args.y0)) if args.y0
@@ -274,9 +270,9 @@ def _parse_sweep(spec: str):
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"--sweep must be LO:HI:STEP, got {spec!r}") from exc
+        raise ValueError(f"--sweep must be LO:HI:STEP, got {spec!r}") from exc
     if not (lo > 0 and hi >= lo and step > 0):
-        raise ConfigError("--sweep requires 0 < LO <= HI and STEP > 0")
+        raise ValueError("--sweep requires 0 < LO <= HI and STEP > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(n)]
 
@@ -313,13 +309,13 @@ _MAX_WITNESS_POINTS = 10 ** 7
 def _witness_grid(lo: float, hi: float, support_points: int) -> np.ndarray:
     """Uniform grid over [0, 1.02 hi] with support_points spacings across (lo, hi)."""
     if support_points < 1:
-        raise ConfigError("--support-points must be >= 1")
+        raise ValueError("--support-points must be >= 1")
     spacing = (hi - lo) / support_points
     points = 1.02 * hi / spacing if spacing > 0 else math.inf
     if points + 1 > _MAX_WITNESS_POINTS:
-        raise ConfigError(f"witness grid needs {points + 1:.3g} points, over the "
-                          f"ceiling of {_MAX_WITNESS_POINTS:.0e}; raise --epsilon "
-                          "or lower --T or --support-points")
+        raise ValueError(f"witness grid needs {points + 1:.3g} points, over the "
+                         f"ceiling of {_MAX_WITNESS_POINTS:.0e}; raise --epsilon "
+                         "or lower --T or --support-points")
     return np.linspace(0.0, 1.02 * hi, int(math.ceil(points)) + 1)
 
 
@@ -364,7 +360,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
-    except (ConfigError, GridTooCoarse, ValueError) as exc:
+    except (GridTooCoarse, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SearchExhausted as exc:

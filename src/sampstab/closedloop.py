@@ -72,14 +72,22 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def check_grid(T: float, horizon: float, steps_per_period: int) -> int:
-    """Validate a simulation grid; return the whole periods covering the horizon."""
+# Ceiling on simulation grid cells, (K S + 1)(n + m) complex entries (160 MB).
+_MAX_GRID_CELLS = 10 ** 7
+
+
+def check_grid(T: float, horizon: float, steps_per_period: int, width: int) -> int:
+    """Validate a grid of rows of width n + m; return the whole periods covering the horizon."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and > 0")
     if not (math.isfinite(horizon) and horizon >= T):
         raise ValueError("horizon must be finite and cover at least one period")
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
+    cells = (horizon / T * steps_per_period + 1) * width
+    if cells > _MAX_GRID_CELLS:
+        raise ValueError(f"simulation grid needs {cells:.3g} cells, over the ceiling of "
+                         f"{_MAX_GRID_CELLS:.0e}; lower --horizon or --steps-per-period")
     return math.ceil(horizon / T - 1e-12)
 
 
@@ -90,7 +98,7 @@ def _tabulate(one_period, sys: ContinuousSystem, F: np.ndarray, T: float,
     Raises NumericOverflowError, without numpy warnings, when a state or
     control is not finite.
     """
-    K = check_grid(T, horizon, steps_per_period)
+    K = check_grid(T, horizon, steps_per_period, sys.state_dim + sys.input_dim)
     F = np.atleast_2d(np.asarray(F, dtype=complex))
     if F.shape != (sys.input_dim, sys.state_dim):
         raise ValueError(f"gain must be {sys.input_dim}x{sys.state_dim}, got {F.shape}")

@@ -37,10 +37,6 @@ __all__ = [
     "load_system",
 ]
 
-# Spectral symbols with |Re lambda| below this are treated as unitary.
-_UNITARY_RTOL = 1e-12
-
-
 def _as_complex_matrix(m, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(m, dtype=complex))
     if arr.ndim != 2:
@@ -121,12 +117,6 @@ class SpectralSystem:
     def state_dim(self) -> int:
         return self.modes.size
 
-    @property
-    def is_unitary(self) -> bool:
-        lam = self.symbol_values
-        scale = 1.0 + np.abs(lam).max()
-        return bool(np.abs(lam.real).max() <= _UNITARY_RTOL * scale)
-
 
 @dataclass(frozen=True, eq=False)
 class SampledSystem:
@@ -191,6 +181,10 @@ def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
 def _quiet_expm(M: np.ndarray) -> np.ndarray:
     """expm with overflow surfaced as NumericOverflowError, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
@@ -211,18 +205,12 @@ def _phi1(lam: np.ndarray, t: float) -> np.ndarray:
 
 
 def semigroup(sys: ContinuousSystem | SpectralSystem, t: float) -> np.ndarray:
-    """Flow operator exp(At); diagonal exp(lambda t) for spectral systems.
-
-    t must be nonnegative except for spectral systems with a unitary symbol,
-    whose flow extends to a group.
-    """
+    """Flow operator exp(At), t >= 0; diagonal exp(lambda t) for spectral systems."""
+    if t < 0:
+        raise ValueError("negative time is not defined for the semigroup")
     if isinstance(sys, SpectralSystem):
-        if t < 0 and not sys.is_unitary:
-            raise ValueError("negative time requires a unitary symbol")
         with np.errstate(over="ignore", invalid="ignore"):
             return _check_finite(np.diag(np.exp(sys.symbol_values * t)), "semigroup")
-    if t < 0:
-        raise ValueError("negative time is not defined for the dense flow")
     if t == 0:
         return np.eye(sys.state_dim, dtype=complex)
     return _check_finite(_quiet_expm(sys.A * t), "semigroup")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import SpectralRadiusError
-from .linsys import SampledSystem
+from .linsys import SampledSystem, _hermitize
 from .serialize import matrix_to_json
 
 __all__ = [
@@ -74,10 +74,6 @@ class FeedbackGain:
             "closed_loop": matrix_to_json(self.closed_loop),
             "spectral_radius": self.spectral_radius,
         }
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
 
 
 def _value_step(K: np.ndarray, Phi: np.ndarray, D: np.ndarray) -> np.ndarray:

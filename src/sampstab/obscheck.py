@@ -10,13 +10,13 @@ inequality holds iff lambda_max(R R* - C G - delta I) <= 0 with R the
 N-period transition and G the Gramian sum of W_i* W_i.  A continuous-mode
 variant replaces the sum with int_0^T exp(At) B B* exp(At)* dt.
 
-Feasibility searches walk N upward, extending G and R by one period per step,
-and take the smallest C in closed form.  In discrete mode both come from the
-sampled pair (Phi, D) of linsys.sample, one block exponential: W_1* W_1 = D D*
-and W_{i+1} = W_i Phi*.  The kernel of G supplies a structural
-obstruction: on ker G the inequality collapses to ||R* phi||^2 <= delta
-||phi||^2, so if the transition preserves norm on the kernel no constant C can
-help at that horizon.
+Feasibility searches walk N upward and take the smallest C in closed form.
+The discrete search extends G and R by one period per step from the sampled
+pair (Phi, D) of linsys.sample: W_1* W_1 = D D* and W_{i+1} = W_i Phi*.  The
+continuous search decides on continuous_gramian at every horizon.  The kernel
+of G supplies a structural obstruction: on ker G the inequality collapses to
+||R* phi||^2 <= delta ||phi||^2, so if the transition preserves norm on the
+kernel no constant C can help at that horizon.
 
 A spectral (diagonal) system stays diagonal: R and G are 1-D arrays of
 per-mode entries, and each eigenvalue problem above becomes a maximum over
@@ -25,15 +25,16 @@ modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import scipy.linalg
 
 from . import linsys
 from .errors import NumericOverflowError, SearchExhausted
-from .linsys import ContinuousSystem, SpectralSystem, sample, semigroup
+from .linsys import ContinuousSystem, SpectralSystem, _hermitize, sample, semigroup
 
 __all__ = [
     "GramianBundle",
@@ -59,10 +60,6 @@ _C_CEILING = 2.0 ** 60
 _NUDGES = 26
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
     """Transition R, PSD Gramian G, and its eigendecomposition G = V diag(w) V*.
@@ -84,6 +81,8 @@ class GramianBundle:
     eigenvectors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.G).all():
+            raise NumericOverflowError(f"{self.mode} Gramian has non-finite entries")
         if np.ndim(self.G) == 1:
             G = np.asarray(self.G, dtype=float)
             if np.shape(self.R) != G.shape:
@@ -164,38 +163,26 @@ class ObservabilityCertificate:
         return out
 
 
-def _walk(sys: ContinuousSystem | SpectralSystem, T: float, mode: str):
+def _walk(sys: ContinuousSystem | SpectralSystem, T: float):
     """(R, G) at horizons k T, k = 1, 2, ...: G_{k+1} = G_k + R_k G_1 R_k*, R_{k+1} = R_k Phi.
 
-    G_1 is W_1* W_1 = D D* with (Phi, D) the sampled pair of one block
-    exponential (discrete), or int_0^T exp(At) B B* exp(At)* dt from another
-    (continuous); the step adds the next period's term, e.g.
-    W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  A spectral system walks the 1-D
-    diagonals: Phi = exp(lambda T), and with mask b, G_1 = |b phi1(lambda, T)|^2
-    (discrete) or b^2 phi1(2 Re lambda, T) (continuous), where
-    phi1(z, t) = int_0^t exp(z s) ds.  A step may overflow, silently, to inf
-    or NaN entries: the caller stops there.
+    G_1 = W_1* W_1 = D D* with (Phi, D) the sampled pair of one block
+    exponential; the step adds W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  A spectral
+    system walks the 1-D diagonals: Phi = exp(lambda T) and, with mask b,
+    G_1 = |b phi1(lambda, T)|^2, where phi1(z, t) = int_0^t exp(z s) ds.  A
+    step may overflow, silently, to inf or NaN entries: its bundle then fails.
     """
     if not T > 0:
         raise ValueError("T must be > 0")
     spectral = isinstance(sys, SpectralSystem)
     with np.errstate(over="ignore", invalid="ignore"):
         if spectral:
-            lam, b = sys.symbol_values, sys.control_mask
+            lam = sys.symbol_values
             Phi = linsys._check_finite(np.exp(lam * T), "semigroup")
-            if mode == "discrete":
-                G_1 = np.abs(b * linsys._phi1(lam, T)) ** 2
-            else:
-                G_1 = b ** 2 * linsys._phi1(2.0 * lam.real, T).real
-        elif mode == "discrete":
+            G_1 = np.abs(sys.control_mask * linsys._phi1(lam, T)) ** 2
+        else:
             pair = sample(sys, T)
             Phi, G_1 = pair.Phi, _hermitize(pair.D @ pair.D.conj().T)
-        else:
-            A, B, n = sys.A, sys.B, sys.state_dim
-            aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
-            F = linsys._quiet_expm(aug * T)
-            Phi, G_1 = semigroup(sys, T), _hermitize(F[n:, n:].conj().T @ F[:n, n:])
-    G_1 = linsys._check_finite(G_1, f"{mode} Gramian")
     R, G = Phi, G_1
     while True:
         yield R, G
@@ -206,13 +193,6 @@ def _walk(sys: ContinuousSystem | SpectralSystem, T: float, mode: str):
                 G, R = G + R @ G_1 @ R.conj().T, R @ Phi
 
 
-def _bundle(R: np.ndarray, G: np.ndarray, mode: str, T: float, k: int) -> GramianBundle:
-    """The bundle of horizon k T: N = k periods (discrete) or time k T (continuous)."""
-    if mode == "discrete":
-        return GramianBundle(R, G, mode, T, float(k))
-    return GramianBundle(R, G, mode, k * T, k * T)
-
-
 def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -> GramianBundle:
     """Gramian of the N interval-integrated observation blocks, G = sum W_i* W_i.
 
@@ -220,15 +200,38 @@ def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _bundle(*next(islice(_walk(sys, T, "discrete"), N - 1, None)), "discrete", T, N)
+    R, G = next(islice(_walk(sys, T), N - 1, None))
+    return GramianBundle(R, G, "discrete", T, float(N))
 
 
 def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> GramianBundle:
-    """G = int_0^{T_h} exp(At) B B* exp(At)* dt via the block-exponential construction.
+    """G = int_0^{T_h} exp(At) B B* exp(At)* dt and R = exp(A T_h).
 
-    A spectral system gives a 1-D bundle from the per-mode closed form.
+    Dense G by scaling and squaring: the block exponential
+    exp([[-A, B B*], [0, A*]] h) gives G(h) at h = T_h / 2^s, ||A||_1 h <= 1
+    (Van Loan, IEEE TAC 23, 1978); s doublings G(2t) = G(t) + E G(t) E*,
+    E = exp(At) <- E^2, reach T_h without the exp(-A T_h) that loses digits
+    or overflows on long or stiff horizons.  Spectral G is the 1-D per-mode
+    b^2 phi1(2 Re lambda, T_h).  A non-finite G or R raises NumericOverflowError.
     """
-    return _bundle(*next(_walk(sys, T_h, "continuous")), "continuous", T_h, 1)
+    if not T_h > 0:
+        raise ValueError("T_h must be > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(sys, SpectralSystem):
+            lam = sys.symbol_values
+            R = linsys._check_finite(np.exp(lam * T_h), "semigroup")
+            G = sys.control_mask ** 2 * linsys._phi1(2.0 * lam.real, T_h).real
+        else:
+            A, B, n = sys.A, sys.B, sys.state_dim
+            s = max(math.frexp(np.linalg.norm(A, 1) * T_h)[1], 0)
+            aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
+            F = linsys._quiet_expm(aug * (T_h / 2 ** s))
+            E = F[n:, n:].conj().T
+            G = E @ F[:n, n:]
+            for _ in range(s):
+                G, E = G + E @ G @ E.conj().T, E @ E
+            R = semigroup(sys, T_h)
+    return GramianBundle(R, G, "continuous", T_h, T_h)
 
 
 def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityCertificate:
@@ -301,16 +304,17 @@ def _min_constant(g: GramianBundle, delta: float) -> float:
     return max(2.0 * C - 1.0 / mu, 0.0)
 
 
-def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str, N_max: int,
-                     delta_target: float, exhausted: str, best_horizon) -> ObservabilityCertificate:
-    """Walk horizons k T, k = 1..N_max; return the first feasible certificate.
+def _search_horizons(bundles, N_max: int, delta_target: float, exhausted: str,
+                     best_horizon) -> ObservabilityCertificate:
+    """Decide on the bundles of horizons k T, k = 1..N_max; return the first feasible certificate.
 
     Returns an infeasible certificate when every horizon carried a
     norm-preserving kernel (a structural proof that no (C, delta<1) works at
     the searched horizons), else raises SearchExhausted(exhausted).  C is
     computed on, and nudged until check_inequality passes on, the bundle the
-    public Gramian function returns at that horizon.  The walk stops before
-    the first horizon whose G or squared transition overflowed (|R|^2 per
+    public Gramian function returns at that horizon.  From k = 2 on, the
+    search stops before the first horizon whose bundle raises
+    NumericOverflowError or whose squared transition overflows (|R|^2 per
     mode; trace R R* for a dense R, which bounds every entry of R R*), and
     decides on the horizons before it: an infeasible certificate then stands
     at the last finite one.
@@ -323,13 +327,20 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
     worst_kernel = 0.0
     worst_dim = 0
     all_blocked = True
-    g = None
-    for k, (R, G) in enumerate(islice(_walk(sys, T, mode), N_max), start=1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            RR = np.abs(R) ** 2 if R.ndim == 1 else np.vdot(R, R).real
-        if not (np.isfinite(RR).all() and np.isfinite(G).all()):
+    last = None
+    bundles = iter(bundles)
+    for _ in range(N_max):
+        try:
+            g = next(bundles)
+        except NumericOverflowError:
+            if last is None:
+                raise
             break
-        g = _bundle(R, G, mode, T, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            RR = np.abs(g.R) ** 2 if g.R.ndim == 1 else np.vdot(g.R, g.R).real
+        if not np.isfinite(RR).all():
+            break
+        last = g
         kn = min_delta_on_kernel(g)
         if kn > worst_kernel:
             worst_kernel, worst_dim = kn, g.kernel_dim
@@ -343,20 +354,19 @@ def _search_horizons(sys: ContinuousSystem | SpectralSystem, T: float, mode: str
             # here, but a larger delta < 1 might work, so this is not proof.
             best_margin = min(best_margin, kn - delta_target)
             continue
-        target = g if mode == "discrete" or k == 1 else continuous_gramian(sys, g.horizon)
-        C = _min_constant(target, delta_target)
+        C = _min_constant(g, delta_target)
         if not C <= _C_CEILING:
-            best_margin = min(best_margin, check_inequality(target, _C_CEILING, delta_target).margin)
+            best_margin = min(best_margin, check_inequality(g, _C_CEILING, delta_target).margin)
             continue
         for i in range(_NUDGES):
-            cert = check_inequality(target, C, delta_target)
+            cert = check_inequality(g, C, delta_target)
             if cert.feasible:
                 return replace(cert, kernel_norm=kn)
             C *= 1.0 + np.finfo(float).eps * 4.0 ** i
         best_margin = min(best_margin, cert.margin)
-    if all_blocked and g is not None:
+    if all_blocked and last is not None:
         return ObservabilityCertificate(
-            mode=g.mode, T=g.T, N=g.horizon, C=0.0, delta=delta_target,
+            mode=last.mode, T=last.T, N=last.horizon, C=0.0, delta=delta_target,
             margin=float(best_margin), feasible=False, kernel_dim=worst_dim,
             kernel_norm=worst_kernel,
         )
@@ -368,7 +378,7 @@ def decide_dc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
     """Search horizons N = 1..N_max for a feasible (N, C) at the target delta.
 
     Returns the first feasible certificate (smallest N, then the exact smallest
-    C, re-checked on discrete_gramian(sys, T, N)).  If every horizon is
+    C, checked on discrete_gramian(sys, T, N)).  If every horizon is
     blocked by a norm-preserving kernel (transition norm on ker G within
     KERNEL_ONE_TOL of 1), returns an infeasible certificate: growing N or C
     provably cannot help at the searched horizons.  Otherwise a fruitless
@@ -376,7 +386,8 @@ def decide_dc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
     horizon.
     """
     return _search_horizons(
-        sys, T, "discrete", N_max, delta_target,
+        (GramianBundle(R, G, "discrete", T, float(k))
+         for k, (R, G) in enumerate(_walk(sys, T), start=1)), N_max, delta_target,
         f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "
         "infeasibility not proven", N_max)
 
@@ -385,10 +396,10 @@ def decide_cc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
               delta_target: float = 0.9) -> ObservabilityCertificate:
     """Continuous-mode analogue of decide_dc over horizons T_h = k T, k <= N_max.
 
-    Certificates are re-checked on continuous_gramian(sys, k T).
+    Every horizon is decided on continuous_gramian(sys, k T).
     """
     return _search_horizons(
-        sys, T, "continuous", N_max, delta_target,
+        (continuous_gramian(sys, k * T) for k in count(1)), N_max, delta_target,
         f"no feasible horizon k*T with k <= {N_max} at delta = {delta_target}", N_max * T)
 
 

@@ -88,8 +88,7 @@ class TestAnalyze:
             assert cert["N"] == 1.0 and math.isfinite(cert["kernel_norm"])
 
     def test_stiff_heat_is_decided(self, tmp_path):
-        # The spectral system is decided per mode, so the block exponential
-        # that overflows for its dense form never runs.
+        # The spectral system is decided per mode, on 1-D Gramians.
         code = main(["analyze", "--example", "frac-heat", "--modes", "64",
                      "--xi-max", "20", "--s", "2", "--T", "5", "--out", str(tmp_path)])
         assert code == EXIT_OK
@@ -103,6 +102,25 @@ class TestAnalyze:
                         (st.continuous_gramian(heat, cc["N"]), cc)):
             assert cert["feasible"]
             assert st.check_inequality(g, cert["C"], cert["delta"]).feasible
+
+    def test_dense_stiff_heat_matches_its_spectral_form(self, tmp_path):
+        # The dense continuous Gramian comes from scaling and squaring, which
+        # never forms the exp(399 T_h) that overflowed one block exponential.
+        heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(st.system_to_json(st.to_dense(heat))))
+        code, err = run_quietly(["analyze", "--system", str(path), "--T", "5",
+                                 "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        dense = read_report(tmp_path)["results"]
+        assert main(["analyze", "--example", "frac-heat", "--modes", "64", "--xi-max", "20",
+                     "--s", "2", "--T", "5", "--out", str(tmp_path)]) == EXIT_OK
+        spectral = read_report(tmp_path)["results"]
+        for mode in ("discrete", "continuous"):
+            got, want = dense[mode], spectral[mode]
+            assert got["status"] == want["status"] == "feasible"
+            assert got["certificate"]["N"] == want["certificate"]["N"]
+            assert abs(got["certificate"]["C"] / want["certificate"]["C"] - 1) <= 1e-6
 
     def test_reports_are_byte_identical(self, tmp_path):
         argv = ["analyze", "--example", "oscillator", "--T", "1.0",
@@ -158,6 +176,9 @@ class TestAnalyze:
     "witness --T 1e6 --N 2 --epsilon 0.01",
     "witness --T 1 --N 2 --epsilon 1e-30",
     "witness --T 1 --support-points 0",
+    # Simulation grids of 4.8e17 and 4.8e10 cells are refused before the Riccati solve.
+    "simulate --example oscillator --T 1 --horizon 1e16",
+    "simulate --example oscillator --T 1 --horizon 1e9",
 ])
 def test_out_of_range_argument_is_config_error(tmp_path, argv):
     code, err = run_quietly(argv.split() + ["--out", str(tmp_path)])

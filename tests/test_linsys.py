@@ -70,7 +70,7 @@ class TestSemigroup:
 
     def test_unitary_modulus(self):
         sch = st.schrodinger(64, 5.0)
-        for t in (0.3, 2.0, -1.2):
+        for t in (0.3, 2.0):
             d = np.diag(st.semigroup(sch, t))
             assert np.abs(np.abs(d) - 1.0).max() <= 1e-12
 
@@ -80,6 +80,9 @@ class TestSemigroup:
         heat = st.fractional_heat(5, 2.0, 0.0)
         with pytest.raises(ValueError):
             st.semigroup(heat, -0.1)
+        # A unitary symbol's flow is a group, but semigroup stays on t >= 0.
+        with pytest.raises(ValueError):
+            st.semigroup(st.schrodinger(8, 2.0), -1.2)
 
     def test_overflow_reported(self):
         sys = st.ContinuousSystem([[800.0]], [[1.0]])

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -195,11 +196,21 @@ class TestContinuousGramian:
             ref = np.array([[entry(p, q) for q in range(3)] for p in range(3)])
             assert np.abs(g.G - ref).max() <= 1e-8
 
-    def test_overflow_raises(self):
-        # exp(399 T_h) overflows in the block exponential of this stiff truncation.
+    @pytest.mark.parametrize("T_h", [5.0, 25.0])
+    def test_stiff_dense_gramian_is_the_mode_integral(self, T_h):
+        # One block exponential over T_h would hold exp(399 T_h) and overflow;
+        # scaling and squaring never forms it, and the dense Gramian of the
+        # stiff truncation is the diagonal of its spectral form.
         heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
-        with pytest.raises(st.NumericOverflowError):
-            st.continuous_gramian(st.to_dense(heat), 5.0)
+        g = st.continuous_gramian(st.to_dense(heat), T_h)
+        assert_allclose(np.diag(g.G).real, st.continuous_gramian(heat, T_h).G, rtol=1e-11)
+        assert np.all(g.G[~np.eye(64, dtype=bool)] == 0.0)
+
+    def test_long_mixed_horizon_passes_the_psd_check(self):
+        # A single block exponential over this horizon lost enough digits for
+        # G to come out significantly indefinite.
+        g = st.continuous_gramian(random_mixed_system(6), 11.34)
+        assert g.eigenvalues.min() >= -1e-12 * g.eigenvalues.max()
 
     def test_stiff_spectral_gramian_is_the_mode_integral(self):
         # The spectral form of the same truncation needs no block exponential:
@@ -239,8 +250,16 @@ class TestHorizonWalk:
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
     def test_every_step_matches_a_scratch_build(self, name, mode):
+        # Discrete horizons come from the walk, continuous ones from
+        # continuous_gramian at each horizon, as decide_dc and decide_cc take them.
         sys = WALK_SYSTEMS[name]
-        for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4, mode), 16), start=1):
+        walk = obscheck._walk(sys, 0.4)
+        for N in range(1, 17):
+            if mode == "discrete":
+                R, G = next(walk)
+            else:
+                g = st.continuous_gramian(sys, 0.4 * N)
+                R, G = g.R, g.G
             if isinstance(sys, st.SpectralSystem):
                 assert R.ndim == G.ndim == 1
                 R, G = np.diag(R), np.diag(G)
@@ -250,25 +269,34 @@ class TestHorizonWalk:
 
     def test_continuous_walk_stays_accurate_on_long_stable_horizons(self):
         # A single block exponential over k T loses digits here (about 1e-5
-        # relative by k = 16); the walk tracks the Lyapunov closed form
-        # G(t) = X - exp(At) X exp(At)*, with A X + X A* = -B B*.
+        # relative by k = 16); scaling and squaring tracks the Lyapunov closed
+        # form G(t) = X - exp(At) X exp(At)*, with A X + X A* = -B B*.
         from scipy.linalg import expm, solve_continuous_lyapunov
         sys = random_stable_system(2)
         X = solve_continuous_lyapunov(sys.A, -sys.B @ sys.B.conj().T)
-        for k, (_, G) in enumerate(islice(obscheck._walk(sys, 0.4, "continuous"), 16), start=1):
+        for k in range(1, 17):
+            G = st.continuous_gramian(sys, 0.4 * k).G
             E = expm(sys.A * (k * 0.4))
             ref = X - E @ X @ E.conj().T
             assert np.linalg.norm(G - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
     def test_public_gramians_are_the_walk(self):
         sys = WALK_SYSTEMS["dense-mixed"]
-        for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4, "discrete"), 5), start=1):
+        for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4), 5), start=1):
             g = st.discrete_gramian(sys, 0.4, N)
             assert np.array_equal(g.R, R) and np.array_equal(g.G, 0.5 * (G + G.conj().T))
             assert (g.T, g.horizon) == (0.4, float(N))
-        R, G = next(obscheck._walk(sys, 0.7, "continuous"))
-        g = st.continuous_gramian(sys, 0.7)
-        assert np.array_equal(g.R, R) and (g.T, g.horizon) == (0.7, 0.7)
+
+    def test_continuous_certificate_has_the_public_kernel(self):
+        # Two stable unobserved modes: ker G is 2-dimensional at every horizon,
+        # and they decay below delta = 0.9 only from the third horizon on.
+        heat = st.fractional_heat(8, 2.0, 1.0, mask=np.array([1.0, 1, 0, 1, 1, 0, 1, 1]))
+        for sys in (heat, st.to_dense(heat)):
+            cert = st.decide_cc(sys, 0.01)
+            g = st.continuous_gramian(sys, cert.N)
+            assert cert.feasible and cert.N == 3 * 0.01 and g.kernel_dim == 2
+            # The search decided on this very bundle: the margin repeats bit for bit.
+            assert replace(cert, kernel_norm=None) == st.check_inequality(g, cert.C, cert.delta)
 
 
 def _decided(sys, T, N_max, mode, delta):
