@@ -203,8 +203,8 @@ def _synthesize(system, T: float, tol: float, max_iter: int):
     sol = lqsynth.riccati_solve(sampled, tol=tol, max_iter=max_iter)
     if not sol.converged:
         raise RiccatiDivergenceError(
-            f"Riccati doubling did not converge in {sol.iterations} doublings "
-            f"(residual {sol.residual:.3g}); the sampled pair is likely not "
+            f"Riccati solve did not converge ({sol.iterations} doublings, "
+            f"residual {sol.residual:.3g}); the sampled pair is likely not "
             "stabilizable -- cross-check with 'analyze'"
         )
     gain = lqsynth.feedback_gain(sol, sampled)
@@ -231,22 +231,21 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     system = _resolve_system(args)
-    dense = linsys.to_dense(system) if isinstance(system, linsys.SpectralSystem) else system
     # Before the Riccati solve, which may diverge at a T the grid rejects.
     closedloop.check_grid(args.T, args.horizon, args.steps_per_period,
-                          dense.state_dim + dense.input_dim)
+                          system.state_dim + system.input_dim)
     _, sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL,
                                lqsynth.DEFAULT_MAX_ITER)
     y0 = (vector_from_json(json.loads(args.y0)) if args.y0
-          else _default_y0(dense.state_dim))
+          else _default_y0(system.state_dim))
     simulate = getattr(closedloop, f"simulate_{args.loop}")
-    traj = simulate(dense, gain.F, args.T, y0, args.horizon, args.steps_per_period)
+    traj = simulate(system, gain.F, args.T, y0, args.horizon, args.steps_per_period)
     omega, c = closedloop.fit_decay(traj)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     closedloop.trajectory_to_csv(traj, out_dir / "trajectory.csv", header={
-        "system_hash": closedloop.system_hash(dense),
+        "system_hash": closedloop.system_hash(system),
         "law": args.loop,
         "T": args.T,
         "omega": omega,
@@ -266,20 +265,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Ceiling on the periods of one sweep, each a feasibility search of its own.
+_MAX_SWEEP_PERIODS = 10 ** 6
+
+
 def _parse_sweep(spec: str):
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"--sweep must be LO:HI:STEP, got {spec!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError("--sweep bounds and step must be finite")
     if not (lo > 0 and hi >= lo and step > 0):
         raise ValueError("--sweep requires 0 < LO <= HI and STEP > 0")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(n)]
+    spacings = (hi - lo) / step + 1e-9
+    if not spacings < _MAX_SWEEP_PERIODS:  # floor(spacings) + 1 periods
+        raise ValueError(f"--sweep asks for {spacings + 1:.3g} periods, over the ceiling "
+                         f"of {_MAX_SWEEP_PERIODS:.0e}; raise STEP or narrow LO:HI")
+    return [lo + k * step for k in range(int(math.floor(spacings)) + 1)]
 
 
 def cmd_sweep(args) -> int:
-    system = _resolve_system(args)
     grid = _parse_sweep(args.sweep)
+    system = _resolve_system(args)
     rows = []
     for T in grid:
         entry, cert = _certificate_or_status(

@@ -117,22 +117,38 @@ class SpectralSystem:
     def state_dim(self) -> int:
         return self.modes.size
 
+    @property
+    def input_dim(self) -> int:
+        return self.modes.size
+
 
 @dataclass(frozen=True, eq=False)
 class SampledSystem:
-    """One-period transition Phi = exp(AT) and input map D = (int_0^T exp(As) ds) B."""
+    """One-period transition Phi = exp(AT) and input map D = (int_0^T exp(As) ds) B.
+
+    A diagonal pair, as sampled from a spectral system, is held as two 1-D
+    arrays of per-mode entries.
+    """
 
     Phi: np.ndarray
     D: np.ndarray
     T: float
 
     def __post_init__(self):
-        Phi = _as_complex_matrix(self.Phi, "Phi")
-        D = _as_complex_matrix(self.D, "D")
-        if Phi.shape[0] != Phi.shape[1]:
-            raise ValueError("Phi must be square")
-        if D.shape[0] != Phi.shape[0]:
-            raise ValueError("D row count must match Phi")
+        if np.ndim(self.Phi) == 1:
+            Phi = np.asarray(self.Phi, dtype=complex)
+            D = np.asarray(self.D, dtype=complex)
+            if D.shape != Phi.shape:
+                raise ValueError("a diagonal Phi needs a diagonal D of the same length")
+            if not (np.isfinite(Phi).all() and np.isfinite(D).all()):
+                raise ValueError("Phi and D must have finite entries")
+        else:
+            Phi = _as_complex_matrix(self.Phi, "Phi")
+            D = _as_complex_matrix(self.D, "D")
+            if Phi.shape[0] != Phi.shape[1]:
+                raise ValueError("Phi must be square")
+            if D.shape[0] != Phi.shape[0]:
+                raise ValueError("D row count must match Phi")
         if not self.T > 0:
             raise ValueError("sampling period T must be > 0")
         object.__setattr__(self, "Phi", Phi)
@@ -144,7 +160,7 @@ class SampledSystem:
 
     @property
     def input_dim(self) -> int:
-        return self.D.shape[1]
+        return self.D.shape[-1]
 
 
 def frac_heat_symbol(s: float, c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -192,15 +208,16 @@ def _quiet_expm(M: np.ndarray) -> np.ndarray:
         return expm(M)
 
 
-def _phi1(lam: np.ndarray, t: float) -> np.ndarray:
+def _phi1(lam: np.ndarray, t) -> np.ndarray:
     """Elementwise int_0^t exp(lam s) ds = (exp(lam t) - 1) / lam, with lam=0 -> t.
 
-    A subnormal lam also gives t: complex division by it overflows.
+    lam and t broadcast against each other.  A subnormal lam also gives t:
+    complex division by it overflows.
     """
-    lam = np.asarray(lam, dtype=complex)
-    out = np.full(lam.shape, complex(t))
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(t, dtype=float))
+    out = t.astype(complex)
     nz = np.abs(lam) >= np.finfo(float).tiny
-    out[nz] = np.expm1(lam[nz] * t) / lam[nz]
+    out[nz] = np.expm1(lam[nz] * t[nz]) / lam[nz]
     return out
 
 
@@ -220,15 +237,17 @@ def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
     """Sampled pair over one period: Phi = exp(AT), D = (int_0^T exp(As) ds) B.
 
     Dense systems read both from the top block row of one exponential,
-    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]].
+    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]].  A spectral system gives
+    the diagonal pair of 1-D arrays Phi = exp(lambda T), D = b phi1(lambda, T).
     """
     if not T > 0:
         raise ValueError("sampling period T must be > 0")
     if isinstance(sys, SpectralSystem):
+        lam = sys.symbol_values
         with np.errstate(over="ignore", invalid="ignore"):
-            D = _check_finite(np.diag(_phi1(sys.symbol_values, T) * sys.control_mask),
-                              "sampled pair")
-        return SampledSystem(semigroup(sys, T), D, T)
+            Phi = _check_finite(np.exp(lam * T), "semigroup")
+            D = _check_finite(_phi1(lam, T) * sys.control_mask, "sampled pair")
+        return SampledSystem(Phi, D, T)
     n, m = sys.state_dim, sys.input_dim
     aug = np.zeros((n + m, n + m), dtype=complex)
     aug[:n, :n] = sys.A

@@ -13,6 +13,12 @@ The feedback gain is
     F_K = -(I + D* K D)^{-1} D* K Phi,
 
 and stability of Phi + D F_K is certified by its spectral radius.
+
+A diagonal pair (1-D Phi and D, sampled from a spectral system) decouples
+into scalar problems, solved per mode in closed form: with phi, d the mode's
+entries, k is the positive root of |d|^2 k^2 + (1 - |phi|^2 - |d|^2) k - 1 = 0,
+f = -conj(d) k phi / (1 + |d|^2 k), and the kernel, gain and closed loop are
+1-D arrays of per-mode entries.  Their JSON forms stay n x n matrices.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class RiccatiSolution:
 
     def to_json(self) -> dict:
         return {
-            "K": matrix_to_json(self.K),
+            "K": matrix_to_json(_as_matrix(self.K)),
             "residual": self.residual,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -70,10 +76,15 @@ class FeedbackGain:
 
     def to_json(self) -> dict:
         return {
-            "F": matrix_to_json(self.F),
-            "closed_loop": matrix_to_json(self.closed_loop),
+            "F": matrix_to_json(_as_matrix(self.F)),
+            "closed_loop": matrix_to_json(_as_matrix(self.closed_loop)),
             "spectral_radius": self.spectral_radius,
         }
+
+
+def _as_matrix(m: np.ndarray) -> np.ndarray:
+    """The n x n matrix of a per-mode diagonal; a matrix as it is."""
+    return np.diag(m) if m.ndim == 1 else m
 
 
 def _value_step(K: np.ndarray, Phi: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -94,12 +105,17 @@ def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
     (doubling cap, non-finite entries, or trace blow-up past 1e12) signals
     that the sampled pair is likely not stabilizable; cross-check with the
     observability decision procedure.
+
+    A diagonal pair is solved per mode in closed form (_riccati_modes); tol
+    and max_iter then go unused, and iterations is 0.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     Phi, D = sys.Phi, sys.D
+    if Phi.ndim == 1:
+        return _riccati_modes(Phi, D)
     n = Phi.shape[0]
     A, G, H = Phi, D @ D.conj().T, np.eye(n, dtype=complex)
     iterations = 0
@@ -123,6 +139,27 @@ def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
                            converged=converged)
 
 
+def _riccati_modes(phi: np.ndarray, d: np.ndarray) -> RiccatiSolution:
+    """Per-mode fixed point k = |phi|^2 k / (1 + |d|^2 k) + 1 of a diagonal pair.
+
+    k is the positive root of |d|^2 k^2 + beta k - 1 = 0, beta = 1 - |phi|^2 - |d|^2,
+    taken as 2 / (beta + sqrt(beta^2 + 4 |d|^2)) when beta > 0, so that it does
+    not cancel.  An unstable or neutral mode with d = 0 has no root (inf or
+    NaN); such a k, a non-positive one, or sum(k) past 1e12 is not converged,
+    as for doubling.  The residual max |k - step(k)| is the 2-norm of the
+    diagonal residual.
+    """
+    p2, d2 = np.abs(phi) ** 2, np.abs(d) ** 2
+    beta = 1.0 - p2 - d2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.sqrt(beta ** 2 + 4.0 * d2)
+        k = np.where(beta > 0, 2.0 / (beta + root), (root - beta) / (2.0 * d2))
+        residual = float(np.max(np.abs(k - (p2 * k / (1.0 + d2 * k) + 1.0))))
+    converged = bool(np.isfinite(k).all() and (k > 0).all()
+                     and k.sum() <= _DIVERGENCE_TRACE)
+    return RiccatiSolution(K=k, residual=residual, iterations=0, converged=converged)
+
+
 def dp_value_iterate(sys: SampledSystem, n: int) -> np.ndarray:
     """Finite-horizon optimal cost operator after n backward steps from P = 0.
 
@@ -142,10 +179,15 @@ def feedback_gain(sol: RiccatiSolution, sys: SampledSystem) -> FeedbackGain:
     if not sol.converged:
         raise ValueError("feedback gain requires a converged Riccati solution")
     Phi, D, K = sys.Phi, sys.D, sol.K
-    m = D.shape[1]
-    F = -np.linalg.solve(np.eye(m) + D.conj().T @ K @ D, D.conj().T @ K @ Phi)
-    closed = Phi + D @ F
-    radius = float(np.abs(np.linalg.eigvals(closed)).max())
+    if Phi.ndim == 1:
+        F = -D.conj() * K * Phi / (1.0 + np.abs(D) ** 2 * K)
+        closed = Phi + D * F
+        radius = float(np.abs(closed).max())
+    else:
+        m = D.shape[1]
+        F = -np.linalg.solve(np.eye(m) + D.conj().T @ K @ D, D.conj().T @ K @ Phi)
+        closed = Phi + D @ F
+        radius = float(np.abs(np.linalg.eigvals(closed)).max())
     if radius >= 1.0:
         raise SpectralRadiusError(
             f"closed-loop spectral radius {radius:.6g} >= 1 "
@@ -159,6 +201,8 @@ def lq_optimal_cost(sol: RiccatiSolution, y0: np.ndarray) -> float:
     if not sol.converged:
         raise ValueError("optimal cost requires a converged Riccati solution")
     y0 = np.asarray(y0, dtype=complex).ravel()
+    if sol.K.ndim == 1:
+        return float(sol.K @ np.abs(y0) ** 2)
     return float(np.real(y0.conj() @ sol.K @ y0))
 
 
@@ -168,10 +212,14 @@ def closed_loop_cost(gain: FeedbackGain, sys: SampledSystem, y0: np.ndarray) -> 
     With y_i = M y_{i-1}, u_i = F y_{i-1} and M = Phi + D F, the sum is
     y0* X y0 for the solution X = M* X M + M* M + F* F of the discrete
     Lyapunov equation.  For the LQ-optimal gain X = K - I, so the cost equals
-    lq_optimal_cost - ||y0||^2.
+    lq_optimal_cost - ||y0||^2.  A diagonal loop solves it per mode,
+    x = (|m|^2 + |f|^2) / (1 - |m|^2).
     """
     y = np.asarray(y0, dtype=complex).ravel()
     F = gain.F
+    if F.ndim == 1:
+        m2 = np.abs(sys.Phi + sys.D * F) ** 2
+        return float(((m2 + np.abs(F) ** 2) / (1.0 - m2)) @ np.abs(y) ** 2)
     M = sys.Phi + sys.D @ F
     X = solve_discrete_lyapunov(M.conj().T, M.conj().T @ M + F.conj().T @ F)
     return float(np.real(y.conj() @ X @ y))

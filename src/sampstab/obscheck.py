@@ -434,19 +434,8 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
     return out
 
 
-def gramian_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
-    """phi* G phi for each column of phis (brute-force evaluation helper)."""
-    if g.G.ndim == 1:
-        return g.G @ np.abs(phis) ** 2
-    return np.real(np.einsum("ij,ij->j", phis.conj(), g.G @ phis))
-
-
-def transition_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
-    """||R* phi||^2 for each column of phis."""
-    if g.G.ndim == 1:
-        return np.abs(g.R) ** 2 @ np.abs(phis) ** 2
-    v = g.R.conj().T @ phis
-    return np.real(np.einsum("ij,ij->j", v.conj(), v))
+# Random values the per-mode brute force draws per chunk (1 MiB of float64).
+_DRAW_CELLS = 1 << 17
 
 
 def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
@@ -454,13 +443,29 @@ def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
     """Max over random unit phi of ||R* phi||^2 - C phi*G phi - delta.
 
     Random sampling can only under-detect violations; it never exceeds the
-    eigenvalue margin (up to roundoff).
+    eigenvalue margin (up to roundoff).  The states are the columns of an
+    n x n_samples complex Gaussian draw, real parts first, then imaginary
+    parts.  A 1-D bundle streams that draw in row chunks: per mode, the
+    value is sum_i w_i |phi_i|^2 / ||phi||^2 - delta with w = |R|^2 - C G,
+    so memory stays O(n_samples) however many modes there are.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = g.R.shape[0]
+    if g.G.ndim == 1:
+        w = np.abs(g.R) ** 2 - C * g.G
+        rows = max(1, _DRAW_CELLS // n_samples)
+        weighted, norm2 = np.zeros(n_samples), np.zeros(n_samples)
+        for _ in ("real", "imaginary"):
+            for lo in range(0, n, rows):
+                x2 = rng.standard_normal((min(rows, n - lo), n_samples)) ** 2
+                weighted += w[lo:lo + rows] @ x2
+                norm2 += x2.sum(axis=0)
+        return float((weighted / norm2).max() - delta)
     phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
     phis /= np.linalg.norm(phis, axis=0)
-    vals = transition_quadratic_form(g, phis) - C * gramian_quadratic_form(g, phis) - delta
+    v = g.R.conj().T @ phis
+    vals = (np.real(np.einsum("ij,ij->j", v.conj(), v))
+            - C * np.real(np.einsum("ij,ij->j", phis.conj(), g.G @ phis)) - delta)
     return float(vals.max())

@@ -263,6 +263,32 @@ def bisect_verdict(bundles, delta: float):
     return ("blocked",) if blocked else ("exhausted",)
 
 
+def gramian_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
+    """phi* G phi for each column of phis."""
+    if g.G.ndim == 1:
+        return g.G @ np.abs(phis) ** 2
+    return np.real(np.einsum("ij,ij->j", phis.conj(), g.G @ phis))
+
+
+def transition_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
+    """||R* phi||^2 for each column of phis."""
+    if g.G.ndim == 1:
+        return np.abs(g.R) ** 2 @ np.abs(phis) ** 2
+    v = g.R.conj().T @ phis
+    return np.real(np.einsum("ij,ij->j", v.conj(), v))
+
+
+def brute_force_oracle(g: GramianBundle, C: float, delta: float,
+                       n_samples: int, seed: int) -> float:
+    """Oracle: obscheck.brute_force_max_violation on the whole n x n_samples draw at once."""
+    rng = np.random.default_rng(seed)
+    n = g.R.shape[0]
+    phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
+    phis /= np.linalg.norm(phis, axis=0)
+    vals = transition_quadratic_form(g, phis) - C * gramian_quadratic_form(g, phis) - delta
+    return float(vals.max())
+
+
 def json_dump_oracle(obj) -> str:
     """What serialize.dump_json must write: the standard library's text and a newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -95,10 +95,9 @@ def test_criterion_4_stabilization_end_to_end(label, system, T):
         assert sol.converged
         gain = st.feedback_gain(sol, pair)
         assert gain.spectral_radius < 1.0
-        dense = st.to_dense(system) if isinstance(system, st.SpectralSystem) else system
-        n = dense.state_dim
+        n = system.state_dim
         y0 = np.ones(n) / math.sqrt(n)
-        traj = st.simulate_dc(dense, gain.F, T, y0, 40 * T, 8)
+        traj = st.simulate_dc(system, gain.F, T, y0, 40 * T, 8)
         omega, _ = st.fit_decay(traj)
         assert omega > 0.0
         norms = traj.norms()

@@ -166,6 +166,9 @@ class TestAnalyze:
     "analyze --example frac-heat --s 0.5 --T 1",
     "analyze --example schrodinger --xi-max -1 --T 1",
     "synthesize --example oscillator --T 1 --tol 0",
+    # Validated for spectral systems too, whose per-mode solve uses neither.
+    "synthesize --example frac-heat --modes 8 --T 1 --tol 0",
+    "synthesize --example frac-heat --modes 8 --T 1 --max-iter 0",
     "simulate --example oscillator --T 1 --horizon 2 --steps-per-period 0",
     "simulate --example oscillator --T 1 --horizon 2 --y0 [1,true]",
     # The horizon is checked before the Riccati solve, which diverges at T = pi.
@@ -179,6 +182,9 @@ class TestAnalyze:
     # Simulation grids of 4.8e17 and 4.8e10 cells are refused before the Riccati solve.
     "simulate --example oscillator --T 1 --horizon 1e16",
     "simulate --example oscillator --T 1 --horizon 1e9",
+    # An infinite sweep, and one of 1e15 periods, are refused before the grid is built.
+    "sweep --example oscillator --sweep 0.1:inf:0.1",
+    "sweep --example oscillator --sweep 0.1:1e12:1e-3",
 ])
 def test_out_of_range_argument_is_config_error(tmp_path, argv):
     code, err = run_quietly(argv.split() + ["--out", str(tmp_path)])
@@ -270,6 +276,44 @@ class TestSynthesize:
         code = main(["synthesize", "--example", "oscillator", "--T", str(np.pi),
                      "--max-iter", "2000", "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
+
+    @staticmethod
+    def _both_forms(doc, tmp_path):
+        """--system files of a spectral document and of its dense form."""
+        spectral, dense = tmp_path / "spectral.json", tmp_path / "dense.json"
+        spectral.write_text(json.dumps(doc))
+        dense.write_text(json.dumps(st.system_to_json(st.to_dense(st.system_from_json(doc)))))
+        return spectral, dense
+
+    def test_spectral_report_matches_its_dense_form(self, tmp_path):
+        doc = st.system_to_json(st.fractional_heat(24, 1.5, 1.0, mask=[1.0, 0.3] * 12))
+        reports = []
+        for path in self._both_forms(doc, tmp_path):
+            out = tmp_path / path.stem
+            assert main(["synthesize", "--system", str(path), "--T", "1",
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(read_report(out)["results"])
+        spectral, dense = reports
+        for block, key in (("riccati", "K"), ("gain", "F"), ("gain", "closed_loop")):
+            got, want = np.array(spectral[block][key]), np.array(dense[block][key])
+            assert got.shape == want.shape == (24, 24, 2), key
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
+        assert spectral["riccati"]["iterations"] == 0
+        assert abs(spectral["gain"]["spectral_radius"]
+                   - dense["gain"]["spectral_radius"]) <= 1e-12
+
+    @pytest.mark.parametrize("doc", [
+        # The unstable mode xi = 0 is masked out.
+        {"symbol": "frac_heat", "s": 1.5, "c": 1.0, "modes": [-2, 0, 2], "mask": [1, 0, 1]},
+        # xi^2 T = 2 pi: one period returns the mode to itself, unobserved by the hold.
+        {"symbol": "schrodinger", "modes": [math.sqrt(2 * math.pi), 1.0]},
+    ])
+    def test_unstabilizable_mode_is_numeric_failure_on_both_forms(self, tmp_path, doc):
+        for path in self._both_forms(doc, tmp_path):
+            code, err = run_quietly(["synthesize", "--system", str(path), "--T", "1",
+                                     "--out", str(tmp_path)])
+            assert code == EXIT_NUMERIC, path.stem
+            assert len(err) == 1 and "not converge" in err[0]
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 """Closed-loop simulators, the periodic feedback law, and decay fits."""
 
+import io
 import json
 import math
 import warnings
@@ -22,7 +23,7 @@ LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp":
 def _frac_heat_64():
     heat = st.fractional_heat(64, 1.5, 1.0)
     pair = st.sample(heat, 1.0)
-    return st.to_dense(heat), st.feedback_gain(st.riccati_solve(pair), pair).F
+    return st.to_dense(heat), np.diag(st.feedback_gain(st.riccati_solve(pair), pair).F)
 
 
 @pytest.mark.parametrize("loop", ["cc", "cp"])
@@ -43,6 +44,75 @@ def test_tabulated_loop_matches_step_by_step_oracle(loop, case):
     for got, ref in ((traj.states, states), (traj.controls, controls)):
         err = np.linalg.norm(got - ref, axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+
+@hs.composite
+def spectral_systems(draw):
+    """Frac-heat or Schroedinger truncations of up to 64 modes, some masked.
+
+    A mask with zeros leaves modes uncontrolled, which the unstable or neutral
+    ones cannot afford: both forms must then fail to converge."""
+    n = draw(hs.integers(1, 64))
+    xi_max = draw(hs.sampled_from([1.0, 2.5, 4.0]))
+    mask = None
+    if draw(hs.booleans()):
+        weights = draw(hs.sampled_from([(0.3, 1.0), (0.0, 0.3, 1.0)]))
+        mask = np.array(draw(hs.lists(hs.sampled_from(weights), min_size=n, max_size=n)))
+    if draw(hs.booleans()):
+        s, c = draw(hs.sampled_from([1.2, 1.5, 2.0])), draw(hs.sampled_from([0.0, 0.5, 1.0]))
+        return st.fractional_heat(n, s, c, xi_max=xi_max, mask=mask)
+    sch = st.schrodinger(n, xi_max)
+    return sch if mask is None else st.SpectralSystem(sch.modes, sch.symbol, mask)
+
+
+def _rows_close(got, ref, rtol):
+    """Each grid row agrees to rtol relative to that row's largest entry."""
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    return np.all(np.abs(got - ref) <= rtol * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=spectral_systems(), T=hs.sampled_from([0.5, 1.0, 1.7]))
+def test_spectral_loops_match_their_dense_form(system, T):
+    # Per-mode synthesis and simulation against the same system densified.
+    dense = st.to_dense(system)
+    pair, dense_pair = st.sample(system, T), st.sample(dense, T)
+    sol, dense_sol = st.riccati_solve(pair), st.riccati_solve(dense_pair)
+    assert sol.converged == dense_sol.converged
+    if not sol.converged:
+        return
+    n = system.state_dim
+    K, F = sol.K, st.feedback_gain(sol, pair)
+    dense_F = st.feedback_gain(dense_sol, dense_pair)
+    assert K.shape == F.F.shape == (n,)
+    assert np.abs(np.diag(K) - dense_sol.K).max() <= 1e-12 * np.abs(dense_sol.K).max()
+    assert np.abs(np.diag(F.F) - dense_F.F).max() <= 1e-12 * max(np.abs(dense_F.F).max(), 1.0)
+    assert abs(F.spectral_radius - dense_F.spectral_radius) <= 1e-12
+    y0 = np.linspace(1.0, 2.0, n) / n
+    for loop, simulate in LOOPS.items():
+        traj = simulate(system, F.F, T, y0, 3 * T, 8)
+        ref = simulate(dense, dense_F.F, T, y0, 3 * T, 8)
+        assert_allclose(traj.times, ref.times, rtol=0, atol=0)
+        assert _rows_close(traj.states, ref.states, 1e-12), loop
+        assert _rows_close(traj.controls, ref.controls, 1e-12), loop
+
+
+class TestSpectralLoops:
+    def test_gain_must_be_per_mode(self):
+        heat = st.fractional_heat(4, 1.5, 1.0)
+        with pytest.raises(ValueError, match="per-mode"):
+            st.simulate_cc(heat, -np.eye(4), 1.0, np.ones(4), 2.0, 4)
+
+    def test_stiff_hold_does_not_overflow(self):
+        # exp(1600 tau) overflows; the held integral is factored on exp(-1600 tau).
+        heat = st.system_from_json({"symbol": "frac_heat", "s": 2, "c": 0, "modes": [0, 40]})
+        F = np.array([-0.5, -0.5])
+        for loop in ("dc", "dp"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traj = LOOPS[loop](heat, F, 1.0, [1.0, 1.0], 3.0, 16)
+            ref = LOOPS[loop](st.to_dense(heat), np.diag(F), 1.0, [1.0, 1.0], 3.0, 16)
+            assert _rows_close(traj.states, ref.states, 1e-12), loop
 
 
 class TestSimulateCc:
@@ -241,13 +311,13 @@ class TestSimulateCp:
 
     def test_overflow_is_numeric_failure(self):
         # h lambda = -100 is far outside RK4's stability region: the state
-        # overflows, reported without numpy warnings.
-        heat = st.to_dense(st.system_from_json(
-            {"symbol": "frac_heat", "s": 2, "c": 0, "modes": [0, 40]}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(st.NumericOverflowError, match="--steps-per-period"):
-                st.simulate_cp(heat, np.zeros((2, 2)), 1.0, [1.0, 1.0], 3.0, 16)
+        # overflows, reported without numpy warnings, per mode as in dense form.
+        heat = st.system_from_json({"symbol": "frac_heat", "s": 2, "c": 0, "modes": [0, 40]})
+        for sys, F in ((st.to_dense(heat), np.zeros((2, 2))), (heat, np.zeros(2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(st.NumericOverflowError, match="--steps-per-period"):
+                    st.simulate_cp(sys, F, 1.0, [1.0, 1.0], 3.0, 16)
 
 
 class TestFitDecay:
@@ -287,6 +357,38 @@ class TestFitDecay:
 
 
 class TestTrajectoryExport:
+    @pytest.mark.parametrize("case", ["real", "complex", "negative-zero"])
+    def test_rows_are_the_bytes_savetxt_writes(self, tmp_path, case):
+        heat = st.fractional_heat(6, 1.5, 1.0)
+        pair = st.sample(heat, 1.0)
+        F = st.feedback_gain(st.riccati_solve(pair), pair).F
+        traj = st.simulate_dp(heat, F, 1.0, np.ones(6), 3.0, 4)
+        if case == "complex":
+            traj = st.simulate_dc(st.schrodinger(5, 2.0), -0.4 * np.ones(5), 1.0,
+                                  np.ones(5), 3.0, 4)
+        elif case == "negative-zero":
+            traj.states.imag[5, 2] = -0.0
+        path = tmp_path / "traj.csv"
+        st.trajectory_to_csv(traj, path)
+        table = np.column_stack([traj.times, traj.norms(), traj.states.view(float),
+                                 traj.controls.view(float)])
+        if case == "real":
+            assert not table[:, 3::2].any()  # the all-zero columns are exercised
+        want = io.StringIO()
+        np.savetxt(want, table, fmt="%.16g", delimiter=",")
+        rows = path.read_text().split("\n", 2)[2]
+        assert rows == want.getvalue()
+        if case == "negative-zero":
+            assert rows.splitlines()[5].split(",")[2 + 2 * 2 + 1] == "-0"
+
+    def test_spectral_hash_covers_the_per_mode_arrays(self):
+        heat = st.fractional_heat(6, 1.5, 1.0)
+        masked = st.fractional_heat(6, 1.5, 1.0, mask=[1, 1, 0.5, 1, 1, 1])
+        hashes = {system_hash(heat), system_hash(masked), system_hash(st.to_dense(heat)),
+                  system_hash(st.fractional_heat(6, 1.5, 1.1))}
+        assert len(hashes) == 4
+        assert system_hash(heat) == system_hash(st.fractional_heat(6, 1.5, 1.0))
+
     def test_csv_layout_and_header(self, tmp_path):
         osc = st.harmonic_oscillator()
         traj = st.simulate_cc(osc, [[-0.5, -1.0]], 1.0, [1.0, 0.0], 10.0, 20)

@@ -107,6 +107,19 @@ class TestSample:
         p = st.sample(st.harmonic_oscillator(), np.pi)
         assert_allclose(p.Phi, -np.eye(2), atol=1e-14)
 
+    def test_spectral_pair_is_diagonal(self):
+        heat = st.fractional_heat(9, 1.7, 0.5, mask=[1, 0.5, 0] * 3)
+        p = st.sample(heat, 0.8)
+        assert p.Phi.shape == p.D.shape == (9,)
+        assert p.state_dim == p.input_dim == heat.input_dim == 9
+        assert_allclose(p.D[2::3], 0.0)
+        with pytest.raises(ValueError):
+            st.SampledSystem(p.Phi, np.diag(p.D), 0.8)
+        with pytest.raises(ValueError):
+            st.SampledSystem(p.Phi, p.D[:-1], 0.8)
+        with pytest.raises(ValueError):
+            st.SampledSystem(p.Phi, np.full(9, np.nan), 0.8)
+
     def test_phi_matches_semigroup(self):
         for seed in range(4):
             sys = random_stable_system(seed)
@@ -135,8 +148,8 @@ class TestSample:
         heat = st.fractional_heat(9, 1.7, 0.5)
         p_spec = st.sample(heat, 0.8)
         p_dense = st.sample(st.to_dense(heat), 0.8)
-        assert_allclose(p_spec.Phi, p_dense.Phi, atol=1e-12)
-        assert_allclose(p_spec.D, p_dense.D, atol=1e-12)
+        assert_allclose(np.diag(p_spec.Phi), p_dense.Phi, atol=1e-12)
+        assert_allclose(np.diag(p_spec.D), p_dense.D, atol=1e-12)
 
 
 class TestObservationBlock:
@@ -220,7 +233,7 @@ class TestTransitionIntegral:
     def test_subnormal_spectral_entry(self):
         # Complex division by a subnormal lambda overflows; the integral is T.
         heat = st.fractional_heat(3, 2.0, 1e-310)
-        J = np.diag(st.sample(heat, 0.7).D)
+        J = st.sample(heat, 0.7).D
         edge = (1 - np.exp(-16 * 0.7)) / 16
         assert_allclose(J, [edge, 0.7, edge], rtol=1e-13)
 

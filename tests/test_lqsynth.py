@@ -1,6 +1,7 @@
 """Riccati kernel, finite-horizon oracle, and feedback gain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,10 +74,12 @@ class TestRiccatiSolve:
                 assert np.linalg.norm(sol.K - P, 2) <= 1e-12 * np.linalg.norm(P, 2)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            st.riccati_solve(scalar_pair(1.0, 1.0), tol=0.0)
-        with pytest.raises(ValueError):
-            st.riccati_solve(scalar_pair(1.0, 1.0), max_iter=0)
+        # Checked for a diagonal pair too, whose closed form uses neither.
+        for pair in (scalar_pair(1.0, 1.0), st.SampledSystem([1.0], [1.0], 1.0)):
+            with pytest.raises(ValueError):
+                st.riccati_solve(pair, tol=0.0)
+            with pytest.raises(ValueError):
+                st.riccati_solve(pair, max_iter=0)
 
 
 class TestValueIteration:
@@ -186,6 +189,79 @@ class TestOptimalCost:
             # Under the optimal gain the loop's cost from i = 1 is K - I.
             kernel = st.lq_optimal_cost(sol, y0) - np.linalg.norm(y0) ** 2
             assert_allclose(simulated, kernel, rtol=1e-10)
+
+
+class TestPerMode:
+    """A diagonal pair (1-D Phi and D) is solved per mode in closed form."""
+
+    # (phi, d): controlled, golden ratio, uncontrolled stable, unstable, complex.
+    MODES = np.array([[0.5, 0.8], [1.0, 1.0], [0.6, 0.0], [2.0, 0.3], [0.9j, 0.2 - 0.1j]])
+
+    def test_modes_match_scalar_doubling(self):
+        pair = st.SampledSystem(self.MODES[:, 0], self.MODES[:, 1], 1.0)
+        sol = st.riccati_solve(pair)
+        assert sol.converged and sol.iterations == 0 and sol.K.shape == (5,)
+        assert sol.residual <= 1e-15 * sol.K.max()
+        gain = st.feedback_gain(sol, pair)
+        y0 = np.array([0.3, -1.0, 2.0, 0.5j, 1.0])
+        radius = 0.0
+        for i, (phi, d) in enumerate(self.MODES):
+            scalar = scalar_pair(phi, d)
+            ref = st.riccati_solve(scalar)
+            ref_gain = st.feedback_gain(ref, scalar)
+            assert_allclose(sol.K[i], ref.K[0, 0].real, rtol=1e-13)
+            assert_allclose(gain.F[i], ref_gain.F[0, 0], rtol=1e-13, atol=1e-16)
+            assert_allclose(gain.closed_loop[i], ref_gain.closed_loop[0, 0], rtol=1e-13)
+            radius = max(radius, ref_gain.spectral_radius)
+        assert_allclose(sol.K[1], GOLDEN, rtol=1e-15)
+        assert_allclose(sol.K[2], 1 / (1 - 0.36), rtol=1e-15)
+        assert_allclose(gain.spectral_radius, radius, rtol=1e-13)
+        dense = st.SampledSystem(np.diag(pair.Phi), np.diag(pair.D), 1.0)
+        dense_sol = st.riccati_solve(dense)
+        dense_gain = st.feedback_gain(dense_sol, dense)
+        assert_allclose(st.lq_optimal_cost(sol, y0), st.lq_optimal_cost(dense_sol, y0),
+                        rtol=1e-13)
+        assert_allclose(st.closed_loop_cost(gain, pair, y0),
+                        st.closed_loop_cost(dense_gain, dense, y0), rtol=1e-12)
+        assert_allclose(st.closed_loop_cost(gain, pair, y0),
+                        st.lq_optimal_cost(sol, y0) - np.linalg.norm(y0) ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("phi", [1.0, -1j, 1.5, np.exp(0.3j)])
+    def test_uncontrolled_unstable_or_neutral_mode_diverges(self, phi):
+        pair = st.SampledSystem([0.5, phi], [1.0, 0.0], 1.0)
+        assert not st.riccati_solve(pair).converged
+        assert not st.riccati_solve(st.SampledSystem(np.diag(pair.Phi), np.diag(pair.D),
+                                                     1.0)).converged
+
+    def test_trace_guard(self):
+        # Each mode's k is finite, but their sum passes the guard.
+        pair = st.SampledSystem([1.0] * 4, [3e-12] * 4, 1.0)
+        sol = st.riccati_solve(pair)
+        assert sol.K.max() < 1e12 < sol.K.sum()
+        assert not sol.converged
+
+    def test_report_matrices_are_square(self):
+        pair = st.SampledSystem(self.MODES[:, 0], self.MODES[:, 1], 1.0)
+        sol = st.riccati_solve(pair)
+        gain = st.feedback_gain(sol, pair)
+        assert np.array(sol.to_json()["K"]).shape == (5, 5, 2)
+        for key in ("F", "closed_loop"):
+            M = np.array(gain.to_json()[key])
+            assert M.shape == (5, 5, 2)
+            assert_allclose(M[..., 0] + 1j * M[..., 1], np.diag(getattr(gain, key)))
+
+    def test_synthesizes_1e5_modes_in_little_memory(self):
+        # The dense n x n kernel alone would take 160 GB.
+        heat = st.fractional_heat(10**5, 1.5, 1.0)
+        tracemalloc.start()
+        try:
+            pair = st.sample(heat, 1.0)
+            gain = st.feedback_gain(st.riccati_solve(pair), pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert gain.F.shape == (10**5,) and gain.spectral_radius < 1.0
 
 
 def synthesizes_where_feasible(system, T) -> bool:

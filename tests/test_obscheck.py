@@ -16,8 +16,9 @@ from sampstab import obscheck
 from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
-from conftest import (bisect_verdict, random_mixed_system, random_neutral_system,
-                      random_stable_system, random_unit_states, scratch_bundle)
+from conftest import (bisect_verdict, brute_force_oracle, gramian_quadratic_form,
+                      random_mixed_system, random_neutral_system, random_stable_system,
+                      random_unit_states, scratch_bundle, transition_quadratic_form)
 
 OSC = st.harmonic_oscillator()
 
@@ -404,10 +405,10 @@ class TestDenseEqualsSpectral:
             assert_allclose(P.conj().T @ P, np.eye(3))
             assert np.all(g.G[np.flatnonzero(P.any(axis=1))] == 0.0)
             phis = random_unit_states(np.random.default_rng(4), 9, 20)
-            assert_allclose(obscheck.gramian_quadratic_form(g, phis),
-                            obscheck.gramian_quadratic_form(d, phis), rtol=1e-12)
-            assert_allclose(obscheck.transition_quadratic_form(g, phis),
-                            obscheck.transition_quadratic_form(d, phis), rtol=1e-12)
+            assert_allclose(gramian_quadratic_form(g, phis),
+                            gramian_quadratic_form(d, phis), rtol=1e-12)
+            assert_allclose(transition_quadratic_form(g, phis),
+                            transition_quadratic_form(d, phis), rtol=1e-12)
             for C in (0.0, 1.0, 50.0):
                 assert_allclose(st.check_inequality(g, C, 0.5).margin,
                                 st.check_inequality(d, C, 0.5).margin, rtol=1e-9, atol=1e-12)
@@ -437,6 +438,32 @@ class TestBruteForceAgreement:
             g = st.discrete_gramian(sys, 0.7, int(cert.N))
             worst = brute_force_max_violation(g, cert.C, cert.delta, 10_000, seed)
             assert worst <= 1e-8
+
+    @pytest.mark.parametrize("system,T", [
+        (st.fractional_heat(256, 1.5, 1.0), 1.0),
+        (st.fractional_heat(9, 1.5, 1.0, mask=np.array([0, 0.5, 1] * 3)), 0.7),
+        (st.schrodinger(128, 4.0), 1.0),
+        (random_mixed_system(3), 0.7),
+    ])
+    def test_streamed_draw_matches_the_whole_draw(self, system, T):
+        # The per-mode form streams the same Gaussian draw in row chunks.
+        g = st.discrete_gramian(system, T, 2)
+        scale = max(np.abs(g.R).max() ** 2, 1.0)
+        for C, samples, seed in ((0.0, 2000, 0), (3.5, 700, 11), (40.0, 1, 5)):
+            got = brute_force_max_violation(g, C, 0.9, samples, seed)
+            want = brute_force_oracle(g, C, 0.9, samples, seed)
+            assert abs(got - want) <= 1e-12 * scale * (1 + C * np.abs(g.G).max())
+
+    def test_streamed_draw_in_little_memory(self):
+        # The whole 6250 x 2000 complex draw would take 200 MB.
+        g = st.discrete_gramian(st.fractional_heat(6250, 1.5, 1.0), 1.0, 1)
+        tracemalloc.start()
+        try:
+            brute_force_max_violation(g, 2.2, 0.9, 2000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestPathologicalPeriods:
