@@ -40,6 +40,6 @@ print(f"  spectral radius of Phi + D F = {gain.spectral_radius:.6f}")
 
 y0 = np.array([1.0, 0.0])
 print(f"  kernel cost <K y0, y0>      = {st.lq_optimal_cost(sol, y0):.6f}")
-print(f"  simulated closed-loop cost  = {st.closed_loop_cost(gain, pair, y0):.6f}")
+print(f"  simulated closed-loop cost  = {st.closed_loop_cost(gain, y0):.6f}")
 print("  (the second sums ||y_i||^2 + ||u_i||^2 from i = 1, so it is the first"
       " minus ||y0||^2)")

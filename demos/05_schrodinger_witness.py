@@ -37,9 +37,9 @@ for T in (0.5, 1.0, 2.0):
 # inequality left-hand side stays at 1 while the right-hand side vanishes.
 
 print("\ncontinuous observation with uniform damping stabilizes the same flow:")
-sch = st.to_dense(st.schrodinger(33, 4.0))
+sch = st.schrodinger(33, 4.0)
 y0 = np.ones(33) / math.sqrt(33)
-open_loop = st.simulate_cc(sch, np.zeros((33, 33)), 1.0, y0, 15.0, 4)
-damped = st.simulate_cc(sch, -0.3 * np.eye(33), 1.0, y0, 15.0, 4)
+open_loop = st.simulate_cc(sch, np.zeros(33), 1.0, y0, 15.0, 4)
+damped = st.simulate_cc(sch, -0.3 * np.ones(33), 1.0, y0, 15.0, 4)
 print(f"  open loop fitted rate:   {st.fit_decay(open_loop)[0]:.6f}")
 print(f"  gamma = 0.3 fitted rate: {st.fit_decay(damped)[0]:.6f}")

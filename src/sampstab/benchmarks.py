@@ -11,7 +11,6 @@ are arbitrarily small even though the flow preserves their norm.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -43,32 +42,16 @@ def harmonic_oscillator() -> ContinuousSystem:
                             np.array([[0.0], [1.0]]))
 
 
-DetLambda = namedtuple("DetLambda", ["closed_form", "quadrature"])
-
-
-def det_lambda(T: float) -> DetLambda:
+def det_lambda(T: float) -> float:
     """Determinant of the 2x2 matrix of interval-integrated sin/cos observations.
 
-    Rows integrate sin t and cos t over [(j-1)T, jT] for j = 1, 2.  The closed
-    form is -2 sin(T) (1 - cos(T)); the quadrature build re-derives it
-    numerically and the two agree to 1e-12.  Zeros of the determinant are
+    Rows integrate sin t and cos t over [(j-1)T, jT] for j = 1, 2; the
+    determinant is -2 sin(T) (1 - cos(T)) in closed form.  Its zeros are
     exactly the degenerate sampling periods of the oscillator.
     """
     if not T > 0:
         raise ValueError("T must be > 0")
-    # Imported here, not at module level: scipy.integrate would add over half
-    # to the import time of every CLI call, and no command calls det_lambda.
-    from scipy.integrate import IntegrationWarning, quad
-
-    closed = -2.0 * math.sin(T) * (1.0 - math.cos(T))
-    a = np.empty((2, 2))
-    with warnings.catch_warnings():
-        # The tolerance request sits at the roundoff floor by design.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for j in (1, 2):
-            a[0, j - 1] = quad(math.sin, (j - 1) * T, j * T, epsabs=1e-14, epsrel=1e-14)[0]
-            a[1, j - 1] = quad(math.cos, (j - 1) * T, j * T, epsabs=1e-14, epsrel=1e-14)[0]
-    return DetLambda(closed_form=closed, quadrature=float(np.linalg.det(a)))
+    return -2.0 * math.sin(T) * (1.0 - math.cos(T))
 
 
 @dataclass(frozen=True)
@@ -136,6 +119,8 @@ def fractional_heat(n_modes: int, s: float, c: float,
     intervals on the |xi| grid), a raw per-mode array, or None for the
     identity input.
     """
+    if not math.isfinite(xi_max):
+        raise ValueError("xi_max must be finite")
     if modes is not None:
         grid = np.asarray(modes, dtype=float)
     elif n_modes == 1:
@@ -159,8 +144,8 @@ def schrodinger(n_modes: int, xi_max: float) -> SpectralSystem:
     control mask stands in for the full-strength input operator, whose
     unit-modulus scalar factor changes no norm used downstream.
     """
-    if not xi_max > 0:
-        raise ValueError("xi_max must be > 0")
+    if not (math.isfinite(xi_max) and xi_max > 0):
+        raise ValueError("xi_max must be finite and > 0")
     grid = np.linspace(0.0, xi_max, n_modes)
     return SpectralSystem(grid, schrodinger_symbol(), np.ones(n_modes),
                           symbol_spec={"symbol": "schrodinger"})

@@ -167,13 +167,13 @@ def cmd_analyze(args) -> int:
     system = _resolve_system(args)
     dc_entry, dc_cert = _certificate_or_status(
         obscheck.decide_dc, system, args.T, args.N_max, args.delta)
-    cc_entry, _ = _certificate_or_status(
-        obscheck.decide_cc, system, args.T, args.N_max, args.delta)
+    # Only the entry: the certificate would keep its bundle alive through the brute force.
+    cc_entry = _certificate_or_status(
+        obscheck.decide_cc, system, args.T, args.N_max, args.delta)[0]
 
     if dc_cert is not None and dc_cert.feasible:
-        g = obscheck.discrete_gramian(system, args.T, int(dc_cert.N))
         violation = obscheck.brute_force_max_violation(
-            g, dc_cert.C, dc_cert.delta, args.brute_samples, args.seed)
+            dc_cert.bundle, dc_cert.C, dc_cert.delta, args.brute_samples, args.seed)
         dc_entry["brute_force"] = {
             "samples": args.brute_samples,
             "max_violation": violation,
@@ -207,20 +207,19 @@ def _synthesize(system, T: float, tol: float, max_iter: int):
             f"residual {sol.residual:.3g}); the sampled pair is likely not "
             "stabilizable -- cross-check with 'analyze'"
         )
-    gain = lqsynth.feedback_gain(sol, sampled)
-    return sampled, sol, gain
+    return sol, lqsynth.feedback_gain(sol, sampled)
 
 
 def cmd_synthesize(args) -> int:
     system = _resolve_system(args)
-    sampled, sol, gain = _synthesize(system, args.T, args.tol, args.max_iter)
-    y0 = _default_y0(sampled.state_dim)
+    sol, gain = _synthesize(system, args.T, args.tol, args.max_iter)
+    y0 = _default_y0(system.state_dim)
     # Costs first: the Lyapunov solve's workspace is freed before the
     # matrices are expanded into JSON lists.
     cost_check = {
         "y0": "normalized ones vector",
         "kernel_quadratic_form": lqsynth.lq_optimal_cost(sol, y0),
-        "simulated_cost": lqsynth.closed_loop_cost(gain, sampled, y0),
+        "simulated_cost": lqsynth.closed_loop_cost(gain, y0),
     }
     results = {"riccati": sol.to_json(), "gain": gain.to_json(), "cost_check": cost_check}
     _write_report(args, results)
@@ -234,8 +233,7 @@ def cmd_simulate(args) -> int:
     # Before the Riccati solve, which may diverge at a T the grid rejects.
     closedloop.check_grid(args.T, args.horizon, args.steps_per_period,
                           system.state_dim + system.input_dim)
-    _, sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL,
-                               lqsynth.DEFAULT_MAX_ITER)
+    sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL, lqsynth.DEFAULT_MAX_ITER)
     y0 = (vector_from_json(json.loads(args.y0)) if args.y0
           else _default_y0(system.state_dim))
     simulate = getattr(closedloop, f"simulate_{args.loop}")

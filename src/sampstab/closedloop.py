@@ -76,7 +76,12 @@ class Trajectory:
         object.__setattr__(self, "controls", np.asarray(self.controls, dtype=complex))
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+        """Row 2-norms of the states, each row scaled first by the exact power
+        of two that brings its largest real or imaginary part to [0.5, 1), so
+        that squaring neither overflows nor underflows."""
+        x = np.ascontiguousarray(self.states).view(float)
+        e = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -e[:, None]).view(complex), axis=1), e)
 
 
 # Ceiling on simulation grid cells, (K S + 1)(n + m) complex entries (160 MB).
@@ -126,6 +131,8 @@ def _tabulate(one_period, sys: ContinuousSystem | SpectralSystem, F, T: float,
     n, S = sys.state_dim, steps_per_period
     if y0.size != n:
         raise ValueError(f"y0 must have {n} entries, got {y0.size}")
+    if not np.isfinite(y0).all():
+        raise ValueError("y0 must have finite entries")
     h = T / S
     with np.errstate(over="ignore", invalid="ignore"):
         maps = one_period(sys, F, h, S)

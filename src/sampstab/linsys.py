@@ -13,6 +13,7 @@ so no quadrature tolerance enters it.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -222,31 +223,30 @@ def _phi1(lam: np.ndarray, t) -> np.ndarray:
 
 
 def semigroup(sys: ContinuousSystem | SpectralSystem, t: float) -> np.ndarray:
-    """Flow operator exp(At), t >= 0; diagonal exp(lambda t) for spectral systems."""
-    if t < 0:
-        raise ValueError("negative time is not defined for the semigroup")
+    """Flow operator exp(At), finite t >= 0; the 1-D exp(lambda t) for spectral systems."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("semigroup time t must be finite and >= 0")
     if isinstance(sys, SpectralSystem):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _check_finite(np.diag(np.exp(sys.symbol_values * t)), "semigroup")
+            return _check_finite(np.exp(sys.symbol_values * t), "semigroup")
     if t == 0:
         return np.eye(sys.state_dim, dtype=complex)
     return _check_finite(_quiet_expm(sys.A * t), "semigroup")
 
 
 def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
-    """Sampled pair over one period: Phi = exp(AT), D = (int_0^T exp(As) ds) B.
+    """Sampled pair over one finite period: Phi = exp(AT), D = (int_0^T exp(As) ds) B.
 
     Dense systems read both from the top block row of one exponential,
     exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]].  A spectral system gives
-    the diagonal pair of 1-D arrays Phi = exp(lambda T), D = b phi1(lambda, T).
+    the diagonal pair of 1-D arrays Phi = semigroup(sys, T), D = b phi1(lambda, T).
     """
-    if not T > 0:
-        raise ValueError("sampling period T must be > 0")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("sampling period T must be finite and > 0")
     if isinstance(sys, SpectralSystem):
-        lam = sys.symbol_values
+        Phi = semigroup(sys, T)
         with np.errstate(over="ignore", invalid="ignore"):
-            Phi = _check_finite(np.exp(lam * T), "semigroup")
-            D = _check_finite(_phi1(lam, T) * sys.control_mask, "sampled pair")
+            D = _check_finite(_phi1(sys.symbol_values, T) * sys.control_mask, "sampled pair")
         return SampledSystem(Phi, D, T)
     n, m = sys.state_dim, sys.input_dim
     aug = np.zeros((n + m, n + m), dtype=complex)
@@ -254,8 +254,6 @@ def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
     aug[:n, n:] = sys.B
     top = _check_finite(_quiet_expm(aug * T)[:n], "sampled pair")
     return SampledSystem(top[:, :n], top[:, n:], T)
-
-
 
 
 # ---------------------------------------------------------------------------

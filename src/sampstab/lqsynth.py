@@ -206,20 +206,19 @@ def lq_optimal_cost(sol: RiccatiSolution, y0: np.ndarray) -> float:
     return float(np.real(y0.conj() @ sol.K @ y0))
 
 
-def closed_loop_cost(gain: FeedbackGain, sys: SampledSystem, y0: np.ndarray) -> float:
+def closed_loop_cost(gain: FeedbackGain, y0: np.ndarray) -> float:
     """Cost sum_{i>=1} (||y_i||^2 + ||u_i||^2) of the feedback recursion, exactly.
 
-    With y_i = M y_{i-1}, u_i = F y_{i-1} and M = Phi + D F, the sum is
-    y0* X y0 for the solution X = M* X M + M* M + F* F of the discrete
-    Lyapunov equation.  For the LQ-optimal gain X = K - I, so the cost equals
-    lq_optimal_cost - ||y0||^2.  A diagonal loop solves it per mode,
-    x = (|m|^2 + |f|^2) / (1 - |m|^2).
+    With y_i = M y_{i-1}, u_i = F y_{i-1} and M = Phi + D F the gain's
+    closed loop, the sum is y0* X y0 for the solution X = M* X M + M* M + F* F
+    of the discrete Lyapunov equation.  For the LQ-optimal gain X = K - I, so
+    the cost equals lq_optimal_cost - ||y0||^2.  A diagonal loop solves it per
+    mode, x = (|m|^2 + |f|^2) / (1 - |m|^2).
     """
     y = np.asarray(y0, dtype=complex).ravel()
-    F = gain.F
+    F, M = gain.F, gain.closed_loop
     if F.ndim == 1:
-        m2 = np.abs(sys.Phi + sys.D * F) ** 2
+        m2 = np.abs(M) ** 2
         return float(((m2 + np.abs(F) ** 2) / (1.0 - m2)) @ np.abs(y) ** 2)
-    M = sys.Phi + sys.D @ F
     X = solve_discrete_lyapunov(M.conj().T, M.conj().T @ M + F.conj().T @ F)
     return float(np.real(y.conj() @ X @ y))

@@ -125,7 +125,9 @@ class ObservabilityCertificate:
     margin = lambda_max(R R* - C G - delta I); feasible iff margin <= PSD_TOL.
     N is the horizon in periods for discrete mode, or the horizon time for
     continuous mode.  kernel_norm records the worst transition norm found on
-    ker G during a search (None when not probed).
+    ker G during a search (None when not probed).  bundle is the Gramian
+    bundle check_inequality decided on (None on a search's infeasible
+    verdict, which spans horizons); it takes no part in equality or JSON.
     """
 
     mode: str
@@ -137,6 +139,7 @@ class ObservabilityCertificate:
     feasible: bool
     kernel_dim: int = 0
     kernel_norm: float | None = None
+    bundle: GramianBundle | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.feasible:
@@ -166,23 +169,16 @@ class ObservabilityCertificate:
 def _walk(sys: ContinuousSystem | SpectralSystem, T: float):
     """(R, G) at horizons k T, k = 1, 2, ...: G_{k+1} = G_k + R_k G_1 R_k*, R_{k+1} = R_k Phi.
 
-    G_1 = W_1* W_1 = D D* with (Phi, D) the sampled pair of one block
-    exponential; the step adds W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  A spectral
-    system walks the 1-D diagonals: Phi = exp(lambda T) and, with mask b,
-    G_1 = |b phi1(lambda, T)|^2, where phi1(z, t) = int_0^t exp(z s) ds.  A
-    step may overflow, silently, to inf or NaN entries: its bundle then fails.
+    (Phi, D) is the sampled pair of linsys.sample, which validates T, and
+    G_1 = W_1* W_1 = D D*; the step adds W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.
+    A spectral system walks the 1-D diagonals of its 1-D pair, G_1 = |D|^2.
+    A step may overflow, silently, to inf or NaN entries: its bundle then fails.
     """
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    spectral = isinstance(sys, SpectralSystem)
+    pair = sample(sys, T)
+    Phi, D = pair.Phi, pair.D
+    spectral = Phi.ndim == 1
     with np.errstate(over="ignore", invalid="ignore"):
-        if spectral:
-            lam = sys.symbol_values
-            Phi = linsys._check_finite(np.exp(lam * T), "semigroup")
-            G_1 = np.abs(sys.control_mask * linsys._phi1(lam, T)) ** 2
-        else:
-            pair = sample(sys, T)
-            Phi, G_1 = pair.Phi, _hermitize(pair.D @ pair.D.conj().T)
+        G_1 = np.abs(D) ** 2 if spectral else _hermitize(D @ D.conj().T)
     R, G = Phi, G_1
     while True:
         yield R, G
@@ -212,15 +208,15 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
     (Van Loan, IEEE TAC 23, 1978); s doublings G(2t) = G(t) + E G(t) E*,
     E = exp(At) <- E^2, reach T_h without the exp(-A T_h) that loses digits
     or overflows on long or stiff horizons.  Spectral G is the 1-D per-mode
-    b^2 phi1(2 Re lambda, T_h).  A non-finite G or R raises NumericOverflowError.
+    b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D for a spectral
+    system.  A non-finite G or R raises NumericOverflowError.
     """
-    if not T_h > 0:
-        raise ValueError("T_h must be > 0")
+    if not (math.isfinite(T_h) and T_h > 0):
+        raise ValueError("T_h must be finite and > 0")
+    R = semigroup(sys, T_h)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(sys, SpectralSystem):
-            lam = sys.symbol_values
-            R = linsys._check_finite(np.exp(lam * T_h), "semigroup")
-            G = sys.control_mask ** 2 * linsys._phi1(2.0 * lam.real, T_h).real
+            G = sys.control_mask ** 2 * linsys._phi1(2.0 * sys.symbol_values.real, T_h).real
         else:
             A, B, n = sys.A, sys.B, sys.state_dim
             s = max(math.frexp(np.linalg.norm(A, 1) * T_h)[1], 0)
@@ -230,7 +226,6 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
             G = E @ F[:n, n:]
             for _ in range(s):
                 G, E = G + E @ G @ E.conj().T, E @ E
-            R = semigroup(sys, T_h)
     return GramianBundle(R, G, "continuous", T_h, T_h)
 
 
@@ -248,7 +243,7 @@ def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityC
         margin = float(np.linalg.eigvalsh(M).max())
     return ObservabilityCertificate(
         mode=g.mode, T=g.T, N=g.horizon, C=float(C), delta=float(delta),
-        margin=margin, feasible=margin <= PSD_TOL, kernel_dim=g.kernel_dim,
+        margin=margin, feasible=margin <= PSD_TOL, kernel_dim=g.kernel_dim, bundle=g,
     )
 
 
@@ -312,12 +307,12 @@ def _search_horizons(bundles, N_max: int, delta_target: float, exhausted: str,
     norm-preserving kernel (a structural proof that no (C, delta<1) works at
     the searched horizons), else raises SearchExhausted(exhausted).  C is
     computed on, and nudged until check_inequality passes on, the bundle the
-    public Gramian function returns at that horizon.  From k = 2 on, the
-    search stops before the first horizon whose bundle raises
-    NumericOverflowError or whose squared transition overflows (|R|^2 per
-    mode; trace R R* for a dense R, which bounds every entry of R R*), and
-    decides on the horizons before it: an infeasible certificate then stands
-    at the last finite one.
+    public Gramian function returns at that horizon; the certificate carries
+    that bundle.  From k = 2 on, the search stops before the first horizon
+    whose bundle raises NumericOverflowError or whose squared transition
+    overflows (|R|^2 per mode; trace R R* for a dense R, which bounds every
+    entry of R R*), and decides on the horizons before it: an infeasible
+    certificate then stands at the last finite one.
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import expm
 
 from sampstab import (ContinuousSystem, GramianBundle, SampledSystem,
@@ -196,6 +198,19 @@ def cp_stepper(sys: ContinuousSystem, F, T: float, y0, horizon: float, dt: float
         controls[j] = sched[idx] @ y
     controls[-1] = sched[2 * (n_steps % steps)] @ states[-1]
     return np.arange(n_steps + 1) * dt, states, controls
+
+
+def det_lambda_quadrature(T: float) -> float:
+    """Oracle for det_lambda: the 2x2 determinant with each interval integral
+    of sin t and cos t over [(j-1)T, jT] taken by adaptive quadrature."""
+    a = np.empty((2, 2))
+    with warnings.catch_warnings():
+        # The tolerance request sits at the roundoff floor by design.
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for j in (1, 2):
+            a[0, j - 1] = quad(math.sin, (j - 1) * T, j * T, epsabs=1e-14, epsrel=1e-14)[0]
+            a[1, j - 1] = quad(math.cos, (j - 1) * T, j * T, epsabs=1e-14, epsrel=1e-14)[0]
+    return float(np.linalg.det(a))
 
 
 def witness_observed_loop(grid: np.ndarray, phi: np.ndarray, T: float, N: int) -> float:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import sampstab as st
+from sampstab import obscheck
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
 
@@ -122,6 +123,23 @@ class TestAnalyze:
             assert got["certificate"]["N"] == want["certificate"]["N"]
             assert abs(got["certificate"]["C"] / want["certificate"]["C"] - 1) <= 1e-6
 
+    @pytest.mark.parametrize("example", ["oscillator", "frac-heat"])
+    def test_brute_force_reuses_the_certified_bundle(self, tmp_path, monkeypatch, example):
+        system = (st.harmonic_oscillator() if example == "oscillator"
+                  else st.fractional_heat(64, 1.5, 1.0))
+        cert = st.decide_dc(system, 1.0)
+        want = obscheck.brute_force_max_violation(
+            st.discrete_gramian(system, 1.0, int(cert.N)), cert.C, cert.delta, 2000, 5)
+
+        def rewalk(*args):
+            raise AssertionError("analyze walked the discrete Gramian twice")
+
+        monkeypatch.setattr(obscheck, "discrete_gramian", rewalk)
+        code = main(["analyze", "--example", example, "--T", "1", "--seed", "5",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert read_report(tmp_path)["results"]["discrete"]["brute_force"]["max_violation"] == want
+
     def test_reports_are_byte_identical(self, tmp_path):
         argv = ["analyze", "--example", "oscillator", "--T", "1.0",
                 "--seed", "7", "--out", str(tmp_path)]
@@ -185,6 +203,12 @@ class TestAnalyze:
     # An infinite sweep, and one of 1e15 periods, are refused before the grid is built.
     "sweep --example oscillator --sweep 0.1:inf:0.1",
     "sweep --example oscillator --sweep 0.1:1e12:1e-3",
+    # A non-finite period or frequency extent, before any exponential or grid.
+    "analyze --example oscillator --T inf",
+    "synthesize --example oscillator --T inf",
+    "analyze --example frac-heat --modes 4 --xi-max inf --T 1",
+    "analyze --example schrodinger --modes 4 --xi-max inf --T 1",
+    "simulate --example oscillator --T 1 --horizon 2 --y0 [NaN,1]",
 ])
 def test_out_of_range_argument_is_config_error(tmp_path, argv):
     code, err = run_quietly(argv.split() + ["--out", str(tmp_path)])
@@ -348,6 +372,19 @@ class TestSimulate:
         assert code == EXIT_NUMERIC
         assert len(err) == 1 and "--steps-per-period" in err[0]
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_huge_or_tiny_initial_state_fits_the_unit_rate(self, tmp_path, scale):
+        # The loop is linear: the fitted rate and the norm ratio do not see the scale.
+        argv = ["simulate", "--example", "oscillator", "--T", "1", "--horizon", "20"]
+        assert main(argv + ["--y0", "[1,0]", "--out", str(tmp_path / "unit")]) == EXIT_OK
+        code, err = run_quietly(argv + ["--y0", f"[{scale},0]", "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        unit = read_report(tmp_path / "unit")["results"]
+        scaled = read_report(tmp_path)["results"]
+        assert unit["decay"]["omega"] > 0
+        assert scaled["decay"]["omega"] == pytest.approx(unit["decay"]["omega"], rel=1e-9)
+        assert scaled["final_norm_ratio"] == pytest.approx(unit["final_norm_ratio"], rel=1e-9)
+
     def test_spectral_system_pipeline(self, tmp_path):
         code = main(["simulate", "--example", "frac-heat", "--modes", "17",
                      "--s", "1.5", "--c", "1.0", "--T", "1.0", "--horizon", "20",
@@ -400,8 +437,9 @@ class TestExample:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # Only det_lambda's quadrature cross-check needs it, and no command calls
-    # det_lambda; loading it would add about half to every call's start-up.
+    # No module of the package imports it (det_lambda's quadrature oracle
+    # lives with the tests); loading it would add about half to every call's
+    # start-up.
     src = Path(st.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))

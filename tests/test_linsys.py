@@ -1,6 +1,7 @@
 """System representations, flows, and sampled operators."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,8 +57,8 @@ class TestSemigroup:
         T = 0.7
         S = st.semigroup(sch, T)
         k = np.argmin(np.abs(sch.modes - 2.0))
-        assert_allclose(S[k, k], np.exp(4j * T), atol=1e-14)
-        assert abs(abs(S[k, k]) - 1.0) < 1e-15
+        assert_allclose(S[k], np.exp(4j * T), atol=1e-14)
+        assert abs(abs(S[k]) - 1.0) < 1e-15
 
     def test_semigroup_law(self):
         for seed in range(6):
@@ -71,8 +72,38 @@ class TestSemigroup:
     def test_unitary_modulus(self):
         sch = st.schrodinger(64, 5.0)
         for t in (0.3, 2.0):
-            d = np.diag(st.semigroup(sch, t))
+            d = st.semigroup(sch, t)
             assert np.abs(np.abs(d) - 1.0).max() <= 1e-12
+
+    def test_spectral_flow_is_the_1d_exponential(self):
+        for sys in (st.fractional_heat(33, 1.5, 1.0), st.schrodinger(17, 3.0)):
+            for t in (0.0, 0.3, 2.0):
+                S = st.semigroup(sys, t)
+                assert S.shape == (sys.state_dim,)
+                assert np.array_equal(S, np.exp(sys.symbol_values * t))
+            # The sampled transition is this flow, bit for bit.
+            assert np.array_equal(st.sample(sys, 0.7).Phi, st.semigroup(sys, 0.7))
+
+    def test_spectral_flow_in_little_memory(self):
+        # An n x n diagonal at n = 2048 would take 64 MiB.
+        heat = st.fractional_heat(2048, 1.5, 1.0)
+        tracemalloc.start()
+        try:
+            st.semigroup(heat, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_is_refused(self, t):
+        for sys in (st.harmonic_oscillator(), st.schrodinger(8, 2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                st.semigroup(sys, t)
+            with pytest.raises(ValueError, match="finite"):
+                st.sample(sys, t)
+            with pytest.raises(ValueError, match="finite"):
+                st.continuous_gramian(sys, t)
 
     def test_negative_time_rules(self):
         with pytest.raises(ValueError):

@@ -184,7 +184,7 @@ class TestOptimalCost:
             gain = st.feedback_gain(sol, pair)
             rng = np.random.default_rng(seed)
             y0 = rng.standard_normal(pair.state_dim)
-            simulated = st.closed_loop_cost(gain, pair, y0)
+            simulated = st.closed_loop_cost(gain, y0)
             assert 0.0 <= simulated <= st.lq_optimal_cost(sol, y0) + 1e-6
             # Under the optimal gain the loop's cost from i = 1 is K - I.
             kernel = st.lq_optimal_cost(sol, y0) - np.linalg.norm(y0) ** 2
@@ -221,9 +221,9 @@ class TestPerMode:
         dense_gain = st.feedback_gain(dense_sol, dense)
         assert_allclose(st.lq_optimal_cost(sol, y0), st.lq_optimal_cost(dense_sol, y0),
                         rtol=1e-13)
-        assert_allclose(st.closed_loop_cost(gain, pair, y0),
-                        st.closed_loop_cost(dense_gain, dense, y0), rtol=1e-12)
-        assert_allclose(st.closed_loop_cost(gain, pair, y0),
+        assert_allclose(st.closed_loop_cost(gain, y0),
+                        st.closed_loop_cost(dense_gain, y0), rtol=1e-12)
+        assert_allclose(st.closed_loop_cost(gain, y0),
                         st.lq_optimal_cost(sol, y0) - np.linalg.norm(y0) ** 2, rtol=1e-12)
 
     @pytest.mark.parametrize("phi", [1.0, -1j, 1.5, np.exp(0.3j)])

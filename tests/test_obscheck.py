@@ -288,6 +288,42 @@ class TestHorizonWalk:
             assert np.array_equal(g.R, R) and np.array_equal(g.G, 0.5 * (G + G.conj().T))
             assert (g.T, g.horizon) == (0.4, float(N))
 
+    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+    def test_first_step_is_the_sampled_pair(self, name, monkeypatch):
+        sys = WALK_SYSTEMS[name]
+        pairs = []
+
+        def recorded(*args):
+            pairs.append(st.sample(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(obscheck, "sample", recorded)
+        R, G = next(obscheck._walk(sys, 0.4))
+        [pair] = pairs
+        assert pair.T == 0.4 and np.array_equal(R, pair.Phi)
+        D = pair.D
+        G_1 = np.abs(D) ** 2 if D.ndim == 1 else st.linsys._hermitize(D @ D.conj().T)
+        assert np.array_equal(G, G_1)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+    def test_certificate_carries_the_bundle_it_was_checked_on(self, name, mode):
+        sys = WALK_SYSTEMS[name]
+        if mode == "discrete":
+            cert = st.decide_dc(sys, 0.4)
+            public = st.discrete_gramian(sys, 0.4, int(cert.N))
+        else:
+            cert = st.decide_cc(sys, 0.4)
+            public = st.continuous_gramian(sys, cert.N)
+        g = cert.bundle
+        assert cert.feasible and g is not None
+        assert st.check_inequality(g, cert.C, cert.delta).margin == cert.margin
+        assert np.array_equal(g.G, public.G) and np.array_equal(g.R, public.R)
+        assert (g.mode, g.horizon) == (mode, cert.N)
+        # The bundle takes no part in equality, repr or the JSON form.
+        assert cert == replace(cert, bundle=None)
+        assert "bundle" not in repr(cert) and "bundle" not in cert.to_json()
+
     def test_continuous_certificate_has_the_public_kernel(self):
         # Two stable unobserved modes: ker G is 2-dimensional at every horizon,
         # and they decay below delta = 0.9 only from the third horizon on.
