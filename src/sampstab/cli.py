@@ -17,15 +17,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, benchmarks, closedloop, linsys, lqsynth, obscheck
 from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SearchExhausted, SpectralRadiusError)
 from .serialize import dump_json, vector_from_json
 
-_BACKEND = (f"numpy {np.__version__}, scipy {scipy.__version__}, "
-            "expm=pade-scaling-squaring")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,13 +123,20 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _backend() -> str:
+    """The numeric libraries' versions.  scipy is imported bare here, at the
+    report, not at start-up: only its version is read."""
+    import scipy
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, expm=pade-scaling-squaring"
+
+
 def _report(args, results: dict) -> dict:
     return {
         "schema": 1,
         "command": args.command,
         "config": _config_echo(args),
         "library_version": __version__,
-        "backend": _BACKEND,
+        "backend": _backend(),
         "seed": getattr(args, "seed", 0),
         "results": results,
     }
@@ -165,6 +169,9 @@ def _certificate_or_status(decide, *a, **kw):
 
 def cmd_analyze(args) -> int:
     system = _resolve_system(args)
+    # Before the searches, which may certify a draw too large to allocate.
+    obscheck.check_draw(args.brute_samples, system.state_dim,
+                        isinstance(system, linsys.SpectralSystem))
     dc_entry, dc_cert = _certificate_or_status(
         obscheck.decide_dc, system, args.T, args.N_max, args.delta)
     # Only the entry: the certificate would keep its bundle alive through the brute force.
@@ -238,6 +245,7 @@ def cmd_simulate(args) -> int:
           else _default_y0(system.state_dim))
     simulate = getattr(closedloop, f"simulate_{args.loop}")
     traj = simulate(system, gain.F, args.T, y0, args.horizon, args.steps_per_period)
+    # The trajectory keeps its norms: the fit, the CSV and the ratio share one computation.
     omega, c = closedloop.fit_decay(traj)
 
     out_dir = Path(args.out)

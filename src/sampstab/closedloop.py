@@ -39,13 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys as _sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericOverflowError
-from .linsys import ContinuousSystem, SpectralSystem, _phi1
+from .linsys import ContinuousSystem, SpectralSystem, _expm_on_first_use, _phi1
 
 __all__ = [
     "Trajectory",
@@ -57,6 +58,10 @@ __all__ = [
     "fit_decay",
     "trajectory_to_csv",
 ]
+
+# scipy's expm, imported by the first dense loop map.
+__getattr__ = _expm_on_first_use(globals())
+_module = _sys.modules[__name__]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +83,17 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         """Row 2-norms of the states, each row scaled first by the exact power
         of two that brings its largest real or imaginary part to [0.5, 1), so
-        that squaring neither overflows nor underflows."""
+        that squaring neither overflows nor underflows.  Computed on the first
+        call and kept: the array returned is read-only."""
+        return self._norms
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
         x = np.ascontiguousarray(self.states).view(float)
         e = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
-        return np.ldexp(np.linalg.norm(np.ldexp(x, -e[:, None]).view(complex), axis=1), e)
+        norms = np.ldexp(np.linalg.norm(np.ldexp(x, -e[:, None]).view(complex), axis=1), e)
+        norms.flags.writeable = False
+        return norms
 
 
 # Ceiling on simulation grid cells, (K S + 1)(n + m) complex entries (160 MB).
@@ -166,7 +178,7 @@ def _parts(sys: ContinuousSystem | SpectralSystem):
     if isinstance(sys, SpectralSystem):
         return (sys.symbol_values, sys.control_mask, np.multiply, np.exp,
                 np.ones(sys.state_dim, dtype=complex))
-    return sys.A, sys.B, np.matmul, expm, np.eye(sys.state_dim, dtype=complex)
+    return sys.A, sys.B, np.matmul, _module.expm, np.eye(sys.state_dim, dtype=complex)
 
 
 def _power_maps(E, X, F, S, mul=np.matmul):
@@ -209,7 +221,7 @@ def _hold_maps(sys, F, h, S, periodic: bool):
     M[:n, :n], M[:n, n:] = A, B @ F
     if periodic:
         M[n:, n:] = A + B @ F
-    return _power_maps(expm(M * h), np.vstack([np.eye(n), np.eye(n)]), F, S)
+    return _power_maps(_module.expm(M * h), np.vstack([np.eye(n), np.eye(n)]), F, S)
 
 
 def _cp_maps(sys, F, h, S):

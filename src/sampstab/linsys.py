@@ -4,7 +4,8 @@ Systems come in two representations: a dense pair (A, B) driving y' = Ay + Bu,
 and a diagonal spectral form given by a mode grid, a symbol xi -> lambda(xi),
 and a diagonal control mask.  Both are validated once, at construction: every
 entry, mode, mask weight and symbol value must be finite.  The flow exp(At) is
-evaluated by scipy's Pade scaling-and-squaring matrix exponential.  The
+evaluated by scipy's Pade scaling-and-squaring matrix exponential, imported
+on the first dense exponential: spectral systems never load scipy.linalg.  The
 one-period sampled pair comes from one block exponential,
 exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van Loan, IEEE TAC 23, 1978),
 so no quadrature tolerance enters it.
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys as _sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericOverflowError
 from .serialize import matrix_from_json, matrix_to_json, reals_from_json
@@ -37,6 +38,29 @@ __all__ = [
     "system_to_json",
     "load_system",
 ]
+
+
+def _expm_on_first_use(namespace: dict):
+    """PEP 562 ``__getattr__`` for a module whose ``expm`` is scipy.linalg's.
+
+    scipy.linalg is imported on the first lookup, by the first dense operator,
+    and its expm is stored in namespace, the module's globals, so later lookups
+    never get here.  Callers read ``expm`` as an attribute of their module and
+    so find that global, or whatever has since replaced it.
+    """
+    def __getattr__(name: str):
+        if name != "expm":
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from scipy.linalg import expm
+        namespace["expm"] = expm
+        return expm
+    return __getattr__
+
+
+# _quiet_expm reads expm through the module, never as a bare global name.
+__getattr__ = _expm_on_first_use(globals())
+_module = _sys.modules[__name__]
+
 
 def _as_complex_matrix(m, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(m, dtype=complex))
@@ -206,7 +230,7 @@ def _quiet_expm(M: np.ndarray) -> np.ndarray:
     """expm with overflow surfaced as NumericOverflowError, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return expm(M)
+        return _module.expm(M)
 
 
 def _phi1(lam: np.ndarray, t) -> np.ndarray:

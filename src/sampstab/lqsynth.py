@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import SpectralRadiusError
 from .linsys import SampledSystem, _hermitize
@@ -220,5 +219,6 @@ def closed_loop_cost(gain: FeedbackGain, y0: np.ndarray) -> float:
     if F.ndim == 1:
         m2 = np.abs(M) ** 2
         return float(((m2 + np.abs(F) ** 2) / (1.0 - m2)) @ np.abs(y) ** 2)
+    from scipy.linalg import solve_discrete_lyapunov  # dense loops only: slow to import
     X = solve_discrete_lyapunov(M.conj().T, M.conj().T @ M + F.conj().T @ F)
     return float(np.real(y.conj() @ X @ y))

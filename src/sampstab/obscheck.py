@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
 import numpy as np
-import scipy.linalg
 
 from . import linsys
 from .errors import NumericOverflowError, SearchExhausted
@@ -291,9 +290,10 @@ def _min_constant(g: GramianBundle, delta: float) -> float:
     C = float(np.linalg.eigvalsh(_hermitize(H)).max(initial=0.0))
     if d == 0 or C == 0.0:
         return C
+    from scipy.linalg import eigh  # a non-trivial dense kernel only: slow to import
     b = np.concatenate([np.maximum(w[:d], 0.0), np.ones(w.size - d)])
     try:
-        mu = scipy.linalg.eigh(np.diag(b), 2.0 * C * np.diag(b) - M, eigvals_only=True)[-1]
+        mu = eigh(np.diag(b), 2.0 * C * np.diag(b) - M, eigvals_only=True)[-1]
     except np.linalg.LinAlgError:
         return C  # not numerically definite: keep the bound, which is re-checked
     return max(2.0 * C - 1.0 / mu, 0.0)
@@ -431,6 +431,19 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
 
 # Random values the per-mode brute force draws per chunk (1 MiB of float64).
 _DRAW_CELLS = 1 << 17
+# Ceiling on the brute force's draw: n x n_samples complex states for a dense
+# bundle (160 MB per array), n_samples per accumulator for a per-mode one.
+_MAX_DRAW_CELLS = 10 ** 7
+
+
+def check_draw(n_samples: int, n: int, per_mode: bool) -> None:
+    """Validate a brute-force draw of n_samples states of dimension n before it is allocated."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    cells = n_samples if per_mode else n * n_samples
+    if cells > _MAX_DRAW_CELLS:
+        raise ValueError(f"brute force needs {cells:.3g} cells, over the ceiling of "
+                         f"{_MAX_DRAW_CELLS:.0e}; lower --brute-samples")
 
 
 def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
@@ -444,10 +457,9 @@ def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
     value is sum_i w_i |phi_i|^2 / ||phi||^2 - delta with w = |R|^2 - C G,
     so memory stays O(n_samples) however many modes there are.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
     n = g.R.shape[0]
+    check_draw(n_samples, n, g.G.ndim == 1)
+    rng = np.random.default_rng(seed)
     if g.G.ndim == 1:
         w = np.abs(g.R) ** 2 - C * g.G
         rows = max(1, _DRAW_CELLS // n_samples)

@@ -46,10 +46,32 @@ def matrix_from_json(obj) -> np.ndarray:
     """Read a row-major nested list; rows are lists of entries."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ValueError("matrix must be a non-empty list of rows")
+    pairs = _pair_matrix(obj)
+    if pairs is not None:
+        return pairs
     rows = [[entry_from_json(e) for e in row] for row in obj]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows have unequal lengths")
     return np.array(rows)
+
+
+def _pair_matrix(rows: list) -> np.ndarray | None:
+    """rows as a complex matrix in one conversion when every row has the same
+    length and every entry is an [re, im] pair of ints and floats; else None,
+    and the per-entry path reads (or refuses) the matrix.  Booleans and strings
+    are excluded by type: numpy would convert them silently."""
+    entries = list(chain.from_iterable(rows))
+    if (set(map(type, entries)) != {list} or set(map(len, entries)) != {2}
+            or len(set(map(len, rows))) != 1):
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return values.view(complex).reshape(len(rows), -1)
 
 
 def vector_from_json(obj) -> np.ndarray:

@@ -16,6 +16,7 @@ from sampstab import (ContinuousSystem, GramianBundle, SampledSystem,
                       SpectralSystem, check_inequality, min_delta_on_kernel,
                       to_dense)
 from sampstab.obscheck import KERNEL_ONE_TOL
+from sampstab.serialize import entry_from_json
 
 # Every property test draws the same examples on every run.
 settings.register_profile("sampstab", derandomize=True, deadline=None)
@@ -313,6 +314,15 @@ def matrix_to_json_loop(m) -> list:
     """Oracle: matrix_to_json as a per-entry [re, im] comprehension."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     return [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+
+
+def matrix_from_json_loop(obj) -> np.ndarray:
+    """Oracle: matrix_from_json reading entry by entry, the path for every
+    matrix that is not all [re, im] pairs."""
+    rows = [[entry_from_json(e) for e in row] for row in obj]
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("matrix rows have unequal lengths")
+    return np.array(rows)
 
 
 @pytest.fixture

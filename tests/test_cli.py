@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import sampstab as st
-from sampstab import obscheck
+from sampstab import closedloop, obscheck
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
 
@@ -139,6 +139,22 @@ class TestAnalyze:
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert read_report(tmp_path)["results"]["discrete"]["brute_force"]["max_violation"] == want
+
+    @pytest.mark.parametrize("argv", [
+        "--example oscillator --brute-samples 10000000000000",
+        # A per-mode draw is O(samples), whatever the number of modes.
+        "--example frac-heat --modes 8 --brute-samples 20000000",
+    ])
+    def test_oversized_brute_force_is_refused_before_the_search(self, tmp_path, monkeypatch,
+                                                                 argv):
+        def search(*args, **kwargs):
+            raise AssertionError("analyze searched before refusing the draw")
+
+        monkeypatch.setattr(obscheck, "decide_dc", search)
+        monkeypatch.setattr(obscheck, "decide_cc", search)
+        code, err = run_quietly(["analyze", "--T", "1", *argv.split(), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and "ceiling" in err[0] and "--brute-samples" in err[0]
 
     def test_reports_are_byte_identical(self, tmp_path):
         argv = ["analyze", "--example", "oscillator", "--T", "1.0",
@@ -384,6 +400,21 @@ class TestSimulate:
         assert unit["decay"]["omega"] > 0
         assert scaled["decay"]["omega"] == pytest.approx(unit["decay"]["omega"], rel=1e-9)
         assert scaled["final_norm_ratio"] == pytest.approx(unit["final_norm_ratio"], rel=1e-9)
+
+    def test_norms_are_computed_once(self, tmp_path, monkeypatch):
+        # The decay fit, the CSV's norm column and the final ratio share one array.
+        seen = []
+        norms = closedloop.Trajectory.norms
+
+        def spy(traj):
+            seen.append(norms(traj))
+            return seen[-1]
+
+        monkeypatch.setattr(closedloop.Trajectory, "norms", spy)
+        code = main(["simulate", "--example", "frac-heat", "--modes", "8", "--T", "1",
+                     "--horizon", "4", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(seen) == 3 and all(x is seen[0] for x in seen)
 
     def test_spectral_system_pipeline(self, tmp_path):
         code = main(["simulate", "--example", "frac-heat", "--modes", "17",

@@ -356,6 +356,15 @@ class TestFitDecay:
             st.fit_decay(traj)
 
 
+def test_norms_are_kept_read_only():
+    traj = st.simulate_cc(st.fractional_heat(6, 1.5, 1.0), -np.ones(6), 1.0, np.ones(6), 2.0, 4)
+    norms = traj.norms()
+    assert traj.norms() is norms
+    assert_allclose(norms, np.linalg.norm(traj.states, axis=1), rtol=1e-15)
+    with pytest.raises(ValueError):
+        norms[0] = 0.0
+
+
 class TestTrajectoryExport:
     @pytest.mark.parametrize("case", ["real", "complex", "negative-zero"])
     def test_rows_are_the_bytes_savetxt_writes(self, tmp_path, case):

@@ -501,6 +501,37 @@ class TestBruteForceAgreement:
             tracemalloc.stop()
         assert peak < 20e6
 
+    @pytest.mark.parametrize("samples,n,per_mode", [
+        (2000, 128, False),      # the default on the seeded dense n = 128 system
+        (2000, 10 ** 5, True),   # a per-mode draw holds O(samples), not O(n samples)
+        (10 ** 7, 10 ** 6, True),
+        (5000, 2000, False),
+    ])
+    def test_draw_within_the_ceiling_is_accepted(self, samples, n, per_mode):
+        obscheck.check_draw(samples, n, per_mode)
+
+    @pytest.mark.parametrize("samples,n,per_mode", [
+        (10 ** 5, 128, False),
+        (10 ** 13, 2, False),
+        (10 ** 7 + 1, 1, True),
+        (0, 4, True),
+    ])
+    def test_draw_over_the_ceiling_is_refused(self, samples, n, per_mode):
+        with pytest.raises(ValueError):
+            obscheck.check_draw(samples, n, per_mode)
+
+    @pytest.mark.parametrize("system", [st.harmonic_oscillator(), st.fractional_heat(8, 1.5, 1.0)])
+    def test_brute_force_refuses_before_allocating(self, system):
+        g = st.discrete_gramian(system, 1.0, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="ceiling"):
+                brute_force_max_violation(g, 1.0, 0.9, 10 ** 13, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestPathologicalPeriods:
     def test_oscillator(self):

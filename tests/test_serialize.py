@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from sampstab.cli import EXIT_OK, main
-from sampstab.serialize import _pair_row, dump_json, matrix_to_json
+from sampstab.serialize import _pair_row, dump_json, matrix_from_json, matrix_to_json
 
-from conftest import json_dump_oracle, matrix_to_json_loop
+from conftest import json_dump_oracle, matrix_from_json_loop, matrix_to_json_loop
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.8e308,
                -1.8e308, 1.0, -2.5, 0.1, 1e-7, 1e16, 123456789.125]
@@ -90,6 +90,48 @@ def test_matrix_to_json_is_the_entry_loop(m):
     got, want = matrix_to_json(m), matrix_to_json_loop(m)
     assert json.dumps(got) == json.dumps(want)
     assert all(type(x) is float for row in got for pair in row for x in pair)
+
+
+# JSON numbers as json.loads gives them: floats, NaN and the infinities, and
+# integers of any size; 2**1024 - 2**970 - 1 is the largest that rounds to a
+# finite float.
+json_numbers = hs.one_of(floats, hs.integers(), hs.sampled_from(
+    [2 ** 53 + 1, -(2 ** 63) - 3, 2 ** 70 + 1, 2 ** 1023, 2 ** 1024 - 2 ** 970 - 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=hs.tuples(hs.integers(1, 6), hs.integers(1, 6)), data=hs.data())
+def test_matrix_from_json_is_the_entry_loop(shape, data):
+    pair = hs.lists(json_numbers, min_size=2, max_size=2)
+    obj = [[data.draw(pair) for _ in range(shape[1])] for _ in range(shape[0])]
+    got, want = matrix_from_json(obj), matrix_from_json_loop(obj)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_from_json_reads_a_dense_system_bit_for_bit(rng):
+    A = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    obj = json.loads(json.dumps(matrix_to_json(A)))
+    assert matrix_from_json(obj).tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("obj,message", [
+    ([[[True, 1.5]]], "expected a number, got True"),
+    ([[[1.0, 2.0], [False, 0.0]]], "expected a number, got False"),
+    ([[["1.5", 2.0]]], "expected a number, got '1.5'"),
+    ([[[1.0, None]]], "expected a number, got None"),
+    ([[[1.0, [2.0]]]], "expected a number, got [2.0]"),
+    ([[[1.0, 2.0, 3.0]]], "complex entry must be [re, im], got [1.0, 2.0, 3.0]"),
+    ([[[1.0]]], "complex entry must be [re, im], got [1.0]"),
+    ([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]], "matrix rows have unequal lengths"),
+    ([[[10 ** 400, 0.0]]], "number out of float range: " + str(10 ** 400)),
+    ([[[0.0, -(2 ** 1024)]]], "number out of float range: " + str(-(2 ** 1024))),
+])
+def test_matrix_from_json_keeps_its_messages(obj, message):
+    for read in (matrix_from_json, matrix_from_json_loop):
+        with pytest.raises(ValueError) as err:
+            read(obj)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("argv,name", [
