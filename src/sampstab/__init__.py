@@ -16,25 +16,25 @@ from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SampstabError, SearchExhausted,
                      SpectralRadiusError)
 from .linsys import (ContinuousSystem, SampledSystem, SpectralSystem,
-                     load_system, sample, semigroup, system_from_json,
-                     system_to_json, to_dense)
+                     load_system, sample, sample_periods, semigroup,
+                     system_from_json, system_to_json, to_dense)
 from .lqsynth import (FeedbackGain, RiccatiSolution, closed_loop_cost,
                       dp_value_iterate, feedback_gain, lq_optimal_cost,
                       riccati_solve)
 from .obscheck import (GramianBundle, ObservabilityCertificate,
                        check_inequality, continuous_gramian, decide_cc,
                        decide_dc, discrete_gramian, min_delta_on_kernel,
-                       pathological_periods)
+                       pathological_periods, sweep_dc)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ContinuousSystem", "SpectralSystem", "SampledSystem",
-    "semigroup", "sample", "to_dense", "system_from_json", "system_to_json",
-    "load_system",
+    "semigroup", "sample", "sample_periods", "to_dense", "system_from_json",
+    "system_to_json", "load_system",
     "GramianBundle", "ObservabilityCertificate",
     "discrete_gramian", "continuous_gramian", "check_inequality",
-    "min_delta_on_kernel", "decide_dc", "decide_cc", "pathological_periods",
+    "min_delta_on_kernel", "sweep_dc", "decide_dc", "decide_cc", "pathological_periods",
     "RiccatiSolution", "FeedbackGain", "riccati_solve", "dp_value_iterate",
     "feedback_gain", "lq_optimal_cost", "closed_loop_cost",
     "Trajectory", "simulate_cc", "simulate_dc", "simulate_dp", "simulate_cp",

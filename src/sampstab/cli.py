@@ -154,17 +154,24 @@ def _default_y0(n: int) -> np.ndarray:
     return np.ones(n) / math.sqrt(n)
 
 
-def _certificate_or_status(decide, *a, **kw):
+def _outcome(decide, *args):
+    """decide(*args), or the SearchExhausted it raises."""
     try:
-        cert = decide(*a, **kw)
-        status = "feasible" if cert.feasible else "infeasible"
-        return {"status": status, "certificate": cert.to_json()}, cert
+        return decide(*args)
     except SearchExhausted as exc:
+        return exc
+
+
+def _entry(outcome) -> dict:
+    """The report entry of a certificate or a SearchExhausted."""
+    if isinstance(outcome, SearchExhausted):
         return {
             "status": "search-exhausted",
-            "best_margin": exc.best_margin,
-            "best_horizon": exc.best_horizon,
-        }, None
+            "best_margin": outcome.best_margin,
+            "best_horizon": outcome.best_horizon,
+        }
+    status = "feasible" if outcome.feasible else "infeasible"
+    return {"status": status, "certificate": outcome.to_json()}
 
 
 def cmd_analyze(args) -> int:
@@ -172,15 +179,14 @@ def cmd_analyze(args) -> int:
     # Before the searches, which may certify a draw too large to allocate.
     obscheck.check_draw(args.brute_samples, system.state_dim,
                         isinstance(system, linsys.SpectralSystem))
-    dc_entry, dc_cert = _certificate_or_status(
-        obscheck.decide_dc, system, args.T, args.N_max, args.delta)
+    dc = _outcome(obscheck.decide_dc, system, args.T, args.N_max, args.delta)
+    dc_entry = _entry(dc)
     # Only the entry: the certificate would keep its bundle alive through the brute force.
-    cc_entry = _certificate_or_status(
-        obscheck.decide_cc, system, args.T, args.N_max, args.delta)[0]
+    cc_entry = _entry(_outcome(obscheck.decide_cc, system, args.T, args.N_max, args.delta))
 
-    if dc_cert is not None and dc_cert.feasible:
+    if dc_entry["status"] == "feasible":
         violation = obscheck.brute_force_max_violation(
-            dc_cert.bundle, dc_cert.C, dc_cert.delta, args.brute_samples, args.seed)
+            dc.bundle, dc.C, dc.delta, args.brute_samples, args.seed)
         dc_entry["brute_force"] = {
             "samples": args.brute_samples,
             "max_violation": violation,
@@ -294,14 +300,10 @@ def _parse_sweep(spec: str):
 def cmd_sweep(args) -> int:
     grid = _parse_sweep(args.sweep)
     system = _resolve_system(args)
-    rows = []
-    for T in grid:
-        entry, cert = _certificate_or_status(
-            obscheck.decide_dc, system, T, args.N_max, args.delta)
-        row = {"T": T, "status": entry["status"]}
-        if cert is not None:
-            row.update(cert.to_json())
-        rows.append(row)
+    # One stacked search per chunk of periods; the rows hold no bundle.
+    outcomes = map(_entry, obscheck.sweep_dc(system, grid, args.N_max, args.delta))
+    rows = [{"T": T, "status": entry["status"], **entry.get("certificate", {})}
+            for T, entry in zip(grid, outcomes)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cols = ["T", "status", "feasible", "N", "C", "delta", "margin", "kernel_dim"]

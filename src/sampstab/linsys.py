@@ -8,7 +8,9 @@ evaluated by scipy's Pade scaling-and-squaring matrix exponential, imported
 on the first dense exponential: spectral systems never load scipy.linalg.  The
 one-period sampled pair comes from one block exponential,
 exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van Loan, IEEE TAC 23, 1978),
-so no quadrature tolerance enters it.
+so no quadrature tolerance enters it.  sample_periods stacks the pairs of many
+periods on a leading period axis, from one stacked exponential; sample is its
+one-period slice.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "SampledSystem",
     "semigroup",
     "sample",
+    "sample_periods",
     "to_dense",
     "frac_heat_symbol",
     "schrodinger_symbol",
@@ -223,7 +226,8 @@ def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """(m + m*) / 2 of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + m.conj().mT)
 
 
 def _quiet_expm(M: np.ndarray) -> np.ndarray:
@@ -261,23 +265,40 @@ def semigroup(sys: ContinuousSystem | SpectralSystem, t: float) -> np.ndarray:
 def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
     """Sampled pair over one finite period: Phi = exp(AT), D = (int_0^T exp(As) ds) B.
 
-    Dense systems read both from the top block row of one exponential,
-    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]].  A spectral system gives
-    the diagonal pair of 1-D arrays Phi = semigroup(sys, T), D = b phi1(lambda, T).
+    The one-period slice of sample_periods.  Non-finite entries raise
+    NumericOverflowError; a spectral system's Phi is its semigroup.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("sampling period T must be finite and > 0")
+    Phi, D = sample_periods(sys, [T])
     if isinstance(sys, SpectralSystem):
-        Phi = semigroup(sys, T)
+        _check_finite(Phi, "semigroup")
+    _check_finite(Phi, "sampled pair")
+    return SampledSystem(Phi[0], _check_finite(D, "sampled pair")[0], T)
+
+
+def sample_periods(sys: ContinuousSystem | SpectralSystem, periods) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled pairs (Phi, D) of a 1-D array of finite periods > 0, stacked on a leading axis.
+
+    Dense systems read both from the top block rows of one stacked exponential,
+    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]]: Phi is (P, n, n) and D is
+    (P, n, m).  A spectral system gives the per-mode pairs Phi = exp(lambda T),
+    D = b phi1(lambda, T), each (P, n).  Entries that overflow are returned
+    non-finite, unchecked: the caller decides per period.
+    """
+    T = np.asarray(periods, dtype=float)
+    if T.ndim != 1 or not np.all(np.isfinite(T) & (T > 0)):
+        raise ValueError("sampling period T must be finite and > 0")
+    if isinstance(sys, SpectralSystem):
+        lam = sys.symbol_values
         with np.errstate(over="ignore", invalid="ignore"):
-            D = _check_finite(_phi1(sys.symbol_values, T) * sys.control_mask, "sampled pair")
-        return SampledSystem(Phi, D, T)
+            return np.exp(lam * T[:, None]), _phi1(lam, T[:, None]) * sys.control_mask
     n, m = sys.state_dim, sys.input_dim
     aug = np.zeros((n + m, n + m), dtype=complex)
     aug[:n, :n] = sys.A
     aug[:n, n:] = sys.B
-    top = _check_finite(_quiet_expm(aug * T)[:n], "sampled pair")
-    return SampledSystem(top[:, :n], top[:, n:], T)
+    top = _quiet_expm(aug * T[:, None, None])[:, :n]
+    return top[:, :, :n], top[:, :, n:]
 
 
 # ---------------------------------------------------------------------------

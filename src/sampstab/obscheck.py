@@ -18,22 +18,34 @@ of G supplies a structural obstruction: on ker G the inequality collapses to
 ||R* phi||^2 <= delta ||phi||^2, so if the transition preserves norm on the
 kernel no constant C can help at that horizon.
 
+The sampling period is an array axis.  sweep_dc decides a grid of periods in
+one search: the sampled pairs come from one stacked exponential
+(linsys.sample_periods), and the walk, the Gramian eigendecompositions, the
+kernel norms, the constants and the margins act on stacks with a leading
+period axis.  Each period stops at its own horizon: the search keeps a mask
+of the periods still undecided.  A grid is cut into chunks of at most
+_CHUNK_CELLS entries per stacked array, so memory stays bounded however many
+periods it holds.  decide_dc is the one-period slice of sweep_dc, decide_cc
+feeds its continuous_gramian bundles through the same search, and the public
+one-period functions are slices of the same stacked kernels.
+
 A spectral (diagonal) system stays diagonal: R and G are 1-D arrays of
-per-mode entries, and each eigenvalue problem above becomes a maximum over
-modes.
+per-mode entries ((P, n) stacks), and each eigenvalue problem above becomes a
+maximum over modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from dataclasses import dataclass, field
+from itertools import chain, count, islice
 
 import numpy as np
 
 from . import linsys
 from .errors import NumericOverflowError, SearchExhausted
-from .linsys import ContinuousSystem, SpectralSystem, _hermitize, sample, semigroup
+from .linsys import (ContinuousSystem, SpectralSystem, _hermitize, sample, sample_periods,
+                     semigroup)
 
 __all__ = [
     "GramianBundle",
@@ -42,6 +54,7 @@ __all__ = [
     "continuous_gramian",
     "check_inequality",
     "min_delta_on_kernel",
+    "sweep_dc",
     "decide_dc",
     "decide_cc",
     "pathological_periods",
@@ -57,6 +70,44 @@ KERNEL_ONE_TOL = 1e-9
 _C_CEILING = 2.0 ** 60
 # Re-checks of a closed-form constant, each nudging C up by 4**k relative ulps.
 _NUDGES = 26
+# Entries per stacked array in one chunk of a sweep (4 MiB of complex128):
+# a period takes (n + m)^2 of them for a dense system, n for a spectral one.
+_CHUNK_CELLS = 1 << 18
+
+
+def _set(obj, **fields) -> None:
+    """Set fields of a frozen dataclass instance."""
+    vars(obj).update(fields)
+
+
+def _kernel_mask(w: np.ndarray) -> np.ndarray:
+    """True at the eigenvalues that span ker G, along the last axis of w."""
+    return w <= RANK_RTOL * np.maximum(w.max(axis=-1, keepdims=True), 0.0)
+
+
+def _decompose(G: np.ndarray, per_mode: bool):
+    """(G, w, V, ok) of a stack of Gramians, each as GramianBundle takes one.
+
+    A dense G is hermitized and decomposed, G = V diag(w) V*, by one stacked
+    eigh over the periods whose G is finite; a per-mode G is its own spectrum
+    and V is None.  ok is False where G has non-finite entries or a
+    significantly negative eigenvalue.
+    """
+    finite = np.isfinite(G).all(axis=tuple(range(1, G.ndim)))
+    if per_mode:
+        G = np.asarray(G, dtype=float)
+        w, V = G, None
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite
+            G = _hermitize(np.asarray(G, dtype=complex))
+        if finite.all():
+            w, V = np.linalg.eigh(G)
+        else:
+            w = np.full(G.shape[:-1], np.nan)
+            V = np.full(G.shape, np.nan, dtype=complex)
+            w[finite], V[finite] = np.linalg.eigh(G[finite])
+    ok = finite & ~(w.min(axis=-1) < -1e-12 * np.maximum(np.abs(w).max(axis=-1), 1.0))
+    return G, w, V, ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,26 +133,19 @@ class GramianBundle:
     def __post_init__(self):
         if not np.isfinite(self.G).all():
             raise NumericOverflowError(f"{self.mode} Gramian has non-finite entries")
-        if np.ndim(self.G) == 1:
-            G = np.asarray(self.G, dtype=float)
-            if np.shape(self.R) != G.shape:
-                raise ValueError("a 1-D Gramian needs a 1-D transition of the same length")
-            w, V = G, None
-        else:
-            G = _hermitize(np.asarray(self.G, dtype=complex))
-            w, V = np.linalg.eigh(G)
-        if w.min() < -1e-12 * max(np.abs(w).max(), 1.0):
+        per_mode = np.ndim(self.G) == 1
+        if per_mode and np.shape(self.R) != np.shape(self.G):
+            raise ValueError("a 1-D Gramian needs a 1-D transition of the same length")
+        G, w, V, ok = _decompose(np.asarray(self.G)[None], per_mode)
+        if not ok[0]:
             raise NumericOverflowError("Gramian has a significantly negative eigenvalue")
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=complex))
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", V)
+        _set(self, R=np.asarray(self.R, dtype=complex), G=G[0], eigenvalues=w[0],
+             eigenvectors=None if V is None else V[0])
 
     @property
     def kernel_mask(self) -> np.ndarray:
         """True at the eigenvalues that span ker G."""
-        w = self.eigenvalues
-        return w <= RANK_RTOL * max(w.max(), 0.0)
+        return _kernel_mask(self.eigenvalues)
 
     @property
     def kernel_dim(self) -> int:
@@ -115,6 +159,61 @@ class GramianBundle:
         P = np.zeros((self.G.size, modes.size), dtype=complex)
         P[modes, np.arange(modes.size)] = 1.0
         return P
+
+
+class _Stack:
+    """The bundles of one horizon stacked over periods: GramianBundle's fields
+    with a leading period axis (T and horizon hold one entry per period), and
+    RR = |R|^2 per mode, or R R*, which every margin of the horizon reuses."""
+
+    def __init__(self, mode: str, T: np.ndarray, horizon: np.ndarray, R: np.ndarray,
+                 G: np.ndarray, w: np.ndarray, V: np.ndarray | None, RR: np.ndarray | None = None):
+        if RR is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                RR = np.abs(R) ** 2 if V is None else R @ R.conj().mT
+        self.mode, self.T, self.horizon = mode, T, horizon
+        self.R, self.G, self.w, self.V, self.RR = R, G, w, V, RR
+
+    @classmethod
+    def of(cls, g: GramianBundle) -> _Stack:
+        V = None if g.eigenvectors is None else g.eigenvectors[None]
+        return cls(g.mode, np.array([g.T]), np.array([g.horizon]), g.R[None], g.G[None],
+                   g.eigenvalues[None], V)
+
+    def take(self, idx: np.ndarray) -> _Stack:
+        """The periods idx (sorted, distinct) of the stack; the stack itself for all of them."""
+        if idx.size == self.T.size:
+            return self
+        return _Stack(self.mode, self.T[idx], self.horizon[idx], self.R[idx], self.G[idx],
+                      self.w[idx], None if self.V is None else self.V[idx], self.RR[idx])
+
+    def margins(self, C: np.ndarray, delta: float) -> np.ndarray:
+        """lambda_max(R R* - C G - delta I) of each period, at its constant in C."""
+        if self.V is None:
+            return np.max(self.RR - C[:, None] * self.G - delta, axis=-1)
+        n = self.G.shape[-1]
+        M = _hermitize(self.RR - C[:, None, None] * self.G - delta * np.eye(n))
+        return np.linalg.eigvalsh(M).max(axis=-1)
+
+    def bundles(self, idx: np.ndarray) -> list[GramianBundle]:
+        """The bundles of periods idx, already decomposed: slices of copies that
+        hold only those periods."""
+        R, G, w = self.R[idx], self.G[idx], self.w[idx]
+        V = [None] * idx.size if self.V is None else self.V[idx]
+        out = []
+        for j, (T, horizon) in enumerate(zip(self.T[idx].tolist(), self.horizon[idx].tolist())):
+            g = object.__new__(GramianBundle)
+            _set(g, R=R[j], G=G[j], mode=self.mode, T=T, horizon=horizon, eigenvalues=w[j],
+                 eigenvectors=V[j])
+            out.append(g)
+        return out
+
+    def finite_transition(self) -> np.ndarray:
+        """False where |R|^2 overflows in some mode, or trace R R* (a bound on every entry) does."""
+        if self.V is None:
+            return np.isfinite(self.RR).all(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.isfinite(np.trace(self.RR, axis1=1, axis2=2).real)
 
 
 @dataclass(frozen=True)
@@ -165,27 +264,28 @@ class ObservabilityCertificate:
         return out
 
 
-def _walk(sys: ContinuousSystem | SpectralSystem, T: float):
-    """(R, G) at horizons k T, k = 1, 2, ...: G_{k+1} = G_k + R_k G_1 R_k*, R_{k+1} = R_k Phi.
+def _walk(Phi: np.ndarray, D: np.ndarray):
+    """(R, G) at horizons k T, k = 1, 2, ..., of stacked sampled pairs (Phi, D).
 
-    (Phi, D) is the sampled pair of linsys.sample, which validates T, and
-    G_1 = W_1* W_1 = D D*; the step adds W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.
-    A spectral system walks the 1-D diagonals of its 1-D pair, G_1 = |D|^2.
-    A step may overflow, silently, to inf or NaN entries: its bundle then fails.
+    G_{k+1} = G_k + R_k G_1 R_k*, R_{k+1} = R_k Phi, with G_1 = W_1* W_1 = D D*:
+    the step adds W_{k+1}* W_{k+1} = R_k W_1* W_1 R_k*.  Per-mode pairs ((P, n)
+    stacks) walk the diagonals, G_1 = |D|^2.  Send an index array to keep only
+    those periods from the next step on.  A step may overflow, silently, to inf
+    or NaN entries: its bundle then fails.
     """
-    pair = sample(sys, T)
-    Phi, D = pair.Phi, pair.D
-    spectral = Phi.ndim == 1
+    per_mode = Phi.ndim == 2
     with np.errstate(over="ignore", invalid="ignore"):
-        G_1 = np.abs(D) ** 2 if spectral else _hermitize(D @ D.conj().T)
+        G_1 = np.abs(D) ** 2 if per_mode else _hermitize(D @ D.conj().mT)
     R, G = Phi, G_1
     while True:
-        yield R, G
+        keep = yield R, G
+        if keep is not None:
+            Phi, G_1, R, G = Phi[keep], G_1[keep], R[keep], G[keep]
         with np.errstate(over="ignore", invalid="ignore"):
-            if spectral:
+            if per_mode:
                 G, R = G + np.abs(R) ** 2 * G_1, R * Phi
             else:
-                G, R = G + R @ G_1 @ R.conj().T, R @ Phi
+                G, R = G + R @ G_1 @ R.conj().mT, R @ Phi
 
 
 def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -> GramianBundle:
@@ -195,8 +295,9 @@ def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    R, G = next(islice(_walk(sys, T), N - 1, None))
-    return GramianBundle(R, G, "discrete", T, float(N))
+    pair = sample(sys, T)
+    R, G = next(islice(_walk(pair.Phi[None], pair.D[None]), N - 1, None))
+    return GramianBundle(R[0], G[0], "discrete", T, float(N))
 
 
 def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> GramianBundle:
@@ -234,16 +335,32 @@ def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityC
         raise ValueError("C must be >= 0")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    if g.G.ndim == 1:
-        margin = float(np.max(np.abs(g.R) ** 2 - C * g.G - delta))
-    else:
-        n = g.R.shape[0]
-        M = _hermitize(g.R @ g.R.conj().T - C * g.G - delta * np.eye(n))
-        margin = float(np.linalg.eigvalsh(M).max())
+    margin = float(_Stack.of(g).margins(np.array([C], dtype=float), delta)[0])
     return ObservabilityCertificate(
         mode=g.mode, T=g.T, N=g.horizon, C=float(C), delta=float(delta),
         margin=margin, feasible=margin <= PSD_TOL, kernel_dim=g.kernel_dim, bundle=g,
     )
+
+
+def _by_kernel_dim(dims: np.ndarray):
+    """(d, indices of the periods whose kernel dimension is d), for each d present."""
+    if (dims == dims[0]).all():
+        yield int(dims[0]), slice(None)
+        return
+    for d in np.unique(dims):
+        yield int(d), np.flatnonzero(dims == d)
+
+
+def _kernel_norms(s: _Stack, mask: np.ndarray) -> np.ndarray:
+    """min_delta_on_kernel of each period of s; mask is s's kernel mask."""
+    if s.V is None:
+        return np.max(s.RR, axis=-1, where=mask, initial=0.0)
+    out = np.zeros(len(s.w))
+    for d, idx in _by_kernel_dim(mask.sum(axis=-1)):
+        if d:
+            Y = s.V[idx, :, :d].conj().mT @ s.R[idx]
+            out[idx] = np.linalg.eigvalsh(_hermitize(Y @ Y.conj().mT)).max(axis=-1)
+    return out
 
 
 def min_delta_on_kernel(g: GramianBundle) -> float:
@@ -252,14 +369,11 @@ def min_delta_on_kernel(g: GramianBundle) -> float:
     This is the infimum of admissible delta in the C -> infinity limit: some
     (C, delta < 1) satisfies the inequality only if this value is < 1.
     """
-    if g.G.ndim == 1:
-        return float(np.max(np.abs(g.R[g.kernel_mask]) ** 2, initial=0.0))
-    Y = g.kernel_basis.conj().T @ g.R
-    return float(np.linalg.eigvalsh(_hermitize(Y @ Y.conj().T)).max(initial=0.0))
+    return float(_kernel_norms(_Stack.of(g), g.kernel_mask[None])[0])
 
 
-def _min_constant(g: GramianBundle, delta: float) -> float:
-    """Smallest C >= 0 with lambda_max(R R* - C G - delta I) <= 0.
+def _min_constants(s: _Stack, mask: np.ndarray, delta: float) -> np.ndarray:
+    """Smallest C >= 0 with lambda_max(R R* - C G - delta I) <= 0, per period of s.
 
     In the eigenbasis of G, kernel first and the range scaled by G_r^-1/2,
     M = R R* - delta I has blocks S (kernel), Q (range-kernel), P (range) and
@@ -268,104 +382,257 @@ def _min_constant(g: GramianBundle, delta: float) -> float:
     C_t = lambda_max(P - Q S^-1 Q*)_+, which needs S < 0, i.e.
     min_delta_on_kernel(g) < delta (the caller's guard), and is exact for a
     trivial kernel.  Otherwise N = 2 C_t B - M > 0 and the definite pencil
-    gives C_min = 2 C_t - 1 / lambda_max(N^-1 B) exactly.  Per mode of a
-    1-D bundle this is C_min = max over range modes of (|R|^2 - delta)_+ / G;
-    kernel modes need no C since |R|^2 < delta there.  A range eigenvalue so
-    small that the scaling overflows gives C = inf, which fails the caller's
-    ceiling.
+    gives C_min = 2 C_t - 1 / lambda_max(N^-1 B) exactly.  Per mode this is
+    C_min = max over range modes of (|R|^2 - delta)_+ / G; kernel modes need
+    no C since |R|^2 < delta there.  A range eigenvalue so small that the
+    scaling overflows gives C = inf, which fails the caller's ceiling.  The
+    kernel is the one block whose size varies between periods: the dense
+    steps run stacked over the periods of each kernel dimension.
     """
-    if g.G.ndim == 1:
-        r = ~g.kernel_mask
+    if s.V is None:
         with np.errstate(over="ignore"):
-            excess = np.maximum(np.abs(g.R[r]) ** 2 - delta, 0.0) / g.G[r]
-        return float(np.max(excess, initial=0.0))
-    d, w = g.kernel_dim, g.eigenvalues
-    X = g.eigenvectors.conj().T @ g.R
-    scale = np.concatenate([np.ones(d), 1.0 / np.sqrt(w[d:])])
+            excess = np.maximum(s.RR - delta, 0.0)
+            excess = np.divide(excess, s.G, out=np.zeros_like(s.G), where=~mask)
+        return excess.max(axis=-1, initial=0.0)
+    C = np.empty(len(s.w))
+    for d, idx in _by_kernel_dim(mask.sum(axis=-1)):
+        C[idx] = _dense_constants(s.R[idx], s.w[idx], s.V[idx], d, delta)
+    return C
+
+
+def _dense_constants(R, w, V, d: int, delta: float) -> np.ndarray:
+    """_min_constants of dense periods that share the kernel dimension d."""
+    n = w.shape[-1]
+    X = V.conj().mT @ R
+    scale = np.concatenate([np.ones((len(w), d)), 1.0 / np.sqrt(w[:, d:])], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _hermitize(X @ X.conj().T - delta * np.eye(w.size)) * np.outer(scale, scale)
-    if not np.isfinite(M).all():
-        return np.inf
-    H = M[d:, d:] - M[d:, :d] @ np.linalg.solve(M[:d, :d], M[:d, d:])
-    C = float(np.linalg.eigvalsh(_hermitize(H)).max(initial=0.0))
-    if d == 0 or C == 0.0:
-        return C
-    from scipy.linalg import eigh  # a non-trivial dense kernel only: slow to import
-    b = np.concatenate([np.maximum(w[:d], 0.0), np.ones(w.size - d)])
-    try:
-        mu = eigh(np.diag(b), 2.0 * C * np.diag(b) - M, eigvals_only=True)[-1]
-    except np.linalg.LinAlgError:
-        return C  # not numerically definite: keep the bound, which is re-checked
-    return max(2.0 * C - 1.0 / mu, 0.0)
+        M = (_hermitize(X @ X.conj().mT - delta * np.eye(n))
+             * (scale[:, :, None] * scale[:, None, :]))
+    C = np.full(len(w), np.inf)
+    fin = np.flatnonzero(np.isfinite(M).all(axis=(1, 2)))
+    M = M[fin]
+    H = M[:, d:, d:] - M[:, d:, :d] @ np.linalg.solve(M[:, :d, :d], M[:, :d, d:]) if d else M
+    C[fin] = C_t = np.linalg.eigvalsh(_hermitize(H)).max(axis=-1, initial=0.0)
+    pencil = np.flatnonzero(C_t != 0.0)
+    if d and pencil.size:
+        C[fin[pencil]] = _pencil_constants(M[pencil], w[fin[pencil], :d], C_t[pencil])
+    return C
 
 
-def _search_horizons(bundles, N_max: int, delta_target: float, exhausted: str,
-                     best_horizon) -> ObservabilityCertificate:
-    """Decide on the bundles of horizons k T, k = 1..N_max; return the first feasible certificate.
+def _pencil_constants(M, w_k, C_t) -> np.ndarray:
+    """max(2 C_t - 1 / lambda_max(N^-1 B), 0) per period, from scipy's generalized eigh.
 
-    Returns an infeasible certificate when every horizon carried a
-    norm-preserving kernel (a structural proof that no (C, delta<1) works at
-    the searched horizons), else raises SearchExhausted(exhausted).  C is
-    computed on, and nudged until check_inequality passes on, the bundle the
-    public Gramian function returns at that horizon; the certificate carries
-    that bundle.  From k = 2 on, the search stops before the first horizon
-    whose bundle raises NumericOverflowError or whose squared transition
-    overflows (|R|^2 per mode; trace R R* for a dense R, which bounds every
-    entry of R R*), and decides on the horizons before it: an infeasible
-    certificate then stands at the last finite one.
+    If LAPACK refuses a period's pencil as not numerically definite, that
+    period keeps its bound C_t, which the search re-checks.
     """
+    from scipy.linalg import eigh  # a non-trivial dense kernel only: slow to import
+    P, n = M.shape[:2]
+    diag = np.arange(n)
+    B = np.zeros((P, n, n))
+    B[:, diag, diag] = np.concatenate([np.maximum(w_k, 0.0), np.ones((P, n - w_k.shape[1]))],
+                                      axis=1)
+    N = (2.0 * C_t)[:, None, None] * B - M
+    solved = np.ones(P, dtype=bool)
+    try:
+        mu = eigh(B, N, eigvals_only=True)[:, -1]
+    except np.linalg.LinAlgError:  # retry one period at a time
+        mu = np.ones(P)
+        for j in range(P):
+            try:
+                mu[j] = eigh(B[j], N[j], eigvals_only=True)[-1]
+            except np.linalg.LinAlgError:
+                solved[j] = False
+    C = 2.0 * C_t - 1.0 / mu
+    return np.where(solved, np.where(C < 0.0, 0.0, C), C_t)
+
+
+def _lower(best: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """best[rows] = min(best[rows], values), keeping best where values is NaN."""
+    best[rows] = np.where(values < best[rows], values, best[rows])
+
+
+def _constants(s: _Stack, c: np.ndarray, mask: np.ndarray, delta: float):
+    """The smallest constants of the periods c of s, each nudged until its margin passes.
+
+    Returns (passed, C, margin) for the periods whose margin passes within
+    _NUDGES re-checks, and (failed, margin) for the others: the margin at
+    the ceiling where C exceeds it, else at the last re-check.
+    """
+    C = _min_constants(s.take(c), mask[c], delta)
+    over = ~(C <= _C_CEILING)
+    failed = [c[over]]
+    failed_margins = ([s.take(c[over]).margins(np.full(over.sum(), _C_CEILING), delta)]
+                      if over.any() else [])
+    j, C = c[~over], C[~over]
+    passed, passed_C, passed_margins = [], [], []
+    for i in range(_NUDGES):
+        margin = s.take(j).margins(C, delta)
+        ok = margin <= PSD_TOL
+        passed.append(j[ok])
+        passed_C.append(C[ok])
+        passed_margins.append(margin[ok])
+        j, C, margin = j[~ok], C[~ok], margin[~ok]
+        if not j.size:
+            break
+        C = C * (1.0 + np.finfo(float).eps * 4.0 ** i)
+    else:
+        failed.append(j)
+        failed_margins.append(margin)
+    return (np.concatenate(passed), np.concatenate(passed_C), np.concatenate(passed_margins),
+            np.concatenate(failed), np.concatenate(failed_margins or [np.zeros(0)]))
+
+
+def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
+            best_horizon) -> list:
+    """Decide P periods on the stacked bundles of horizons k = 1..N_max; one outcome per period.
+
+    horizons yields (ok, stack) per horizon over the periods still undecided,
+    and is sent the indices of those to keep.  A period's outcome is its
+    first feasible certificate: C computed on, and nudged until its margin
+    passes on, the bundle of that horizon, which the certificate carries.  An
+    infeasible certificate stands when every horizon carried a
+    norm-preserving kernel (a structural proof that no (C, delta<1) works at
+    the searched horizons); else the outcome is SearchExhausted(exhausted).
+    From k = 2 on, a period stops before the first horizon whose bundle failed
+    (ok False) or whose squared transition overflows, and is decided on the
+    horizons before it: an infeasible certificate then stands at the last
+    finite one.  At k = 1 the source raises the first period's failure itself.
+    """
+    best = np.full(P, np.inf)
+    worst, worst_dim = np.zeros(P), np.zeros(P, dtype=int)
+    blocked_all, seen = np.ones(P, dtype=bool), np.zeros(P, dtype=bool)
+    last_T, last_h = np.zeros(P), np.zeros(P)
+    found, mode = {}, None
+    rows, keep = np.arange(P), None
+    for _ in range(N_max):
+        ok, s = horizons.send(keep)
+        acc = np.flatnonzero((ok & s.finite_transition()) if s is not None else ok)
+        if not acc.size:
+            break
+        s = s.take(acc)
+        r, mode = rows[acc], s.mode
+        seen[r], last_T[r], last_h[r] = True, s.T, s.horizon
+        mask = _kernel_mask(s.w)
+        dims = mask.sum(axis=-1)
+        kn = _kernel_norms(s, mask)
+        up = kn > worst[r]
+        worst[r[up]], worst_dim[r[up]] = kn[up], dims[up]
+        blocked = kn >= 1.0 - KERNEL_ONE_TOL
+        blocked_all[r[~blocked]] = False
+        if blocked.any():
+            # No C can rescue a blocked horizon; record a margin data point.
+            b = np.flatnonzero(blocked)
+            _lower(best, r[b], s.take(b).margins(np.ones(b.size), delta))
+        slack = ~blocked & (kn >= delta)
+        if slack.any():
+            # Kernel slack already reaches the requested delta: C-search futile
+            # here, but a larger delta < 1 might work, so this is not proof.
+            _lower(best, r[slack], kn[slack] - delta)
+        c = np.flatnonzero(~blocked & (kn < delta))
+        if c.size:
+            passed, C, margin, failed, failed_margin = _constants(s, c, mask, delta)
+            _lower(best, r[failed], failed_margin)
+            for j, Cj, mj, g in zip(passed.tolist(), C.tolist(), margin.tolist(),
+                                    s.bundles(passed)):
+                found[int(r[j])] = ObservabilityCertificate(
+                    mode=g.mode, T=g.T, N=g.horizon, C=Cj, delta=float(delta), margin=mj,
+                    feasible=True, kernel_dim=int(dims[j]), kernel_norm=float(kn[j]), bundle=g)
+            keep = np.delete(acc, passed)
+        else:
+            keep = acc
+        rows = rows[keep]
+        del s  # before the next horizon is built
+        if not rows.size:
+            break
+    return [found[p] if p in found
+            else ObservabilityCertificate(
+                mode=mode, T=float(last_T[p]), N=float(last_h[p]), C=0.0, delta=delta,
+                margin=float(best[p]), feasible=False, kernel_dim=int(worst_dim[p]),
+                kernel_norm=float(worst[p]))
+            if blocked_all[p] and seen[p]
+            else SearchExhausted(exhausted, best_margin=float(best[p]), best_horizon=best_horizon)
+            for p in range(P)]
+
+
+def _check_search(N_max: int, delta_target: float) -> None:
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     if not (0 < delta_target < 1):
         raise ValueError("delta_target must lie in (0, 1)")
-    best_margin = np.inf
-    worst_kernel = 0.0
-    worst_dim = 0
-    all_blocked = True
-    last = None
-    bundles = iter(bundles)
-    for _ in range(N_max):
+
+
+def _discrete_horizons(sys: ContinuousSystem | SpectralSystem, periods: np.ndarray):
+    """Stacked discrete bundles of horizons k T, k = 1, 2, ..., over periods, for _search.
+
+    At k = 1 a period whose sampled pair or first bundle fails raises its own
+    error, as discrete_gramian(sys, T, 1) does; the earliest such period's.
+    """
+    Phi, D = sample_periods(sys, periods)
+    per_mode = Phi.ndim == 2
+    axes = tuple(range(1, Phi.ndim))
+    sampled = np.isfinite(Phi).all(axis=axes) & np.isfinite(D).all(axis=axes)
+    walk = _walk(Phi, D)
+    R, G = next(walk)
+    T = periods
+    for k in count(1):
+        G, w, V, ok = _decompose(G, per_mode)
+        if k == 1 and not (ok & sampled).all():
+            first = float(T[np.argmin(ok & sampled)])
+            discrete_gramian(sys, first, 1)  # raises that period's NumericOverflowError
+            raise AssertionError(f"stacked and one-period bundles disagree at T = {first!r}")
+        keep = yield ok, _Stack("discrete", T, np.full(T.size, float(k)), R, G, w, V)
+        if keep is not None:
+            T = T[keep]
+        R, G = walk.send(keep)
+
+
+def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
+    """continuous_gramian(sys, k T), k = 1, 2, ..., as one-period stacks for _search.
+
+    A bundle that overflows raises at k = 1 and stops the search later.
+    """
+    for k in count(1):
         try:
-            g = next(bundles)
+            g = continuous_gramian(sys, k * T)
         except NumericOverflowError:
-            if last is None:
+            if k == 1:
                 raise
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            RR = np.abs(g.R) ** 2 if g.R.ndim == 1 else np.vdot(g.R, g.R).real
-        if not np.isfinite(RR).all():
-            break
-        last = g
-        kn = min_delta_on_kernel(g)
-        if kn > worst_kernel:
-            worst_kernel, worst_dim = kn, g.kernel_dim
-        if kn >= 1.0 - KERNEL_ONE_TOL:
-            # No C can rescue this horizon; record a margin data point.
-            best_margin = min(best_margin, check_inequality(g, 1.0, delta_target).margin)
-            continue
-        all_blocked = False
-        if kn >= delta_target:
-            # Kernel slack already reaches the requested delta: C-search futile
-            # here, but a larger delta < 1 might work, so this is not proof.
-            best_margin = min(best_margin, kn - delta_target)
-            continue
-        C = _min_constant(g, delta_target)
-        if not C <= _C_CEILING:
-            best_margin = min(best_margin, check_inequality(g, _C_CEILING, delta_target).margin)
-            continue
-        for i in range(_NUDGES):
-            cert = check_inequality(g, C, delta_target)
-            if cert.feasible:
-                return replace(cert, kernel_norm=kn)
-            C *= 1.0 + np.finfo(float).eps * 4.0 ** i
-        best_margin = min(best_margin, cert.margin)
-    if all_blocked and last is not None:
-        return ObservabilityCertificate(
-            mode=last.mode, T=last.T, N=last.horizon, C=0.0, delta=delta_target,
-            margin=float(best_margin), feasible=False, kernel_dim=worst_dim,
-            kernel_norm=worst_kernel,
-        )
-    raise SearchExhausted(exhausted, best_margin=float(best_margin), best_horizon=best_horizon)
+            yield np.zeros(1, dtype=bool), None
+            return
+        yield np.ones(1, dtype=bool), _Stack.of(g)
+
+
+def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
+             delta_target: float = 0.9):
+    """decide_dc at every period of a 1-D grid: an iterator over the outcomes, in grid order.
+
+    Each outcome is the certificate decide_dc(sys, T, N_max, delta_target)
+    returns, or the SearchExhausted it raises.  The grid is decided chunk by
+    chunk, each chunk of at most _CHUNK_CELLS entries per stacked array by one
+    stacked search, so a certificate's bundle (its period's slice) lives only
+    as long as the caller keeps it.  A period whose first horizon overflows
+    raises its NumericOverflowError, as decide_dc does, and ends the iteration.
+    """
+    _check_search(N_max, delta_target)
+    periods = np.asarray(periods, dtype=float)
+    if periods.ndim != 1:
+        raise ValueError("periods must be a 1-D grid")
+    n = sys.state_dim
+    cells = n if isinstance(sys, SpectralSystem) else (n + sys.input_dim) ** 2
+    step = max(1, _CHUNK_CELLS // cells)
+    chunks = (periods[lo:lo + step] for lo in range(0, periods.size, step))
+    exhausted = (f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "
+                 "infeasibility not proven")
+    return chain.from_iterable(
+        _search(_discrete_horizons(sys, Ts), Ts.size, N_max, delta_target, exhausted, N_max)
+        for Ts in chunks)
+
+
+def _certificate(outcome) -> ObservabilityCertificate:
+    """The certificate of a search outcome; a SearchExhausted is raised."""
+    if isinstance(outcome, SearchExhausted):
+        raise outcome
+    return outcome
 
 
 def decide_dc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
@@ -378,24 +645,24 @@ def decide_dc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
     KERNEL_ONE_TOL of 1), returns an infeasible certificate: growing N or C
     provably cannot help at the searched horizons.  Otherwise a fruitless
     search raises SearchExhausted, which does not claim anything beyond the
-    horizon.
+    horizon.  The one-period slice of sweep_dc.
     """
-    return _search_horizons(
-        (GramianBundle(R, G, "discrete", T, float(k))
-         for k, (R, G) in enumerate(_walk(sys, T), start=1)), N_max, delta_target,
-        f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "
-        "infeasibility not proven", N_max)
+    [outcome] = sweep_dc(sys, [T], N_max, delta_target)
+    return _certificate(outcome)
 
 
 def decide_cc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
               delta_target: float = 0.9) -> ObservabilityCertificate:
     """Continuous-mode analogue of decide_dc over horizons T_h = k T, k <= N_max.
 
-    Every horizon is decided on continuous_gramian(sys, k T).
+    Every horizon is decided on continuous_gramian(sys, k T), by the search
+    of sweep_dc over one period.
     """
-    return _search_horizons(
-        (continuous_gramian(sys, k * T) for k in count(1)), N_max, delta_target,
+    _check_search(N_max, delta_target)
+    [outcome] = _search(
+        _continuous_horizons(sys, T), 1, N_max, delta_target,
         f"no feasible horizon k*T with k <= {N_max} at delta = {delta_target}", N_max * T)
+    return _certificate(outcome)
 
 
 def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:

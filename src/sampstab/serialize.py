@@ -99,6 +99,8 @@ def _scalar(o) -> str:
 
     Floats are their repr, or NaN / Infinity / -Infinity.
     """
+    if type(o) is float and o - o == 0.0:  # the common case first: a finite float
+        return float.__repr__(o)
     if o is None:
         return "null"
     if o is True:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from itertools import count
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import settings
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import expm
 
-from sampstab import (ContinuousSystem, GramianBundle, SampledSystem,
-                      SpectralSystem, check_inequality, min_delta_on_kernel,
-                      to_dense)
-from sampstab.obscheck import KERNEL_ONE_TOL
+from sampstab import (ContinuousSystem, GramianBundle, NumericOverflowError,
+                      ObservabilityCertificate, SampledSystem, SearchExhausted,
+                      SpectralSystem, check_inequality, continuous_gramian,
+                      min_delta_on_kernel, to_dense)
+from sampstab.linsys import _phi1
+from sampstab.obscheck import _C_CEILING, _NUDGES, KERNEL_ONE_TOL, PSD_TOL, RANK_RTOL
 from sampstab.serialize import entry_from_json
 
 # Every property test draws the same examples on every run.
@@ -277,6 +280,188 @@ def bisect_verdict(bundles, delta: float):
         if C is not None:
             return "feasible", g.horizon, C
     return ("blocked",) if blocked else ("exhausted",)
+
+
+def _herm(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
+def _oracle_pair(sys, T: float):
+    """Oracle: the sampled pair of one period, from its own 2-D block exponential."""
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if isinstance(sys, SpectralSystem):
+            Phi = np.exp(sys.symbol_values * T)
+            if not np.isfinite(Phi).all():
+                raise NumericOverflowError("semigroup produced non-finite entries")
+            D = _phi1(sys.symbol_values, T) * sys.control_mask
+        else:
+            n, m = sys.state_dim, sys.input_dim
+            aug = np.zeros((n + m, n + m), dtype=complex)
+            aug[:n, :n], aug[:n, n:] = sys.A, sys.B
+            top = expm(aug * T)[:n]
+            Phi, D = top[:, :n], top[:, n:]
+    if not (np.isfinite(Phi).all() and np.isfinite(D).all()):
+        raise NumericOverflowError("sampled pair produced non-finite entries")
+    return Phi, D
+
+
+def _oracle_decomposed(R, G, mode: str):
+    """Oracle: (R, G, w, V) of one bundle, checked and decomposed on its own."""
+    if not np.isfinite(G).all():
+        raise NumericOverflowError(f"{mode} Gramian has non-finite entries")
+    if G.ndim == 1:
+        G = np.asarray(G, dtype=float)
+        w, V = G, None
+    else:
+        G = _herm(np.asarray(G, dtype=complex))
+        w, V = np.linalg.eigh(G)
+    if w.min() < -1e-12 * max(np.abs(w).max(), 1.0):
+        raise NumericOverflowError("Gramian has a significantly negative eigenvalue")
+    return R, G, w, V
+
+
+def _oracle_margin(R, G, C: float, delta: float) -> float:
+    if G.ndim == 1:
+        return float(np.max(np.abs(R) ** 2 - C * G - delta))
+    M = _herm(R @ R.conj().T - C * G - delta * np.eye(R.shape[0]))
+    return float(np.linalg.eigvalsh(M).max())
+
+
+def _oracle_kernel(w) -> np.ndarray:
+    return w <= RANK_RTOL * max(w.max(), 0.0)
+
+
+def _oracle_kernel_norm(R, w, V) -> float:
+    kernel = _oracle_kernel(w)
+    if V is None:
+        return float(np.max(np.abs(R[kernel]) ** 2, initial=0.0))
+    Y = V[:, :np.count_nonzero(kernel)].conj().T @ R
+    return float(np.linalg.eigvalsh(_herm(Y @ Y.conj().T)).max(initial=0.0))
+
+
+def _oracle_min_constant(R, G, w, V, delta: float) -> float:
+    """Oracle: the closed-form smallest C of one bundle, one period at a time."""
+    kernel = _oracle_kernel(w)
+    if V is None:
+        r = ~kernel
+        with np.errstate(over="ignore"):
+            excess = np.maximum(np.abs(R[r]) ** 2 - delta, 0.0) / G[r]
+        return float(np.max(excess, initial=0.0))
+    d = int(np.count_nonzero(kernel))
+    X = V.conj().T @ R
+    scale = np.concatenate([np.ones(d), 1.0 / np.sqrt(w[d:])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _herm(X @ X.conj().T - delta * np.eye(w.size)) * np.outer(scale, scale)
+    if not np.isfinite(M).all():
+        return np.inf
+    H = M[d:, d:] - M[d:, :d] @ np.linalg.solve(M[:d, :d], M[:d, d:])
+    C = float(np.linalg.eigvalsh(_herm(H)).max(initial=0.0))
+    if d == 0 or C == 0.0:
+        return C
+    from scipy.linalg import eigh
+    b = np.concatenate([np.maximum(w[:d], 0.0), np.ones(w.size - d)])
+    try:
+        mu = eigh(np.diag(b), 2.0 * C * np.diag(b) - M, eigvals_only=True)[-1]
+    except np.linalg.LinAlgError:
+        return C
+    return max(2.0 * C - 1.0 / mu, 0.0)
+
+
+def search_oracle(bundles, mode: str, N_max: int, delta: float, exhausted: str,
+                  best_horizon):
+    """Oracle: one period's horizon search, the scalar loop the stacked search replaced.
+
+    bundles yields (R, G, w, V, T, horizon) per horizon and may raise
+    NumericOverflowError.  Returns the certificate or the SearchExhausted.
+    """
+    best_margin, worst_kernel, worst_dim = np.inf, 0.0, 0
+    all_blocked, last = True, None
+    bundles = iter(bundles)
+    for _ in range(N_max):
+        try:
+            R, G, w, V, T, horizon = g = next(bundles)
+        except NumericOverflowError:
+            if last is None:
+                raise
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            RR = np.abs(R) ** 2 if R.ndim == 1 else np.vdot(R, R).real
+        if not np.isfinite(RR).all():
+            break
+        last = g
+        dim = int(np.count_nonzero(_oracle_kernel(w)))
+        kn = _oracle_kernel_norm(R, w, V)
+        if kn > worst_kernel:
+            worst_kernel, worst_dim = kn, dim
+        if kn >= 1.0 - KERNEL_ONE_TOL:
+            best_margin = min(best_margin, _oracle_margin(R, G, 1.0, delta))
+            continue
+        all_blocked = False
+        if kn >= delta:
+            best_margin = min(best_margin, kn - delta)
+            continue
+        C = _oracle_min_constant(R, G, w, V, delta)
+        if not C <= _C_CEILING:
+            best_margin = min(best_margin, _oracle_margin(R, G, _C_CEILING, delta))
+            continue
+        for i in range(_NUDGES):
+            margin = _oracle_margin(R, G, C, delta)
+            if margin <= PSD_TOL:
+                return ObservabilityCertificate(
+                    mode=mode, T=T, N=horizon, C=float(C), delta=float(delta), margin=margin,
+                    feasible=True, kernel_dim=dim, kernel_norm=kn)
+            C *= 1.0 + np.finfo(float).eps * 4.0 ** i
+        best_margin = min(best_margin, margin)
+    if all_blocked and last is not None:
+        return ObservabilityCertificate(
+            mode=mode, T=last[4], N=last[5], C=0.0, delta=delta, margin=float(best_margin),
+            feasible=False, kernel_dim=worst_dim, kernel_norm=worst_kernel)
+    return SearchExhausted(exhausted, best_margin=float(best_margin), best_horizon=best_horizon)
+
+
+def decide_dc_oracle(sys, T: float, N_max: int = 16, delta: float = 0.9):
+    """Oracle: decide_dc at one period by the scalar walk and search; the certificate
+    or the SearchExhausted decide_dc raises.  Raises NumericOverflowError at k = 1."""
+    def bundles():
+        Phi, D = _oracle_pair(sys, T)
+        spectral = Phi.ndim == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            G_1 = np.abs(D) ** 2 if spectral else _herm(D @ D.conj().T)
+        R, G = Phi, G_1
+        for k in count(1):
+            yield (*_oracle_decomposed(R, G, "discrete"), T, float(k))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if spectral:
+                    G, R = G + np.abs(R) ** 2 * G_1, R * Phi
+                else:
+                    G, R = G + R @ G_1 @ R.conj().T, R @ Phi
+
+    return search_oracle(bundles(), "discrete", N_max, delta,
+                         f"no feasible (N, C) with N <= {N_max} at delta = {delta}; "
+                         "infeasibility not proven", N_max)
+
+
+def decide_cc_oracle(sys, T: float, N_max: int = 16, delta: float = 0.9):
+    """Oracle: decide_cc by the scalar search on continuous_gramian at every horizon."""
+    def bundles():
+        for k in count(1):
+            g = continuous_gramian(sys, k * T)
+            yield g.R, g.G, g.eigenvalues, g.eigenvectors, g.T, g.horizon
+
+    return search_oracle(bundles(), "continuous", N_max, delta,
+                         f"no feasible horizon k*T with k <= {N_max} at delta = {delta}",
+                         N_max * T)
+
+
+def outcome_fields(outcome) -> tuple:
+    """A search outcome as the exact text of every field a report or sweep row shows."""
+    if isinstance(outcome, SearchExhausted):
+        return ("search-exhausted", str(outcome), repr(outcome.best_margin),
+                repr(outcome.best_horizon))
+    return ("feasible" if outcome.feasible else "infeasible", outcome.mode, repr(outcome.T),
+            repr(outcome.N), repr(outcome.C), repr(outcome.delta), repr(outcome.margin),
+            outcome.kernel_dim, repr(outcome.kernel_norm))
 
 
 def gramian_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:

@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import sampstab as st
-from sampstab import closedloop, obscheck
+from sampstab import cli, closedloop, linsys, obscheck
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
+
+from conftest import decide_dc_oracle, random_mixed_system
 
 
 def read_report(out_dir):
@@ -438,6 +440,77 @@ class TestSweep:
     def test_bad_spec(self, tmp_path):
         assert main(["sweep", "--example", "oscillator", "--sweep", "nope",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc,spec,N_max,delta,statuses", [
+        # Exactly pi and 2 pi: every horizon is blocked by the kernel.
+        (None, "3.141592653589793:6.283185307179586:3.141592653589793", 8, 0.9,
+         {"infeasible"}),
+        ({"A": [[-0.001]], "B": [[0.0]]}, "0.5:3:0.5", 2, 0.5, {"search-exhausted"}),
+        # |R|^2 = exp(600 k T) overflows from k T > 1.183 on: at k = 2 for
+        # T = 1.0 and at k = 6 for T = 0.2; each period stops at its own horizon.
+        ({"A": [[300.0]], "B": [[0.0]]}, "0.1:1.1:0.1", 8, 0.9, {"infeasible"}),
+        (None, "1.5707963267948966:9.42477796076938:1.5707963267948966", 8, 0.9,
+         {"feasible", "infeasible"}),
+    ])
+    def test_rows_are_the_oracles_bytes(self, tmp_path, doc, spec, N_max, delta, statuses):
+        if doc is None:
+            system, source = st.harmonic_oscillator(), ["--example", "oscillator"]
+        else:
+            (tmp_path / "sys.json").write_text(json.dumps(doc))
+            system, source = st.load_system(tmp_path / "sys.json"), [
+                "--system", str(tmp_path / "sys.json")]
+        code, err = run_quietly(["sweep", "--sweep", spec, *source, "--N-max", str(N_max),
+                                 "--delta", str(delta), "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        cols = ["T", "status", "feasible", "N", "C", "delta", "margin", "kernel_dim"]
+        rows = []
+        for T in cli._parse_sweep(spec):
+            outcome = decide_dc_oracle(system, T, N_max, delta)
+            if isinstance(outcome, st.SearchExhausted):
+                rows.append({"T": T, "status": "search-exhausted"})
+            else:
+                rows.append({"T": T, "status": "feasible" if outcome.feasible else "infeasible",
+                             **outcome.to_json()})
+        csv = "".join(",".join(str(row.get(c, "")) for c in cols) + "\n" for row in rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == (",".join(cols) + "\n" + csv).encode()
+        assert read_report(tmp_path)["results"]["rows"] == json.loads(json.dumps(rows))
+        assert {row["status"] for row in rows} == statuses
+        if doc == {"A": [[300.0]], "B": [[0.0]]}:
+            assert [row["N"] for row in rows] == [8.0, 5.0, 3.0, 2.0, 2.0] + [1.0] * 6
+
+    def test_first_horizon_overflow_is_numeric_failure(self, tmp_path):
+        # exp(300 T) overflows the sampled pair of the third period, T = 2.5.
+        (tmp_path / "sys.json").write_text(json.dumps({"A": [[300.0]], "B": [[0.0]]}))
+        code, err = run_quietly(["sweep", "--sweep", "0.5:3:1", "--system",
+                                 str(tmp_path / "sys.json"), "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert err == ["numeric failure: sampled pair produced non-finite entries"]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("cells,chunks", [(None, 1), (9 * 7, 3), (1, 20)])
+    def test_one_stacked_exponential_per_chunk(self, tmp_path, monkeypatch, cells, chunks):
+        # A dense n = 2, m = 1 system takes (n + m)^2 = 9 entries per period.
+        sys = random_mixed_system(4, n=2, m=1)
+        (tmp_path / "sys.json").write_text(json.dumps(st.system_to_json(sys)))
+        calls = []
+        expm = linsys.expm
+
+        def counted(M):
+            calls.append(M.shape)
+            return expm(M)
+
+        def per_period(*args, **kwargs):
+            raise AssertionError("sweep decided a period on its own")
+
+        monkeypatch.setattr(linsys, "expm", counted)
+        monkeypatch.setattr(obscheck, "decide_dc", per_period)
+        if cells is not None:
+            monkeypatch.setattr(obscheck, "_CHUNK_CELLS", cells)
+        code, err = run_quietly(["sweep", "--sweep", "0.5:10:0.5", "--system",
+                                 str(tmp_path / "sys.json"), "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        assert len(calls) == chunks and sum(shape[0] for shape in calls) == 20
+        assert read_report(tmp_path)["results"]["grid_size"] == 20
 
 
 class TestWitness:

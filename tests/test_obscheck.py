@@ -16,9 +16,10 @@ from sampstab import obscheck
 from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
-from conftest import (bisect_verdict, brute_force_oracle, gramian_quadratic_form,
-                      random_mixed_system, random_neutral_system, random_stable_system,
-                      random_unit_states, scratch_bundle, transition_quadratic_form)
+from conftest import (bisect_verdict, brute_force_oracle, decide_cc_oracle, decide_dc_oracle,
+                      gramian_quadratic_form, outcome_fields, random_mixed_system,
+                      random_neutral_system, random_stable_system, random_unit_states,
+                      scratch_bundle, transition_quadratic_form)
 
 OSC = st.harmonic_oscillator()
 
@@ -254,10 +255,10 @@ class TestHorizonWalk:
         # Discrete horizons come from the walk, continuous ones from
         # continuous_gramian at each horizon, as decide_dc and decide_cc take them.
         sys = WALK_SYSTEMS[name]
-        walk = obscheck._walk(sys, 0.4)
+        walk = obscheck._walk(*st.sample_periods(sys, [0.4]))
         for N in range(1, 17):
             if mode == "discrete":
-                R, G = next(walk)
+                R, G = (stack[0] for stack in next(walk))
             else:
                 g = st.continuous_gramian(sys, 0.4 * N)
                 R, G = g.R, g.G
@@ -282,28 +283,37 @@ class TestHorizonWalk:
             assert np.linalg.norm(G - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
     def test_public_gramians_are_the_walk(self):
-        sys = WALK_SYSTEMS["dense-mixed"]
-        for N, (R, G) in enumerate(islice(obscheck._walk(sys, 0.4), 5), start=1):
-            g = st.discrete_gramian(sys, 0.4, N)
-            assert np.array_equal(g.R, R) and np.array_equal(g.G, 0.5 * (G + G.conj().T))
-            assert (g.T, g.horizon) == (0.4, float(N))
+        # Each is its period's slice of the walk stacked over a grid.
+        periods = [0.4, 1.3, 0.05]
+        for sys in WALK_SYSTEMS.values():
+            walk = obscheck._walk(*st.sample_periods(sys, periods))
+            for N, (R, G) in enumerate(islice(walk, 5), start=1):
+                for p, T in enumerate(periods):
+                    g = st.discrete_gramian(sys, T, N)
+                    G_p = G[p] if G.ndim == 2 else 0.5 * (G[p] + G[p].conj().T)
+                    assert np.array_equal(g.R, R[p]) and np.array_equal(g.G, G_p)
+                    assert (g.T, g.horizon) == (T, float(N))
 
     @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
     def test_first_step_is_the_sampled_pair(self, name, monkeypatch):
         sys = WALK_SYSTEMS[name]
-        pairs = []
+        Phi, D = st.sample_periods(sys, [0.4, 1.3])
+        for p, T in enumerate([0.4, 1.3]):
+            pair = st.sample(sys, T)
+            assert np.array_equal(pair.Phi, Phi[p]) and np.array_equal(pair.D, D[p])
+        R, G = next(obscheck._walk(Phi, D))
+        G_1 = np.abs(D) ** 2 if D.ndim == 2 else st.linsys._hermitize(D @ D.conj().mT)
+        assert np.array_equal(R, Phi) and np.array_equal(G, G_1)
+        # A sweep takes every pair of its grid from one stacked sampling.
+        calls = []
 
         def recorded(*args):
-            pairs.append(st.sample(*args))
-            return pairs[-1]
+            calls.append(args[1].tolist())
+            return st.sample_periods(*args)
 
-        monkeypatch.setattr(obscheck, "sample", recorded)
-        R, G = next(obscheck._walk(sys, 0.4))
-        [pair] = pairs
-        assert pair.T == 0.4 and np.array_equal(R, pair.Phi)
-        D = pair.D
-        G_1 = np.abs(D) ** 2 if D.ndim == 1 else st.linsys._hermitize(D @ D.conj().T)
-        assert np.array_equal(G, G_1)
+        monkeypatch.setattr(obscheck, "sample_periods", recorded)
+        assert len(list(obscheck.sweep_dc(sys, [0.4, 1.3], N_max=3))) == 2
+        assert calls == [[0.4, 1.3]]
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
@@ -463,6 +473,175 @@ class TestDenseEqualsSpectral:
         assert peak < 100e6
         assert dc.feasible and dc.N == 1 and abs(dc.C - 2.19782) <= 1e-5
         assert cc.feasible and cc.N == 1 and abs(cc.C - 2.0313) <= 1e-4
+
+
+SWEEP_SYSTEMS = {
+    "oscillator": OSC,
+    "mixed": random_mixed_system(5),
+    # Rank-one Gramians at N = 1: a two-dimensional dense kernel, and the
+    # generalized eigenvalue step of the closed-form constant.
+    "thin-stable": random_stable_system(3, n=3, m=1),
+    "thin-mixed": random_mixed_system(8, n=3, m=1),
+    "frac-heat": st.fractional_heat(12, 1.5, 1.0, mask=np.array([1.0, 0.0, 0.5] * 4)),
+    "schrodinger": st.SpectralSystem(np.linspace(0.0, 3.0, 10), schrodinger_symbol(),
+                                     np.array([1.0, 1.0, 0.0, 0.3, 1.0] * 2)),
+    "dense-heat": st.to_dense(st.fractional_heat(6, 1.5, 1.0,
+                                                 mask=np.array([1.0, 0, 1, 1, 0, 1]))),
+}
+
+
+def period_cells(sys) -> int:
+    """Entries per period of the largest stacked array of a sweep."""
+    n = sys.state_dim
+    return n if isinstance(sys, st.SpectralSystem) else (n + sys.input_dim) ** 2
+
+
+def swept(sys, periods, N_max, delta):
+    return [outcome_fields(o) for o in st.sweep_dc(sys, periods, N_max, delta)]
+
+
+class TestSweep:
+    """sweep_dc decides a grid in stacked chunks, period by period as the scalar search did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=hs.sampled_from(sorted(SWEEP_SYSTEMS)),
+           periods=hs.lists(hs.one_of(hs.floats(0.02, 8.0),
+                                      hs.sampled_from([np.pi, 2 * np.pi, 3.1415, 1.0])),
+                            min_size=1, max_size=12),
+           N_max=hs.integers(1, 8), delta=hs.sampled_from([0.3, 0.5, 0.9]))
+    def test_every_period_is_the_oracle_bit_for_bit(self, name, periods, N_max, delta):
+        sys = SWEEP_SYSTEMS[name]
+        want = [outcome_fields(decide_dc_oracle(sys, T, N_max, delta)) for T in periods]
+        default = obscheck._CHUNK_CELLS
+        for cells in (1, 7, 7 * period_cells(sys), default):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(obscheck, "_CHUNK_CELLS", cells)
+                assert swept(sys, periods, N_max, delta) == want, cells
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
+    def test_decide_dc_and_decide_cc_are_the_oracle(self, name):
+        sys = SWEEP_SYSTEMS[name]
+        for T in (0.3, 1.7, np.pi):
+            assert outcome_fields(decide_dc_oracle(sys, T, 6)) == outcome_fields(
+                _decided(sys, T, 6, "discrete", 0.9)[1])
+            assert outcome_fields(decide_cc_oracle(sys, T, 6)) == outcome_fields(
+                _decided(sys, T, 6, "continuous", 0.9)[1])
+
+    def test_kernel_blocked_exhausted_and_feasible_in_one_grid(self):
+        periods = [1.0, np.pi, 2 * np.pi, 3.1415]
+        got = swept(OSC, periods, 8, 0.9)
+        assert [row[0] for row in got] == ["feasible", "infeasible", "infeasible", "feasible"]
+        assert got == [outcome_fields(decide_dc_oracle(OSC, T, 8)) for T in periods]
+        slow = scalar_system(-0.001, 0.0)
+        assert {row[0] for row in swept(slow, [0.5, 1.0, 2.0], 2, 0.5)} == {"search-exhausted"}
+
+    def test_overflow_stops_each_period_at_its_own_horizon(self):
+        # |R|^2 = exp(600 k T) overflows from k T > 1.183 on: at k = 2, 3, 4, 6
+        # here, each period decided on the horizons before its stop.
+        sys, periods = scalar_system(300.0, 0.0), [1.0, 0.5, 0.3, 0.2, 0.1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = list(st.sweep_dc(sys, periods, N_max=16))
+        assert [o.N for o in got] == [1.0, 2.0, 3.0, 5.0, 11.0]
+        assert [outcome_fields(o) for o in got] == [
+            outcome_fields(decide_dc_oracle(sys, T, 16)) for T in periods]
+
+    def test_first_horizon_overflow_raises_the_first_periods_error(self):
+        # exp(300 T) overflows the sampled pair from T = 2.37 on; the grid's
+        # earlier periods do not excuse it.
+        sys = scalar_system(300.0, 0.0)
+        with pytest.raises(st.NumericOverflowError, match="sampled pair"):
+            list(st.sweep_dc(sys, [0.5, 2.5, 0.7]))
+        with pytest.raises(st.NumericOverflowError, match="sampled pair"):
+            decide_dc_oracle(sys, 2.5)
+        # |D|^2 overflows the first Gramian at T = 0.5; the pair itself at T = 2.5.
+        huge = st.ContinuousSystem([[300.0]], [[1e140]])
+        for grid, message in (([0.01, 0.5, 2.5], "discrete Gramian has non-finite"),
+                              ([0.01, 2.5, 0.5], "sampled pair")):
+            with pytest.raises(st.NumericOverflowError, match=message):
+                list(st.sweep_dc(huge, grid))
+            with pytest.raises(st.NumericOverflowError, match=message):
+                [decide_dc_oracle(huge, T) for T in grid]
+
+    @pytest.mark.parametrize("fail", ["batch", "all"])
+    def test_a_refused_pencil_keeps_the_bound_per_period(self, fail, monkeypatch):
+        import scipy.linalg
+        eigh = scipy.linalg.eigh
+
+        def refusing(a, b=None, **kwargs):
+            if fail == "all" or np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("not definite")
+            return eigh(a, b, **kwargs)
+
+        sys, periods = SWEEP_SYSTEMS["thin-stable"], np.linspace(0.2, 6.0, 12).tolist()
+        want = [outcome_fields(decide_dc_oracle(sys, T, 6)) for T in periods]
+        monkeypatch.setattr(scipy.linalg, "eigh", refusing)
+        if fail == "all":
+            want = [outcome_fields(decide_dc_oracle(sys, T, 6)) for T in periods]
+        assert swept(sys, periods, 6, 0.9) == want
+
+    def test_nudges_are_the_oracles(self, monkeypatch):
+        # A constant a little below the smallest fails its first re-check; the
+        # nudges then raise it by 4**i ulps at a time until the margin passes.
+        import conftest
+        real, oracle = obscheck._min_constants, conftest._oracle_min_constant
+        shrink = 1.0 - 1e-9
+        periods = [0.3, 0.9, 1.7, 2.9]
+        for name in ("mixed", "thin-stable", "frac-heat"):
+            sys = SWEEP_SYSTEMS[name]
+            exact = swept(sys, periods, 6, 0.9)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(obscheck, "_min_constants", lambda *a: real(*a) * shrink)
+                mp.setattr(conftest, "_oracle_min_constant", lambda *a: oracle(*a) * shrink)
+                nudged = swept(sys, periods, 6, 0.9)
+                assert nudged == [outcome_fields(decide_dc_oracle(sys, T, 6)) for T in periods]
+            assert [row[4] for row in nudged] != [row[4] for row in exact]
+
+    def test_certificates_carry_their_periods_slice(self):
+        sys = SWEEP_SYSTEMS["mixed"]
+        periods = [0.3, 0.9, 1.7]
+        for T, cert in zip(periods, st.sweep_dc(sys, periods, N_max=8)):
+            public = st.discrete_gramian(sys, T, int(cert.N))
+            g = cert.bundle
+            assert (g.T, g.horizon, g.mode) == (T, cert.N, "discrete")
+            assert np.array_equal(g.G, public.G) and np.array_equal(g.R, public.R)
+            assert np.array_equal(g.eigenvalues, public.eigenvalues)
+            assert st.check_inequality(g, cert.C, cert.delta).margin == cert.margin
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # An oscillator period takes 9 entries per stacked array and about
+        # 2 kB while its chunk is alive: 250-period chunks hold the peak well
+        # under what one 2000-period chunk would take.
+        import scipy.linalg  # noqa: F401  (its import is not the sweep's memory)
+        grid = np.arange(1, 2001) * 0.005
+        monkeypatch.setattr(obscheck, "_CHUNK_CELLS", 9 * 250)
+        tracemalloc.start()
+        try:
+            assert sum(cert.feasible for cert in st.sweep_dc(OSC, grid, 8)) > 1900
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    def test_sweeps_1e5_modes_in_little_memory(self):
+        heat = st.fractional_heat(10 ** 5, 1.5, 1.0)
+        tracemalloc.start()
+        try:
+            certs = [cert.to_json() for cert in st.sweep_dc(heat, [0.5, 1.0, 1.5, 2.0])]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert certs[1] == st.decide_dc(heat, 1.0).to_json()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="N_max"):
+            st.sweep_dc(OSC, [1.0], N_max=0)
+        with pytest.raises(ValueError, match="1-D"):
+            st.sweep_dc(OSC, 1.0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            list(st.sweep_dc(OSC, [1.0, -1.0]))
+        assert list(st.sweep_dc(OSC, [])) == []
 
 
 class TestBruteForceAgreement:

@@ -95,6 +95,10 @@ def test_import_loads_no_scipy(package):
     "simulate --example frac-heat --modes 8 --T 1 --horizon 4 --loop dp",
     "simulate --example schrodinger --modes 8 --T 1 --horizon 4 --loop cc",
     "witness --T 1 --N 2 --epsilon 0.01 --support-points 64",
+    # A stacked sweep of a spectral system: its generalized eigenvalue step
+    # serves only a non-trivial dense kernel.
+    "sweep --example frac-heat --modes 64 --sweep 0.5:2:0.5",
+    "sweep --example schrodinger --modes 16 --sweep 0.5:2:0.5",
 ])
 def test_spectral_commands_leave_scipy_linalg_unloaded(argv, tmp_path):
     # The report reads scipy's version, so the bare package may be loaded.
