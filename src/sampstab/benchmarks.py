@@ -92,19 +92,21 @@ ThicknessResult = namedtuple("ThicknessResult", ["thick", "gamma_measured"])
 
 
 def is_thick(spec: ThickSetSpec, L: float) -> ThicknessResult:
-    """Sliding-window minimum relative measure over the truncated domain.
+    """Exact minimum relative measure of a window of length L over the truncated domain.
 
-    Window positions are sampled at resolution L/100; the set is thick for
-    window length L iff the minimum relative measure reaches the claimed gamma.
+    The measure inside [x, x + L] is piecewise linear in x, with kinks where
+    an interval end a or b meets either window edge, so its minimum over
+    [0, span] lies in {0, span} or at an end a, b, a - L or b - L inside it.
+    The set is thick for window length L iff that minimum reaches the claimed gamma.
     """
     if not 0 < L <= spec.domain_length:
         raise ValueError("window length must satisfy 0 < L <= domain_length")
     span = spec.domain_length - L
-    n_pos = max(int(round(span / (L / 100.0))) + 1, 1)
-    positions = np.linspace(0.0, span, n_pos)
-    gamma_measured = min(spec.measure_in(x, x + L) / L for x in positions)
+    kinks = (x for iv in spec.intervals for end in iv for x in (end, end - L))
+    positions = {0.0, span, *(x for x in kinks if 0.0 <= x <= span)}
+    gamma_measured = min(spec.measure_in(x, x + L) for x in positions) / L
     return ThicknessResult(thick=gamma_measured >= spec.gamma - 1e-12,
-                           gamma_measured=float(gamma_measured))
+                           gamma_measured=gamma_measured)
 
 
 def fractional_heat(n_modes: int, s: float, c: float,

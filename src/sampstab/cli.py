@@ -3,8 +3,9 @@
 Reports are deterministic JSON (sorted keys, no timestamps): the same
 configuration and seed produce byte-identical files.  Wall time goes to
 stdout only.  Exit codes: 0 success, 2 configuration error (a bad system
-definition or an out-of-range argument: every ValueError), 3 feasibility
-search exhausted, 4 numeric failure.
+definition, an out-of-range argument or a file that cannot be read or
+written: every ValueError and OSError), 3 feasibility search exhausted,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,98 +30,81 @@ EXIT_CONFIG = 2
 EXIT_EXHAUSTED = 3
 EXIT_NUMERIC = 4
 
+# The built-in systems, by name, from the spectral options.
+_EXAMPLES = {
+    "oscillator": lambda args: benchmarks.harmonic_oscillator(),
+    "frac-heat": lambda args: benchmarks.fractional_heat(args.modes, args.s, args.c,
+                                                         xi_max=args.xi_max),
+    "schrodinger": lambda args: benchmarks.schrodinger(args.modes, args.xi_max),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option shared by several subcommands is declared once, in a parent parser."""
+    spectral = argparse.ArgumentParser(add_help=False)
+    spectral.add_argument("--modes", type=int, default=64,
+                          help="truncation size for spectral benchmarks")
+    spectral.add_argument("--xi-max", type=float, default=4.0,
+                          help="frequency extent for spectral benchmarks")
+    spectral.add_argument("--s", type=float, default=1.5, help="diffusion exponent for frac-heat")
+    spectral.add_argument("--c", type=float, default=1.0, help="instability shift for frac-heat")
+    source = argparse.ArgumentParser(add_help=False, parents=[spectral])
+    g = source.add_mutually_exclusive_group(required=True)
+    g.add_argument("--system", metavar="FILE", help="system definition JSON")
+    g.add_argument("--example", choices=list(_EXAMPLES), help="built-in benchmark system")
+    period = argparse.ArgumentParser(add_help=False)
+    period.add_argument("--T", type=float, required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=".", help="output directory")
+    output.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
+
     p = argparse.ArgumentParser(
         prog="sampstab",
         description="Stabilizability analysis under periodic sampled observation.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, system=True):
-        if system:
-            g = sp.add_mutually_exclusive_group(required=True)
-            g.add_argument("--system", metavar="FILE", help="system definition JSON")
-            g.add_argument("--example", choices=["oscillator", "frac-heat", "schrodinger"],
-                           help="built-in benchmark system")
-            sp.add_argument("--modes", type=int, default=64,
-                            help="truncation size for spectral benchmarks")
-            sp.add_argument("--xi-max", type=float, default=4.0,
-                            help="frequency extent for spectral benchmarks")
-            sp.add_argument("--s", type=float, default=1.5,
-                            help="diffusion exponent for frac-heat")
-            sp.add_argument("--c", type=float, default=1.0,
-                            help="instability shift for frac-heat")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized cross-checks")
+    def command(name, summary, *parents):
+        return sub.add_parser(name, help=summary, parents=[*parents, output])
 
-    sp = sub.add_parser("analyze", help="decide the observability inequalities at a period")
-    common(sp)
-    sp.add_argument("--T", type=float, required=True)
+    sp = command("analyze", "decide the observability inequalities at a period", source, period)
     sp.add_argument("--N-max", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.9)
     sp.add_argument("--brute-samples", type=int, default=2000,
                     help="random states for the certificate cross-check")
 
-    sp = sub.add_parser("synthesize", help="sampled LQ gain via the Riccati kernel")
-    common(sp)
-    sp.add_argument("--T", type=float, required=True)
+    sp = command("synthesize", "sampled LQ gain via the Riccati kernel", source, period)
     sp.add_argument("--tol", type=float, default=lqsynth.DEFAULT_TOL)
     sp.add_argument("--max-iter", type=int, default=lqsynth.DEFAULT_MAX_ITER,
                     help="cap on Riccati doublings")
 
-    sp = sub.add_parser("simulate", help="closed-loop trajectory with a synthesized gain")
-    common(sp)
-    sp.add_argument("--T", type=float, required=True)
+    sp = command("simulate", "closed-loop trajectory with a synthesized gain", source, period)
     sp.add_argument("--loop", choices=["dc", "cc", "dp", "cp"], default="dc")
     sp.add_argument("--horizon", type=float, required=True)
     sp.add_argument("--steps-per-period", type=int, default=16)
     sp.add_argument("--y0", help="initial state JSON list (default: normalized ones)")
 
-    sp = sub.add_parser("sweep", help="feasibility verdicts over a grid of periods")
-    common(sp)
+    sp = command("sweep", "feasibility verdicts over a grid of periods", source)
     sp.add_argument("--sweep", required=True, metavar="LO:HI:STEP")
     sp.add_argument("--N-max", type=int, default=8)
     sp.add_argument("--delta", type=float, default=0.9)
 
-    sp = sub.add_parser("witness", help="sampled-observability counterexample state")
-    common(sp, system=False)
-    sp.add_argument("--T", type=float, required=True)
+    sp = command("witness", "sampled-observability counterexample state", period)
     sp.add_argument("--N", type=int, default=2)
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--support-points", type=int, default=512,
-                    help="grid points across the witness support")
+                    help="grid points strictly inside the witness support")
 
-    sp = sub.add_parser("example", help="write a benchmark system definition to JSON")
-    common(sp, system=False)
-    sp.add_argument("name", choices=["oscillator", "frac-heat", "schrodinger"])
-    sp.add_argument("--modes", type=int, default=64)
-    sp.add_argument("--xi-max", type=float, default=4.0)
-    sp.add_argument("--s", type=float, default=1.5)
-    sp.add_argument("--c", type=float, default=1.0)
+    sp = command("example", "write a benchmark system definition to JSON", spectral)
+    sp.add_argument("name", choices=list(_EXAMPLES))
     return p
 
 
 def _resolve_system(args):
-    if getattr(args, "system", None):
-        path = Path(args.system)
-        if not path.exists():
-            raise ValueError(f"system file not found: {path}")
-        return linsys.load_system(path)
-    name = getattr(args, "example", None) or getattr(args, "name", None)
-    if name == "oscillator":
-        return benchmarks.harmonic_oscillator()
-    if name == "frac-heat":
-        return benchmarks.fractional_heat(args.modes, args.s, args.c, xi_max=args.xi_max)
-    if name == "schrodinger":
-        return benchmarks.schrodinger(args.modes, args.xi_max)
-    raise ValueError("no system specified")
-
-
-def _config_echo(args) -> dict:
-    skip = {"command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    """The system of the --system file, else of the named example."""
+    if getattr(args, "system", None) is not None:
+        return linsys.load_system(args.system)
+    return _EXAMPLES[args.name if args.command == "example" else args.example](args)
 
 
 def _backend() -> str:
@@ -130,24 +114,24 @@ def _backend() -> str:
     return f"numpy {np.__version__}, scipy {scipy.__version__}, expm=pade-scaling-squaring"
 
 
-def _report(args, results: dict) -> dict:
-    return {
-        "schema": 1,
-        "command": args.command,
-        "config": _config_echo(args),
-        "library_version": __version__,
-        "backend": _backend(),
-        "seed": getattr(args, "seed", 0),
-        "results": results,
-    }
-
-
-def _write_report(args, results: dict) -> Path:
+def _out_path(args, name: str) -> Path:
+    """The path of output file `name`, once the --out directory exists."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    dump_json(_report(args, results), path)
-    return path
+    return out_dir / name
+
+
+def _write_report(args, results: dict) -> None:
+    report = {
+        "schema": 1,
+        "command": args.command,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
+        "library_version": __version__,
+        "backend": _backend(),
+        "seed": args.seed,
+        "results": results,
+    }
+    dump_json(report, _out_path(args, "report.json"))
 
 
 def _default_y0(n: int) -> np.ndarray:
@@ -254,9 +238,7 @@ def cmd_simulate(args) -> int:
     # The trajectory keeps its norms: the fit, the CSV and the ratio share one computation.
     omega, c = closedloop.fit_decay(traj)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    closedloop.trajectory_to_csv(traj, out_dir / "trajectory.csv", header={
+    closedloop.trajectory_to_csv(traj, _out_path(args, "trajectory.csv"), header={
         "system_hash": closedloop.system_hash(system),
         "law": args.loop,
         "T": args.T,
@@ -304,10 +286,8 @@ def cmd_sweep(args) -> int:
     outcomes = map(_entry, obscheck.sweep_dc(system, grid, args.N_max, args.delta))
     rows = [{"T": T, "status": entry["status"], **entry.get("certificate", {})}
             for T, entry in zip(grid, outcomes)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cols = ["T", "status", "feasible", "N", "C", "delta", "margin", "kernel_dim"]
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
+    with open(_out_path(args, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
@@ -318,21 +298,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# Ceiling on witness grid points (80 MB per float array); --epsilon 1e-8 needs 7.4M.
+# Ceiling on --support-points: 80 MB per float array of the witness grid.
 _MAX_WITNESS_POINTS = 10 ** 7
 
 
 def _witness_grid(lo: float, hi: float, support_points: int) -> np.ndarray:
-    """Uniform grid over [0, 1.02 hi] with support_points spacings across (lo, hi)."""
-    if support_points < 1:
-        raise ValueError("--support-points must be >= 1")
-    spacing = (hi - lo) / support_points
-    points = 1.02 * hi / spacing if spacing > 0 else math.inf
-    if points + 1 > _MAX_WITNESS_POINTS:
-        raise ValueError(f"witness grid needs {points + 1:.3g} points, over the "
-                         f"ceiling of {_MAX_WITNESS_POINTS:.0e}; raise --epsilon "
-                         "or lower --T or --support-points")
-    return np.linspace(0.0, 1.02 * hi, int(math.ceil(points)) + 1)
+    """Uniform grid over the band [lo, hi] with support_points points strictly inside."""
+    if not 1 <= support_points <= _MAX_WITNESS_POINTS:
+        raise ValueError(f"--support-points must lie in [1, {_MAX_WITNESS_POINTS:.0e}]")
+    return np.linspace(lo, hi, support_points + 2)
 
 
 def cmd_witness(args) -> int:
@@ -352,9 +326,7 @@ def cmd_witness(args) -> int:
 
 def cmd_example(args) -> int:
     system = _resolve_system(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{args.name}.json"
+    path = _out_path(args, f"{args.name}.json")
     dump_json(linsys.system_to_json(system), path)
     print(f"wrote {path}")
     return EXIT_OK
@@ -376,7 +348,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
-    except (GridTooCoarse, ValueError) as exc:
+    except (GridTooCoarse, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SearchExhausted as exc:

@@ -239,6 +239,14 @@ def witness_observed_loop(grid: np.ndarray, phi: np.ndarray, T: float, N: int) -
     return total
 
 
+def witness_grid_padded(lo: float, hi: float, support_points: int) -> np.ndarray:
+    """Oracle: a witness grid padded out to [0, 1.02 hi], with support_points
+    spacings across the band (lo, hi).  The state is zero on every point
+    outside the band."""
+    spacing = (hi - lo) / support_points
+    return np.linspace(0.0, 1.02 * hi, int(math.ceil(1.02 * hi / spacing)) + 1)
+
+
 def bisect_constant(g: GramianBundle, delta: float, steps: int = 60,
                     doublings: int = 60) -> float | None:
     """Oracle: smallest C with check_inequality(g, C, delta) feasible.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -190,6 +192,16 @@ class TestWitness:
         assert_allclose(total, ref, rtol=1e-10)
 
 
+@hs.composite
+def thick_sets(draw):
+    """(spec, L): up to six disjoint intervals in a domain, and a window length."""
+    length = draw(hs.floats(0.5, 20.0))
+    ends = sorted(draw(hs.lists(hs.floats(0.0, length), min_size=2, max_size=12, unique=True)))
+    ends = ends[:len(ends) // 2 * 2]
+    spec = st.ThickSetSpec(tuple(zip(ends[::2], ends[1::2])), length, 0.5)
+    return spec, length * draw(hs.floats(0.01, 1.0))
+
+
 class TestThickness:
     def test_whole_domain(self):
         spec = st.ThickSetSpec(intervals=((0.0, 10.0),), domain_length=10.0, gamma=1.0)
@@ -221,6 +233,25 @@ class TestThickness:
             sum(max(0.0, min(b, x + L) - max(a, x)) for a, b in ivs) / L for x in xs
         )
         assert abs(res.gamma_measured - direct) <= 2e-3
+
+    def test_empty_window_between_samples_is_found(self):
+        # [0.503, 1.503] holds no part of the set; window starts L/100 apart skipped it.
+        spec = st.ThickSetSpec(((0.0, 0.503), (1.503, 2.0)), 2.0, 0.002)
+        res = st.is_thick(spec, 1.0)
+        assert res.thick is False
+        assert 0.0 <= res.gamma_measured <= 1e-15
+
+    @given(case=thick_sets())
+    def test_exact_minimum_against_enumeration(self, case):
+        spec, L = case
+        res = st.is_thick(spec, L)
+        assert type(res.thick) is bool and type(res.gamma_measured) is float
+        span = spec.domain_length - L
+        enumerated = min(spec.measure_in(x, x + L) for x in np.linspace(0.0, span, 2001)) / L
+        # The measure moves at most |dx| as the window slides, so the nearest
+        # of the enumerated starts reads at most half a step above the minimum.
+        assert res.gamma_measured <= enumerated + 1e-12
+        assert enumerated - res.gamma_measured <= span / 4000 / L + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,11 @@ from hypothesis import strategies as hs
 
 import sampstab as st
 from sampstab import cli, closedloop, linsys, obscheck
+from sampstab.benchmarks import _trapezoid_weights, _witness_observed
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
 
-from conftest import decide_dc_oracle, random_mixed_system
+from conftest import decide_dc_oracle, random_mixed_system, witness_grid_padded
 
 
 def read_report(out_dir):
@@ -211,10 +212,10 @@ class TestAnalyze:
     "simulate --example oscillator --T 3.141592653589793 --horizon 1",
     "analyze --example oscillator --T 1 --brute-samples 0",
     "analyze --example oscillator --T 1 --brute-samples -1",
-    # Witness grids of 7.4e9 and 7.4e17 points are refused before allocating.
-    "witness --T 1e6 --N 2 --epsilon 0.01",
+    # A band narrower than the float spacing, and --support-points outside [1, 1e7].
     "witness --T 1 --N 2 --epsilon 1e-30",
     "witness --T 1 --support-points 0",
+    "witness --T 1 --support-points 10000001",
     # Simulation grids of 4.8e17 and 4.8e10 cells are refused before the Riccati solve.
     "simulate --example oscillator --T 1 --horizon 1e16",
     "simulate --example oscillator --T 1 --horizon 1e9",
@@ -530,6 +531,42 @@ class TestWitness:
                      "--support-points", "8", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        # Padded out to [0, 1.02 hi], these grids needed 7.4e9 and 7.4e6 points.
+        "--T 1e6 --N 2 --epsilon 0.01",
+        "--T 1 --N 2 --epsilon 1e-8",
+    ])
+    def test_narrow_band_builds_on_the_band_grid(self, tmp_path, argv):
+        code, err = run_quietly(["witness", *argv.split(), "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        results = read_report(tmp_path)["results"]
+        lo, hi = results["witness"]["support"]
+        # At T = 1e6 one float spacing of hi is 1.3e-6 of the grid spacing.
+        assert results["witness"]["grid_spacing"] == pytest.approx((hi - lo) / 513, rel=1e-5)
+        assert abs(results["state_norm"] - 1.0) <= 1e-12
+
+
+def _quadrature_estimate(wit) -> float:
+    """|observed - observed on every other grid point|, the witness's own error estimate."""
+    coarse, phi = wit.grid[::2], wit.phi[::2]
+    phi = phi / math.sqrt(float(np.sum(_trapezoid_weights(coarse) * np.abs(phi) ** 2)))
+    return abs(wit.observed - _witness_observed(coarse, phi, wit.T, wit.N))
+
+
+@given(T=hs.floats(0.05, 5.0), N=hs.integers(1, 8), epsilon=hs.floats(1e-3, 0.3),
+       support_points=hs.integers(40, 1024))
+def test_band_grid_matches_the_padded_oracle(T, N, epsilon, support_points):
+    _, lo, hi = st.witness_band(T, N, epsilon)
+    band = st.schrodinger_witness(T, N, epsilon, cli._witness_grid(lo, hi, support_points))
+    padded = st.schrodinger_witness(T, N, epsilon, witness_grid_padded(lo, hi, support_points))
+    assert (band.bound, band.eta, band.support) == (padded.bound, padded.eta, padded.support)
+    assert abs(band.norm() - 1.0) <= 1e-12
+    assert band.grid_spacing == pytest.approx((hi - lo) / (support_points + 1), rel=1e-9)
+    # Each estimate can vanish where its coarse and fine sums cross by chance;
+    # the larger of the two bounds the distance between the grids.
+    slack = 2.0 * max(_quadrature_estimate(band), _quadrature_estimate(padded))
+    assert abs(band.observed - padded.observed) <= slack + 1e-12 * padded.observed
+
 
 class TestExample:
     @pytest.mark.parametrize("name", ["oscillator", "frac-heat", "schrodinger"])
@@ -538,6 +575,67 @@ class TestExample:
         assert code == EXIT_OK
         sys_back = st.load_system(tmp_path / f"{name}.json")
         assert sys_back.state_dim >= 1
+
+
+_SPECTRAL = {"modes": 64, "xi_max": 4.0, "s": 1.5, "c": 1.0}
+_OUTPUT = {"out": ".", "seed": 0}
+
+
+# A minimal argv of every subcommand, and the vars(args) it parses to.
+_MINIMAL_ARGS = {
+    "analyze --example oscillator --T 1": {
+        "command": "analyze", "system": None, "example": "oscillator", "T": 1.0,
+        "N_max": 16, "delta": 0.9, "brute_samples": 2000, **_SPECTRAL, **_OUTPUT},
+    "analyze --system f.json --T 1": {
+        "command": "analyze", "system": "f.json", "example": None, "T": 1.0,
+        "N_max": 16, "delta": 0.9, "brute_samples": 2000, **_SPECTRAL, **_OUTPUT},
+    "synthesize --example frac-heat --T 1": {
+        "command": "synthesize", "system": None, "example": "frac-heat", "T": 1.0,
+        "tol": 1e-12, "max_iter": 64, **_SPECTRAL, **_OUTPUT},
+    "simulate --example oscillator --T 1 --horizon 2": {
+        "command": "simulate", "system": None, "example": "oscillator", "T": 1.0,
+        "loop": "dc", "horizon": 2.0, "steps_per_period": 16, "y0": None,
+        **_SPECTRAL, **_OUTPUT},
+    "sweep --example oscillator --sweep 1:2:1": {
+        "command": "sweep", "system": None, "example": "oscillator", "sweep": "1:2:1",
+        "N_max": 8, "delta": 0.9, **_SPECTRAL, **_OUTPUT},
+    "witness --T 1": {
+        "command": "witness", "T": 1.0, "N": 2, "epsilon": 0.01, "support_points": 512,
+        **_OUTPUT},
+    "example schrodinger": {"command": "example", "name": "schrodinger", **_SPECTRAL, **_OUTPUT},
+}
+
+
+@pytest.mark.parametrize("argv", list(_MINIMAL_ARGS))
+def test_parser_keeps_every_dest_and_default(argv):
+    # report.json echoes vars(args): a dest or default that moves changes its bytes.
+    assert vars(cli._build_parser().parse_args(argv.split())) == _MINIMAL_ARGS[argv]
+
+
+_SOURCED = ["analyze --T 1", "synthesize --T 1", "simulate --T 1 --horizon 2",
+            "sweep --sweep 1:2:1"]
+
+
+@pytest.mark.parametrize("command", _SOURCED)
+@pytest.mark.parametrize("case", ["directory", "missing", "non-utf8"])
+def test_unreadable_system_file_is_config_error(tmp_path, command, case):
+    (tmp_path / "non-utf8").write_bytes(b'{"A": [[\xff]]}')
+    path = {"directory": tmp_path, "missing": tmp_path / "missing.json",
+            "non-utf8": tmp_path / "non-utf8"}[case]
+    code, err = run_quietly([*command.split(), "--system", str(path),
+                             "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [f"{c} --example oscillator" for c in _SOURCED]
+                         + ["witness --T 1", "example oscillator"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unwritable_output_is_config_error(tmp_path, command, out):
+    (tmp_path / "file").write_text("")
+    code, err = run_quietly([*command.split(), "--out", str(tmp_path / out)])
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
