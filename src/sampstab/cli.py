@@ -5,12 +5,13 @@ configuration and seed produce byte-identical files.  Wall time goes to
 stdout only.  Exit codes: 0 success, 2 configuration error (a bad system
 definition, an out-of-range argument or a file that cannot be read or
 written: every ValueError and OSError), 3 feasibility search exhausted,
-4 numeric failure.
+4 numeric failure (numpy's LinAlgError included, though it is a ValueError).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -30,6 +31,8 @@ EXIT_CONFIG = 2
 EXIT_EXHAUSTED = 3
 EXIT_NUMERIC = 4
 
+REPORT_SCHEMA = 2  # report.json layout: 2 writes a spectral K, F and closed loop per mode
+
 # The built-in systems, by name, from the spectral options.
 _EXAMPLES = {
     "oscillator": lambda args: benchmarks.harmonic_oscillator(),
@@ -39,8 +42,9 @@ _EXAMPLES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Each option shared by several subcommands is declared once, in a parent parser."""
+    """Built once per process; each shared option is declared once, in a parent parser."""
     spectral = argparse.ArgumentParser(add_help=False)
     spectral.add_argument("--modes", type=int, default=64,
                           help="truncation size for spectral benchmarks")
@@ -123,7 +127,7 @@ def _out_path(args, name: str) -> Path:
 
 def _write_report(args, results: dict) -> None:
     report = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
         "library_version": __version__,
@@ -348,16 +352,16 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
+    except (NumericOverflowError, RiccatiDivergenceError, SpectralRadiusError,
+            np.linalg.LinAlgError) as exc:
+        print(f"numeric failure: {exc}", file=_sys.stderr)
+        return EXIT_NUMERIC
     except (GridTooCoarse, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=_sys.stderr)
         return EXIT_EXHAUSTED
-    except (NumericOverflowError, RiccatiDivergenceError, SpectralRadiusError,
-            np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=_sys.stderr)
-        return EXIT_NUMERIC
     print(f"wall time: {time.perf_counter() - start:.3f} s")
     return code
 

@@ -18,7 +18,7 @@ A diagonal pair (1-D Phi and D, sampled from a spectral system) decouples
 into scalar problems, solved per mode in closed form: with phi, d the mode's
 entries, k is the positive root of |d|^2 k^2 + (1 - |phi|^2 - |d|^2) k - 1 = 0,
 f = -conj(d) k phi / (1 + |d|^2 k), and the kernel, gain and closed loop are
-1-D arrays of per-mode entries.  Their JSON forms stay n x n matrices.
+1-D arrays of per-mode entries; each is written to JSON as n [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class RiccatiSolution:
 
     def to_json(self) -> dict:
         return {
-            "K": matrix_to_json(_as_matrix(self.K)),
+            "K": matrix_to_json(self.K),
             "residual": self.residual,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -75,15 +75,10 @@ class FeedbackGain:
 
     def to_json(self) -> dict:
         return {
-            "F": matrix_to_json(_as_matrix(self.F)),
-            "closed_loop": matrix_to_json(_as_matrix(self.closed_loop)),
+            "F": matrix_to_json(self.F),
+            "closed_loop": matrix_to_json(self.closed_loop),
             "spectral_radius": self.spectral_radius,
         }
-
-
-def _as_matrix(m: np.ndarray) -> np.ndarray:
-    """The n x n matrix of a per-mode diagonal; a matrix as it is."""
-    return np.diag(m) if m.ndim == 1 else m
 
 
 def _value_step(K: np.ndarray, Phi: np.ndarray, D: np.ndarray) -> np.ndarray:

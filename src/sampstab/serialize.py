@@ -1,4 +1,4 @@
-"""JSON helpers: matrices are row-major nested lists, complex entries [re, im].
+"""JSON helpers: arrays are row-major nested lists, complex entries [re, im].
 
 ``dump_json`` streams its document to the file with the exact bytes of
 ``json.dump(obj, fh, indent=2, sort_keys=True)`` plus a trailing newline.
@@ -19,7 +19,8 @@ _INDENT = "  "
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    """Any shape as nested lists of [re, im] pairs: a per-mode vector is one list."""
+    m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()
 
 
@@ -155,7 +156,7 @@ def _write(write, o, level: int) -> None:
 
 
 def _pair_row(row, level: int) -> str | None:
-    """The text of a list of [float, float] pairs (one matrix row), else None.
+    """The text of a list of [float, float] pairs (a matrix row or mode list), else None.
 
     The floats' reprs are interleaved with the two separators of this depth:
     ",\\n" inside a pair and "\\n],\\n[\\n" between pairs.

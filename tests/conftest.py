@@ -504,9 +504,11 @@ def json_dump_oracle(obj) -> str:
 
 
 def matrix_to_json_loop(m) -> list:
-    """Oracle: matrix_to_json as a per-entry [re, im] comprehension."""
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+    """Oracle: matrix_to_json as a per-entry [re, im] recursion over any shape."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 0:
+        return [complex(m).real, complex(m).imag]
+    return [matrix_to_json_loop(sub) for sub in m]
 
 
 def matrix_from_json_loop(obj) -> np.ndarray:

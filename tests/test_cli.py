@@ -40,6 +40,17 @@ def run_quietly(argv):
     return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
+def fresh_stdout(code: str) -> list[str]:
+    """stdout lines of code run by a fresh interpreter with the package on its path."""
+    src = Path(st.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def analyze_document(doc, out_dir, *extra):
     """Run analyze --T 1 on a --system document written to out_dir."""
     path = Path(out_dir) / "sys.json"
@@ -56,7 +67,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "(DC)_T: feasible" in out
         report = read_report(tmp_path)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["results"]["discrete"]["status"] == "feasible"
         assert report["results"]["discrete"]["brute_force"]["contradicts"] is False
 
@@ -329,6 +340,8 @@ class TestSynthesize:
         return spectral, dense
 
     def test_spectral_report_matches_its_dense_form(self, tmp_path):
+        # The spectral report lists the dense form's diagonals, and the dense
+        # form has nothing off its diagonal that the lists would drop.
         doc = st.system_to_json(st.fractional_heat(24, 1.5, 1.0, mask=[1.0, 0.3] * 12))
         reports = []
         for path in self._both_forms(doc, tmp_path):
@@ -339,11 +352,74 @@ class TestSynthesize:
         spectral, dense = reports
         for block, key in (("riccati", "K"), ("gain", "F"), ("gain", "closed_loop")):
             got, want = np.array(spectral[block][key]), np.array(dense[block][key])
-            assert got.shape == want.shape == (24, 24, 2), key
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
+            assert got.shape == (24, 2) and want.shape == (24, 24, 2), key
+            diagonal = want[np.arange(24), np.arange(24)]
+            scale = np.abs(want).max()
+            assert np.abs(got - diagonal).max() <= 1e-12 * scale, key
+            off = want.copy()
+            off[np.arange(24), np.arange(24)] = 0.0
+            assert np.abs(off).max() <= 1e-12 * scale, key
         assert spectral["riccati"]["iterations"] == 0
         assert abs(spectral["gain"]["spectral_radius"]
                    - dense["gain"]["spectral_radius"]) <= 1e-12
+
+    def test_spectral_report_round_trips_the_per_mode_arrays(self, tmp_path):
+        assert main(["synthesize", "--example", "frac-heat", "--modes", "40", "--T", "1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        results = read_report(tmp_path)["results"]
+        pair = st.sample(st.fractional_heat(40, 1.5, 1.0, xi_max=4.0), 1.0)
+        sol = st.riccati_solve(pair)
+        gain = st.feedback_gain(sol, pair)
+        for got, want in ((results["riccati"]["K"], sol.K), (results["gain"]["F"], gain.F),
+                          (results["gain"]["closed_loop"], gain.closed_loop)):
+            got = np.array(got, dtype=float)
+            assert got.shape == (40, 2)
+            assert got.view(complex).ravel().tobytes() == want.astype(complex).tobytes()
+
+    def test_dense_report_keeps_its_matrices(self, tmp_path):
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(st.system_to_json(st.to_dense(
+            st.fractional_heat(6, 1.5, 1.0, xi_max=4.0)))))
+        assert main(["synthesize", "--system", str(path), "--T", "1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        results = read_report(tmp_path)["results"]
+        for M in (results["riccati"]["K"], results["gain"]["F"],
+                  results["gain"]["closed_loop"]):
+            assert np.array(M).shape == (6, 6, 2)
+
+    @staticmethod
+    def _fresh_frac_heat(modes: int, out: Path) -> int:
+        """Peak RSS in KiB of synthesize frac-heat in a fresh interpreter.
+
+        O(n^2) lists of K, F and the closed loop took 525 MiB at n = 1024, so
+        the child's address space is capped 512 MiB above its size after import.
+        """
+        argv = ["synthesize", "--example", "frac-heat", "--modes", str(modes), "--T", "1",
+                "--out", str(out)]
+        code = ("import resource; from sampstab.cli import main\n"
+                "vm = next(int(line.split()[1]) for line in open('/proc/self/status') "
+                "if line.startswith('VmSize:'))\n"
+                "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (512 << 20), "
+                "resource.RLIM_INFINITY))\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        return int(fresh_stdout(code)[-1])
+
+    def test_report_bytes_are_linear_in_the_modes(self, tmp_path):
+        size = {}
+        for n in (1024, 2048):
+            self._fresh_frac_heat(n, tmp_path / str(n))
+            size[n] = (tmp_path / str(n) / "report.json").stat().st_size
+        assert size[2048] <= 2.05 * size[1024]
+
+    def test_4096_modes_in_a_fresh_interpreter_stay_small(self, tmp_path):
+        assert self._fresh_frac_heat(4096, tmp_path) < 150 * 1024
+
+    def test_1e5_modes_run(self, tmp_path):
+        code, err = run_quietly(["synthesize", "--example", "frac-heat", "--modes", "100000",
+                                 "--T", "1", "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        assert len(read_report(tmp_path)["results"]["gain"]["F"]) == 100000
 
     @pytest.mark.parametrize("doc", [
         # The unstable mode xi = 0 is masked out.
@@ -612,6 +688,36 @@ def test_parser_keeps_every_dest_and_default(argv):
     assert vars(cli._build_parser().parse_args(argv.split())) == _MINIMAL_ARGS[argv]
 
 
+def test_a_reused_parser_writes_the_reports_of_fresh_ones(tmp_path):
+    # The parser is built once per process: a command parsed after others
+    # must echo the configuration that a process parsing only it echoes.
+    assert cli._build_parser() is cli._build_parser()
+    commands = ["synthesize --example frac-heat --modes 8 --T 1 --tol 1e-9",
+                "simulate --example frac-heat --T 1 --horizon 2 --loop dp",
+                "analyze --example oscillator --T 1 --seed 3",
+                "sweep --example oscillator --sweep 1:2:0.5"]
+    argvs = [[*c.split(), "--out", str(tmp_path / str(i))] for i, c in enumerate(commands)]
+    fresh = []
+    for argv in argvs:
+        fresh_stdout(f"from sampstab.cli import main; assert main({argv!r}) == 0")
+        fresh.append((Path(argv[-1]) / "report.json").read_bytes())
+    for argv, want in zip(argvs, fresh):
+        assert run_quietly(argv) == (EXIT_OK, [])
+        assert (Path(argv[-1]) / "report.json").read_bytes() == want, argv[0]
+
+
+def test_linear_algebra_failure_is_numeric_failure(tmp_path, monkeypatch):
+    # numpy's LinAlgError is a ValueError; it must not read as a bad input.
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(obscheck, "decide_dc", fail)
+    code, err = run_quietly(["analyze", "--example", "oscillator", "--T", "1",
+                             "--out", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert len(err) == 1 and err[0].startswith("numeric failure: ")
+
+
 _SOURCED = ["analyze --T 1", "synthesize --T 1", "simulate --T 1 --horizon 2",
             "sweep --sweep 1:2:1"]
 
@@ -642,11 +748,5 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     # No module of the package imports it (det_lambda's quadrature oracle
     # lives with the tests); loading it would add about half to every call's
     # start-up.
-    src = Path(st.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = "import sys, sampstab.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert fresh_stdout(code) == ["False"]

@@ -240,15 +240,22 @@ class TestPerMode:
         assert sol.K.max() < 1e12 < sol.K.sum()
         assert not sol.converged
 
-    def test_report_matrices_are_square(self):
-        pair = st.SampledSystem(self.MODES[:, 0], self.MODES[:, 1], 1.0)
-        sol = st.riccati_solve(pair)
-        gain = st.feedback_gain(sol, pair)
-        assert np.array(sol.to_json()["K"]).shape == (5, 5, 2)
-        for key in ("F", "closed_loop"):
-            M = np.array(gain.to_json()[key])
-            assert M.shape == (5, 5, 2)
-            assert_allclose(M[..., 0] + 1j * M[..., 1], np.diag(getattr(gain, key)))
+    def test_report_lists_are_the_per_mode_arrays(self):
+        # A diagonal pair reports n [re, im] pairs per array, bit for bit; a
+        # dense pair keeps its n x n matrices.
+        modes = st.SampledSystem(self.MODES[:, 0], self.MODES[:, 1], 1.0)
+        dense = st.SampledSystem(np.diag(modes.Phi), np.diag(modes.D), 1.0)
+        for pair, shape in ((modes, (5, 2)), (dense, (5, 5, 2))):
+            sol = st.riccati_solve(pair)
+            gain = st.feedback_gain(sol, pair)
+            for key, got, want in (("K", sol.to_json()["K"], sol.K),
+                                   ("F", gain.to_json()["F"], gain.F),
+                                   ("closed_loop", gain.to_json()["closed_loop"],
+                                    gain.closed_loop)):
+                got = np.array(got, dtype=float)
+                assert got.shape == shape, key
+                assert (got.view(complex)[..., 0].tobytes()
+                        == np.asarray(want, dtype=complex).tobytes()), key
 
     def test_synthesizes_1e5_modes_in_little_memory(self):
         # The dense n x n kernel alone would take 160 GB.

@@ -84,12 +84,20 @@ def test_near_pairs_take_the_general_path(near, out_path):
     np.array([[1 + 2j, -0.0 - 0.0j], [np.nan + 1j, complex(np.inf, -np.inf)]]),
     np.arange(6.0).reshape(2, 3),
     np.array([1 - 1j, 5e-324j, -1.8e308]),
+    np.arange(24.0).reshape(2, 3, 4) * (1 - 2j),
     3.5 - 0.0j,
 ])
 def test_matrix_to_json_is_the_entry_loop(m):
+    # Any shape: a 1-D per-mode array is one list of n pairs, a scalar one pair.
     got, want = matrix_to_json(m), matrix_to_json_loop(m)
     assert json.dumps(got) == json.dumps(want)
-    assert all(type(x) is float for row in got for pair in row for x in pair)
+    assert np.shape(got) == np.shape(m) + (2,)
+    assert all(type(x) is float for x in leaves(got))
+
+
+def leaves(obj):
+    """The numbers of a nested list, depth first."""
+    return [x for item in obj for x in leaves(item)] if isinstance(obj, list) else [obj]
 
 
 # JSON numbers as json.loads gives them: floats, NaN and the infinities, and
