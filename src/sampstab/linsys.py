@@ -345,8 +345,8 @@ def system_to_json(sys: ContinuousSystem | SpectralSystem) -> dict:
         if not sys.symbol_spec:
             raise ValueError("spectral system with anonymous symbol is not serializable")
         out = dict(sys.symbol_spec)
-        out["modes"] = [float(x) for x in sys.modes]
-        out["mask"] = [float(x) for x in sys.control_mask]
+        out["modes"] = sys.modes.tolist()
+        out["mask"] = sys.control_mask.tolist()
         return out
     return {"A": matrix_to_json(sys.A), "B": matrix_to_json(sys.B)}
 

@@ -671,26 +671,22 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
     Eigenvalue pairs qualify when their real parts agree within
     1e-9 * (1 + |lam|) and their imaginary parts differ.  Sorted, deduplicated.
     """
-    if not T_max > 0:
-        raise ValueError("T_max must be > 0")
+    if not 0 < T_max < math.inf:
+        raise ValueError("T_max must be finite and > 0")
     lam = np.linalg.eigvals(np.asarray(A, dtype=complex))
-    periods: list[float] = []
-    for i in range(lam.size):
-        for j in range(i + 1, lam.size):
-            scale = 1.0 + max(abs(lam[i]), abs(lam[j]))
-            if abs(lam[i].real - lam[j].real) > 1e-9 * scale:
-                continue
-            gap = abs(lam[i].imag - lam[j].imag)
-            if gap <= 1e-9 * scale:
-                continue
-            base = 2.0 * np.pi / gap
-            k = 1
-            while k * base <= T_max * (1 + 1e-12):
-                periods.append(k * base)
-                k += 1
-    periods.sort()
+    i, j = np.triu_indices(lam.size, 1)
+    scale = 1.0 + np.maximum(np.abs(lam[i]), np.abs(lam[j]))
+    gap = np.abs(lam[i].imag - lam[j].imag)
+    base = 2.0 * np.pi / gap[(np.abs(lam[i].real - lam[j].real) <= 1e-9 * scale)
+                             & (gap > 1e-9 * scale)]
+    # The multiples k base <= limit, compared as the float products k * base:
+    # k = 1 .. floor(limit / base) + 1 includes every k that passes.
+    limit = T_max * (1 + 1e-12)
+    counts = np.floor(limit / base).astype(int) + 1
+    k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    periods = k * np.repeat(base, counts)
     out: list[float] = []
-    for p in periods:
+    for p in np.sort(periods[periods <= limit]).tolist():
         if not out or p - out[-1] > 1e-9 * (1.0 + p):
             out.append(p)
     return out

@@ -16,6 +16,8 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 _INDENT = "  "
+# The least integer magnitude that float() rounds past the largest float.
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -24,68 +26,52 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _real(x) -> float:
-    """A JSON number as a float; booleans, strings and containers are errors."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"expected a number, got {x!r}")
+def _floats(xs: list) -> np.ndarray:
+    """A list of JSON numbers as a float array, in one conversion.
+
+    Booleans, strings and containers are refused by type: numpy would
+    convert them silently.
+    """
+    if not set(map(type, xs)) <= {float, int}:
+        bad = next(x for x in xs if type(x) not in (float, int))
+        raise ValueError(f"expected a number, got {bad!r}")
     try:
-        return float(x)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"number out of float range: {x}") from exc
+        return np.array(xs, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        bad = next(x for x in xs if type(x) is int and abs(x) >= _FLOAT_LIMIT)
+        raise ValueError(f"number out of float range: {bad}") from None
 
 
-def entry_from_json(e) -> complex:
-    """One matrix entry: a plain number or an [re, im] pair."""
-    if isinstance(e, (list, tuple)):
-        if len(e) != 2:
-            raise ValueError(f"complex entry must be [re, im], got {e!r}")
-        return complex(_real(e[0]), _real(e[1]))
-    return complex(_real(e))
+def _complexes(entries) -> np.ndarray:
+    """Entries, each a plain number or an [re, im] pair, as a complex array."""
+    pairs = [e if type(e) is list else (e, 0) for e in entries]
+    if not set(map(len, pairs)) <= {2}:
+        bad = next(e for e in pairs if len(e) != 2)
+        raise ValueError(f"complex entry must be [re, im], got {bad!r}")
+    return _floats(list(chain.from_iterable(pairs))).view(complex)
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Read a row-major nested list; rows are lists of entries."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ValueError("matrix must be a non-empty list of rows")
-    pairs = _pair_matrix(obj)
-    if pairs is not None:
-        return pairs
-    rows = [[entry_from_json(e) for e in row] for row in obj]
-    if len({len(r) for r in rows}) != 1:
+    values = _complexes(chain.from_iterable(obj))
+    if len(set(map(len, obj))) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    return np.array(rows)
-
-
-def _pair_matrix(rows: list) -> np.ndarray | None:
-    """rows as a complex matrix in one conversion when every row has the same
-    length and every entry is an [re, im] pair of ints and floats; else None,
-    and the per-entry path reads (or refuses) the matrix.  Booleans and strings
-    are excluded by type: numpy would convert them silently."""
-    entries = list(chain.from_iterable(rows))
-    if (set(map(type, entries)) != {list} or set(map(len, entries)) != {2}
-            or len(set(map(len, rows))) != 1):
-        return None
-    flat = list(chain.from_iterable(entries))
-    if not set(map(type, flat)) <= {float, int}:
-        return None
-    try:
-        values = np.array(flat, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return values.view(complex).reshape(len(rows), -1)
+    return values.reshape(len(obj), -1)
 
 
 def vector_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("vector must be a non-empty list")
-    return np.array([entry_from_json(e) for e in obj])
+    return _complexes(obj)
 
 
 def reals_from_json(obj) -> np.ndarray:
     """A non-empty list of real numbers, such as a mode grid or mask weights."""
     if not isinstance(obj, list) or not obj:
         raise ValueError("vector must be a non-empty list")
-    return np.array([_real(x) for x in obj])
+    return _floats(obj)
 
 
 def dump_json(obj, path) -> None:

@@ -19,7 +19,6 @@ from sampstab import (ContinuousSystem, GramianBundle, NumericOverflowError,
                       min_delta_on_kernel, to_dense)
 from sampstab.linsys import _phi1
 from sampstab.obscheck import _C_CEILING, _NUDGES, KERNEL_ONE_TOL, PSD_TOL, RANK_RTOL
-from sampstab.serialize import entry_from_json
 
 # Every property test draws the same examples on every run.
 settings.register_profile("sampstab", derandomize=True, deadline=None)
@@ -472,6 +471,32 @@ def outcome_fields(outcome) -> tuple:
             outcome.kernel_dim, repr(outcome.kernel_norm))
 
 
+def pathological_periods_loop(A, T_max: float) -> list:
+    """Oracle: pathological_periods as a double loop over eigenvalue pairs,
+    each pair's multiples walked k = 1, 2, ... up to T_max."""
+    lam = np.linalg.eigvals(np.asarray(A, dtype=complex))
+    periods = []
+    for i in range(lam.size):
+        for j in range(i + 1, lam.size):
+            scale = 1.0 + max(abs(lam[i]), abs(lam[j]))
+            if abs(lam[i].real - lam[j].real) > 1e-9 * scale:
+                continue
+            gap = abs(lam[i].imag - lam[j].imag)
+            if gap <= 1e-9 * scale:
+                continue
+            base = 2.0 * np.pi / gap
+            k = 1
+            while k * base <= T_max * (1 + 1e-12):
+                periods.append(k * base)
+                k += 1
+    periods.sort()
+    out = []
+    for p in periods:
+        if not out or p - out[-1] > 1e-9 * (1.0 + p):
+            out.append(p)
+    return out
+
+
 def gramian_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
     """phi* G phi for each column of phis."""
     if g.G.ndim == 1:
@@ -511,13 +536,48 @@ def matrix_to_json_loop(m) -> list:
     return [matrix_to_json_loop(sub) for sub in m]
 
 
+def _oracle_real(x) -> float:
+    """Oracle: a JSON number as a float; booleans, strings and containers are errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"number out of float range: {x}") from exc
+
+
+def _oracle_entry(e) -> complex:
+    """Oracle: one matrix entry, a plain number or an [re, im] pair."""
+    if isinstance(e, (list, tuple)):
+        if len(e) != 2:
+            raise ValueError(f"complex entry must be [re, im], got {e!r}")
+        return complex(_oracle_real(e[0]), _oracle_real(e[1]))
+    return complex(_oracle_real(e))
+
+
 def matrix_from_json_loop(obj) -> np.ndarray:
-    """Oracle: matrix_from_json reading entry by entry, the path for every
-    matrix that is not all [re, im] pairs."""
-    rows = [[entry_from_json(e) for e in row] for row in obj]
+    """Oracle: matrix_from_json reading entry by entry.  A matrix is complex,
+    also one whose rows are empty."""
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise ValueError("matrix must be a non-empty list of rows")
+    rows = [[_oracle_entry(e) for e in row] for row in obj]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    return np.array(rows)
+    return np.array(rows, dtype=complex)
+
+
+def vector_from_json_loop(obj) -> np.ndarray:
+    """Oracle: vector_from_json reading entry by entry."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError("vector must be a non-empty list")
+    return np.array([_oracle_entry(e) for e in obj])
+
+
+def reals_from_json_loop(obj) -> np.ndarray:
+    """Oracle: reals_from_json reading entry by entry."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError("vector must be a non-empty list")
+    return np.array([_oracle_real(x) for x in obj])
 
 
 @pytest.fixture

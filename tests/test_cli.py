@@ -102,6 +102,18 @@ class TestAnalyze:
             assert results[mode]["status"] == "infeasible"
             assert cert["N"] == 1.0 and math.isfinite(cert["kernel_norm"])
 
+    def test_later_continuous_overflow_is_infeasible(self, tmp_path):
+        # The continuous Gramian overflows from the second horizon on; the
+        # first, blocked by the uncontrolled mode, decides both modes quietly.
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"A": [[100.0, 0.0], [0.0, [0.0, 1.0]]], "B": [[1.0], [0.0]]}))
+        code, err = run_quietly(["analyze", "--system", str(path), "--T", "3", "--N-max", "4",
+                                 "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        results = read_report(tmp_path)["results"]
+        assert [results[mode]["status"] for mode in ("discrete", "continuous")] == [
+            "infeasible", "infeasible"]
+
     def test_stiff_heat_is_decided(self, tmp_path):
         # The spectral system is decided per mode, on 1-D Gramians.
         code = main(["analyze", "--example", "frac-heat", "--modes", "64",

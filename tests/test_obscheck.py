@@ -17,9 +17,10 @@ from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
 from conftest import (bisect_verdict, brute_force_oracle, decide_cc_oracle, decide_dc_oracle,
-                      gramian_quadratic_form, outcome_fields, random_mixed_system,
-                      random_neutral_system, random_stable_system, random_unit_states,
-                      scratch_bundle, transition_quadratic_form)
+                      gramian_quadratic_form, outcome_fields, pathological_periods_loop,
+                      random_complex, random_mixed_system, random_neutral_system,
+                      random_stable_system, random_unit_states, scratch_bundle,
+                      transition_quadratic_form)
 
 OSC = st.harmonic_oscillator()
 
@@ -597,6 +598,40 @@ class TestSweep:
                 assert nudged == [outcome_fields(decide_dc_oracle(sys, T, 6)) for T in periods]
             assert [row[4] for row in nudged] != [row[4] for row in exact]
 
+    def test_no_nudge_rescues_half_the_constant(self, monkeypatch):
+        # Half the smallest C fails every re-check: _NUDGES raises of 4**i ulps
+        # cannot double it, so each horizon only lowers the best margin.
+        import conftest
+        real, oracle = obscheck._min_constants, conftest._oracle_min_constant
+        monkeypatch.setattr(obscheck, "_min_constants", lambda *a: real(*a) * 0.5)
+        monkeypatch.setattr(conftest, "_oracle_min_constant", lambda *a: oracle(*a) * 0.5)
+        with pytest.raises(st.SearchExhausted) as err:
+            st.decide_dc(OSC, 1.0, 4)
+        assert outcome_fields(err.value) == outcome_fields(decide_dc_oracle(OSC, 1.0, 4))
+        assert (err.value.best_margin, err.value.best_horizon) == (0.0457636130454607, 4)
+        periods = [0.5, 1.0, 1.5]
+        got = swept(OSC, periods, 3, 0.9)
+        assert {row[0] for row in got} == {"search-exhausted"}
+        assert got == [outcome_fields(decide_dc_oracle(OSC, T, 3)) for T in periods]
+
+    def test_a_later_continuous_overflow_ends_the_search(self):
+        # The Gramian of e^{100 t} overflows from the horizon 2 T = 6 on; the
+        # uncontrolled mode e^{it} blocks the horizon T = 3, whose infeasible
+        # certificate then stands.
+        sys = st.ContinuousSystem(np.diag([100, 1j]), [[1], [0]])
+        with pytest.raises(st.NumericOverflowError):
+            st.continuous_gramian(sys, 6.0)
+        cert = st.decide_cc(sys, 3.0, 4)
+        assert (cert.feasible, cert.N, cert.kernel_dim) == (False, 3.0, 1)
+        assert outcome_fields(cert) == outcome_fields(decide_cc_oracle(sys, 3.0, 4))
+
+    def test_a_first_continuous_overflow_raises(self):
+        sys = st.ContinuousSystem([[200]], [[1]])
+        for decide in (st.decide_cc, decide_cc_oracle):
+            with pytest.raises(st.NumericOverflowError) as err:
+                decide(sys, 2.0)
+            assert str(err.value) == "continuous Gramian has non-finite entries"
+
     def test_certificates_carry_their_periods_slice(self):
         sys = SWEEP_SYSTEMS["mixed"]
         periods = [0.3, 0.9, 1.7]
@@ -731,8 +766,25 @@ class TestPathologicalPeriods:
         assert len(st.pathological_periods(A, 10.0)) == 3  # treated as equal real parts
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            st.pathological_periods(OSC.A, 0.0)
+        for T_max in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="T_max must be finite and > 0"):
+                st.pathological_periods(OSC.A, T_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(2, 8),
+           reals=hs.lists(hs.sampled_from([0.0, -0.5, 1.0]), min_size=8, max_size=8),
+           imags=hs.lists(hs.one_of(hs.integers(-3, 3), hs.floats(-5.0, 5.0)),
+                          min_size=8, max_size=8),
+           T_max=hs.floats(0.1, 40.0))
+    def test_one_pass_is_the_pair_loop(self, seed, n, reals, imags, T_max):
+        # A dense A = V diag(lam) V^-1 whose eigenvalues share a few real parts,
+        # and often their gaps too, so that periods coincide.
+        lam = np.array(reals[:n]) + 1j * np.array(imags[:n])
+        V = random_complex(np.random.default_rng(seed), (n, n)) + 2.0 * np.eye(n)
+        A = V @ np.diag(lam) @ np.linalg.inv(V)
+        got = st.pathological_periods(A, T_max)
+        assert got == pathological_periods_loop(A, T_max)
+        assert all(type(p) is float for p in got)
 
 
 class TestLocalOpenness:
