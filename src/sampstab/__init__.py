@@ -17,7 +17,7 @@ from .errors import (GridTooCoarse, NumericOverflowError,
                      SpectralRadiusError)
 from .linsys import (ContinuousSystem, SampledSystem, SpectralSystem,
                      load_system, sample, sample_periods, semigroup,
-                     system_from_json, system_to_json, to_dense)
+                     system_from_json, system_to_json)
 from .lqsynth import (FeedbackGain, RiccatiSolution, closed_loop_cost,
                       dp_value_iterate, feedback_gain, lq_optimal_cost,
                       riccati_solve)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContinuousSystem", "SpectralSystem", "SampledSystem",
-    "semigroup", "sample", "sample_periods", "to_dense", "system_from_json",
+    "semigroup", "sample", "sample_periods", "system_from_json",
     "system_to_json", "load_system",
     "GramianBundle", "ObservabilityCertificate",
     "discrete_gramian", "continuous_gramian", "check_inequality",

@@ -1,11 +1,12 @@
 """Command-line front end: analyze / synthesize / simulate / sweep / witness / example.
 
-Reports are deterministic JSON (sorted keys, no timestamps): the same
-configuration and seed produce byte-identical files.  Wall time goes to
-stdout only.  Exit codes: 0 success, 2 configuration error (a bad system
-definition, an out-of-range argument or a file that cannot be read or
-written: every ValueError and OSError), 3 feasibility search exhausted,
-4 numeric failure (numpy's LinAlgError included, though it is a ValueError).
+Reports are deterministic JSON (sorted keys, no timestamps) with their bulk
+arrays in .npy files: the same configuration and seed produce byte-identical
+files.  Wall time goes to stdout only.  Exit codes: 0 success, 2
+configuration error (a bad system definition, an out-of-range argument or a
+file that cannot be read or written: every ValueError and OSError), 3
+feasibility search exhausted, 4 numeric failure (numpy's LinAlgError included,
+though it is a ValueError).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, benchmarks, closedloop, linsys, lqsynth, obscheck
 from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SearchExhausted, SpectralRadiusError)
-from .serialize import dump_json, vector_from_json
+from .serialize import dump_json, save_array, vector_from_json
 
 
 EXIT_OK = 0
@@ -31,7 +32,9 @@ EXIT_CONFIG = 2
 EXIT_EXHAUSTED = 3
 EXIT_NUMERIC = 4
 
-REPORT_SCHEMA = 2  # report.json layout: 2 writes a spectral K, F and closed loop per mode
+# report.json layout: 3 saves K, F and the closed loop as .npy files (per mode for a
+# spectral system) and gives each array's file, shape, dtype and SHA-256 in its place.
+REPORT_SCHEMA = 3
 
 # The built-in systems, by name, from the spectral options.
 _EXAMPLES = {
@@ -125,6 +128,11 @@ def _out_path(args, name: str) -> Path:
     return out_dir / name
 
 
+def _array_saver(args):
+    """save(name, a) for to_json: a as name.npy in the --out directory, and its descriptor."""
+    return lambda name, a: save_array(a, _out_path(args, f"{name}.npy"))
+
+
 def _write_report(args, results: dict) -> None:
     report = {
         "schema": REPORT_SCHEMA,
@@ -215,14 +223,14 @@ def cmd_synthesize(args) -> int:
     system = _resolve_system(args)
     sol, gain = _synthesize(system, args.T, args.tol, args.max_iter)
     y0 = _default_y0(system.state_dim)
-    # Costs first: the Lyapunov solve's workspace is freed before the
-    # matrices are expanded into JSON lists.
     cost_check = {
         "y0": "normalized ones vector",
         "kernel_quadratic_form": lqsynth.lq_optimal_cost(sol, y0),
         "simulated_cost": lqsynth.closed_loop_cost(gain, y0),
     }
-    results = {"riccati": sol.to_json(), "gain": gain.to_json(), "cost_check": cost_check}
+    save = _array_saver(args)
+    results = {"riccati": sol.to_json(save), "gain": gain.to_json(save),
+               "cost_check": cost_check}
     _write_report(args, results)
     print(f"spectral radius {gain.spectral_radius:.6g} "
           f"({sol.iterations} doublings, residual {sol.residual:.3g})")
@@ -253,7 +261,7 @@ def cmd_simulate(args) -> int:
     results = {
         "loop": args.loop,
         "riccati": {"iterations": sol.iterations, "residual": sol.residual},
-        "gain": gain.to_json(),
+        "gain": gain.to_json(_array_saver(args)),
         "decay": {"omega": omega, "c": c},
         "final_norm_ratio": float(norms[-1] / norms[0]),
     }

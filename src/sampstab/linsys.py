@@ -34,7 +34,6 @@ __all__ = [
     "semigroup",
     "sample",
     "sample_periods",
-    "to_dense",
     "frac_heat_symbol",
     "schrodinger_symbol",
     "system_from_json",
@@ -211,12 +210,6 @@ def schrodinger_symbol() -> Callable[[np.ndarray], np.ndarray]:
         return 1j * np.asarray(xi, dtype=float) ** 2
 
     return lam
-
-
-def to_dense(sys: SpectralSystem) -> ContinuousSystem:
-    """Materialize a spectral system as diagonal (A, B) matrices."""
-    return ContinuousSystem(np.diag(sys.symbol_values),
-                            np.diag(sys.control_mask.astype(complex)))
 
 
 def _check_finite(m: np.ndarray, what: str) -> np.ndarray:

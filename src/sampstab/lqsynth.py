@@ -18,18 +18,22 @@ A diagonal pair (1-D Phi and D, sampled from a spectral system) decouples
 into scalar problems, solved per mode in closed form: with phi, d the mode's
 entries, k is the positive root of |d|^2 k^2 + (1 - |phi|^2 - |d|^2) k - 1 = 0,
 f = -conj(d) k phi / (1 + |d|^2 k), and the kernel, gain and closed loop are
-1-D arrays of per-mode entries; each is written to JSON as n [re, im] pairs.
+1-D arrays of per-mode entries.
+
+``to_json`` hands each array to a ``save(name, array)`` callable and reports
+what it returns in the array's place (the CLI saves a ``.npy`` file and
+returns its descriptor), so no array is expanded into JSON lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import SpectralRadiusError
 from .linsys import SampledSystem, _hermitize
-from .serialize import matrix_to_json
 
 __all__ = [
     "RiccatiSolution",
@@ -56,9 +60,9 @@ class RiccatiSolution:
     iterations: int
     converged: bool
 
-    def to_json(self) -> dict:
+    def to_json(self, save: Callable[[str, np.ndarray], object]) -> dict:
         return {
-            "K": matrix_to_json(self.K),
+            "K": save("K", self.K),
             "residual": self.residual,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -73,10 +77,10 @@ class FeedbackGain:
     closed_loop: np.ndarray
     spectral_radius: float
 
-    def to_json(self) -> dict:
+    def to_json(self, save: Callable[[str, np.ndarray], object]) -> dict:
         return {
-            "F": matrix_to_json(self.F),
-            "closed_loop": matrix_to_json(self.closed_loop),
+            "F": save("F", self.F),
+            "closed_loop": save("closed_loop", self.closed_loop),
             "spectral_radius": self.spectral_radius,
         }
 

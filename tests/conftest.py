@@ -16,13 +16,19 @@ from scipy.linalg import expm
 from sampstab import (ContinuousSystem, GramianBundle, NumericOverflowError,
                       ObservabilityCertificate, SampledSystem, SearchExhausted,
                       SpectralSystem, check_inequality, continuous_gramian,
-                      min_delta_on_kernel, to_dense)
+                      min_delta_on_kernel)
 from sampstab.linsys import _phi1
 from sampstab.obscheck import _C_CEILING, _NUDGES, KERNEL_ONE_TOL, PSD_TOL, RANK_RTOL
 
 # Every property test draws the same examples on every run.
 settings.register_profile("sampstab", derandomize=True, deadline=None)
 settings.load_profile("sampstab")
+
+
+def to_dense(sys: SpectralSystem) -> ContinuousSystem:
+    """Materialize a spectral system as diagonal (A, B) matrices."""
+    return ContinuousSystem(np.diag(sys.symbol_values),
+                            np.diag(sys.control_mask.astype(complex)))
 
 
 def expm_taylor(M: np.ndarray) -> np.ndarray:

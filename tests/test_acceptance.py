@@ -14,7 +14,7 @@ import pytest
 import sampstab as st
 
 from conftest import (det_lambda_quadrature, random_cc_stabilized, random_mixed_system,
-                      random_stabilizable_pair, random_unit_states)
+                      random_stabilizable_pair, random_unit_states, to_dense)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -131,7 +131,7 @@ def test_criterion_6_schrodinger_witness_matrix():
                     assert abs(wit.norm() - 1.0) <= 1e-12
                     assert wit.observed <= eps
                     assert wit.observed <= wit.bound + 1e-10
-        sch = st.to_dense(st.schrodinger(33, 4.0))
+        sch = to_dense(st.schrodinger(33, 4.0))
         y0 = np.ones(33) / math.sqrt(33)
         traj = st.simulate_cc(sch, -0.3 * np.eye(33), 1.0, y0, 15.0, 4)
         omega, _ = st.fit_decay(traj)

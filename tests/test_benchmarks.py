@@ -12,7 +12,7 @@ from scipy.integrate import quad
 import sampstab as st
 from sampstab.benchmarks import _witness_observed
 
-from conftest import det_lambda_quadrature, witness_observed_loop
+from conftest import det_lambda_quadrature, to_dense, witness_observed_loop
 
 
 class TestHarmonicOscillator:
@@ -117,13 +117,13 @@ class TestSchrodinger:
         assert np.abs(np.abs(d) - 1.0).max() <= 1e-12
 
     def test_open_loop_does_not_decay(self):
-        sch = st.to_dense(st.schrodinger(17, 3.0))
+        sch = to_dense(st.schrodinger(17, 3.0))
         y0 = np.ones(17) / math.sqrt(17)
         traj = st.simulate_cc(sch, np.zeros((17, 17)), 1.0, y0, 15.0, 4)
         assert st.fit_decay(traj)[0] == 0.0
 
     def test_uniform_damping_rate(self):
-        sch = st.to_dense(st.schrodinger(17, 3.0))
+        sch = to_dense(st.schrodinger(17, 3.0))
         y0 = np.ones(17) / math.sqrt(17)
         traj = st.simulate_cc(sch, -0.3 * np.eye(17), 1.0, y0, 15.0, 4)
         omega, _ = st.fit_decay(traj)

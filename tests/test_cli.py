@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, artifacts, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -22,12 +23,21 @@ from sampstab.benchmarks import _trapezoid_weights, _witness_observed
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
 
-from conftest import decide_dc_oracle, random_mixed_system, witness_grid_padded
+from conftest import decide_dc_oracle, random_mixed_system, to_dense, witness_grid_padded
 
 
 def read_report(out_dir):
     with open(out_dir / "report.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_array(out_dir, descriptor) -> np.ndarray:
+    """The .npy file a report descriptor names, checked against its shape, dtype and hash."""
+    path = Path(out_dir) / descriptor["file"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == descriptor["sha256"]
+    a = np.load(path, allow_pickle=False)
+    assert (list(a.shape), str(a.dtype)) == (descriptor["shape"], descriptor["dtype"])
+    return a
 
 
 def run_quietly(argv):
@@ -67,7 +77,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "(DC)_T: feasible" in out
         report = read_report(tmp_path)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["results"]["discrete"]["status"] == "feasible"
         assert report["results"]["discrete"]["brute_force"]["contradicts"] is False
 
@@ -135,7 +145,7 @@ class TestAnalyze:
         # never forms the exp(399 T_h) that overflowed one block exponential.
         heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(st.system_to_json(st.to_dense(heat))))
+        path.write_text(json.dumps(st.system_to_json(to_dense(heat))))
         code, err = run_quietly(["analyze", "--system", str(path), "--T", "5",
                                  "--out", str(tmp_path)])
         assert (code, err) == (EXIT_OK, [])
@@ -325,9 +335,10 @@ class TestSynthesize:
         report = read_report(tmp_path)
         gain = report["results"]["gain"]
         assert gain["spectral_radius"] < 1.0
-        # Matrices serialize as [re, im] pairs, row-major.
-        F = gain["F"]
-        assert isinstance(F[0][0], list) and len(F[0][0]) == 2
+        # Arrays are .npy files the report describes: F is m x n, the others n x n.
+        assert load_array(tmp_path, gain["F"]).shape == (1, 2)
+        assert load_array(tmp_path, gain["closed_loop"]).shape == (2, 2)
+        assert load_array(tmp_path, report["results"]["riccati"]["K"]).shape == (2, 2)
         cost = report["results"]["cost_check"]
         assert cost["simulated_cost"] <= cost["kernel_quadratic_form"] + 1e-9
 
@@ -348,23 +359,24 @@ class TestSynthesize:
         """--system files of a spectral document and of its dense form."""
         spectral, dense = tmp_path / "spectral.json", tmp_path / "dense.json"
         spectral.write_text(json.dumps(doc))
-        dense.write_text(json.dumps(st.system_to_json(st.to_dense(st.system_from_json(doc)))))
+        dense.write_text(json.dumps(st.system_to_json(to_dense(st.system_from_json(doc)))))
         return spectral, dense
 
     def test_spectral_report_matches_its_dense_form(self, tmp_path):
-        # The spectral report lists the dense form's diagonals, and the dense
-        # form has nothing off its diagonal that the lists would drop.
+        # The spectral arrays are the dense form's diagonals, and the dense
+        # form has nothing off its diagonal that the per-mode arrays would drop.
         doc = st.system_to_json(st.fractional_heat(24, 1.5, 1.0, mask=[1.0, 0.3] * 12))
-        reports = []
+        reports, outs = [], []
         for path in self._both_forms(doc, tmp_path):
-            out = tmp_path / path.stem
+            outs.append(tmp_path / path.stem)
             assert main(["synthesize", "--system", str(path), "--T", "1",
-                         "--out", str(out)]) == EXIT_OK
-            reports.append(read_report(out)["results"])
+                         "--out", str(outs[-1])]) == EXIT_OK
+            reports.append(read_report(outs[-1])["results"])
         spectral, dense = reports
         for block, key in (("riccati", "K"), ("gain", "F"), ("gain", "closed_loop")):
-            got, want = np.array(spectral[block][key]), np.array(dense[block][key])
-            assert got.shape == (24, 2) and want.shape == (24, 24, 2), key
+            got = load_array(outs[0], spectral[block][key])
+            want = load_array(outs[1], dense[block][key])
+            assert got.shape == (24,) and want.shape == (24, 24), key
             diagonal = want[np.arange(24), np.arange(24)]
             scale = np.abs(want).max()
             assert np.abs(got - diagonal).max() <= 1e-12 * scale, key
@@ -384,20 +396,22 @@ class TestSynthesize:
         gain = st.feedback_gain(sol, pair)
         for got, want in ((results["riccati"]["K"], sol.K), (results["gain"]["F"], gain.F),
                           (results["gain"]["closed_loop"], gain.closed_loop)):
-            got = np.array(got, dtype=float)
-            assert got.shape == (40, 2)
-            assert got.view(complex).ravel().tobytes() == want.astype(complex).tobytes()
+            got = load_array(tmp_path, got)
+            # Each array keeps its dtype: the per-mode kernel is real.
+            assert got.shape == (40,) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert results["riccati"]["K"]["dtype"] == "float64"
 
     def test_dense_report_keeps_its_matrices(self, tmp_path):
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(st.system_to_json(st.to_dense(
+        path.write_text(json.dumps(st.system_to_json(to_dense(
             st.fractional_heat(6, 1.5, 1.0, xi_max=4.0)))))
         assert main(["synthesize", "--system", str(path), "--T", "1",
                      "--out", str(tmp_path)]) == EXIT_OK
         results = read_report(tmp_path)["results"]
         for M in (results["riccati"]["K"], results["gain"]["F"],
                   results["gain"]["closed_loop"]):
-            assert np.array(M).shape == (6, 6, 2)
+            assert load_array(tmp_path, M).shape == (6, 6)
 
     @staticmethod
     def _fresh_frac_heat(modes: int, out: Path) -> int:
@@ -418,11 +432,16 @@ class TestSynthesize:
         return int(fresh_stdout(code)[-1])
 
     def test_report_bytes_are_linear_in_the_modes(self, tmp_path):
-        size = {}
+        # report.json does not grow with n: only its float scalars' reprs may
+        # change length.  The .npy files grow by exactly their added entries.
+        report, arrays = {}, {}
         for n in (1024, 2048):
             self._fresh_frac_heat(n, tmp_path / str(n))
-            size[n] = (tmp_path / str(n) / "report.json").stat().st_size
-        assert size[2048] <= 2.05 * size[1024]
+            report[n] = (tmp_path / str(n) / "report.json").stat().st_size
+            arrays[n] = sum(p.stat().st_size for p in (tmp_path / str(n)).glob("*.npy"))
+        assert abs(report[2048] - report[1024]) <= 16
+        # K is float64 (8 bytes a mode), F and the closed loop complex128 (16 each).
+        assert arrays[2048] - arrays[1024] == 1024 * (8 + 16 + 16)
 
     def test_4096_modes_in_a_fresh_interpreter_stay_small(self, tmp_path):
         assert self._fresh_frac_heat(4096, tmp_path) < 150 * 1024
@@ -431,7 +450,8 @@ class TestSynthesize:
         code, err = run_quietly(["synthesize", "--example", "frac-heat", "--modes", "100000",
                                  "--T", "1", "--out", str(tmp_path)])
         assert (code, err) == (EXIT_OK, [])
-        assert len(read_report(tmp_path)["results"]["gain"]["F"]) == 100000
+        F = load_array(tmp_path, read_report(tmp_path)["results"]["gain"]["F"])
+        assert F.shape == (100000,)
 
     @pytest.mark.parametrize("doc", [
         # The unstable mode xi = 0 is masked out.
@@ -514,6 +534,46 @@ class TestSimulate:
         assert code == EXIT_OK
         report = read_report(tmp_path)
         assert report["results"]["final_norm_ratio"] < 1e-3
+
+
+class TestArrayFiles:
+    @pytest.mark.parametrize("argv,system,files", [
+        (["synthesize", "--example", "oscillator", "--T", "1"],
+         st.harmonic_oscillator(), {"K.npy", "F.npy", "closed_loop.npy"}),
+        (["synthesize", "--example", "frac-heat", "--modes", "16", "--T", "1"],
+         st.fractional_heat(16, 1.5, 1.0, xi_max=4.0), {"K.npy", "F.npy", "closed_loop.npy"}),
+        (["simulate", "--example", "frac-heat", "--modes", "16", "--T", "1", "--horizon", "4",
+          "--loop", "dp"],
+         st.fractional_heat(16, 1.5, 1.0, xi_max=4.0), {"F.npy", "closed_loop.npy"}),
+    ])
+    def test_arrays_repeat_describe_themselves_and_are_the_solve(self, tmp_path, argv,
+                                                                 system, files):
+        # The config echoes --out, so both runs write to the same directory.
+        out, first = tmp_path / "out", tmp_path / "first"
+        argv = argv + ["--out", str(out)]
+        assert main(argv) == EXIT_OK
+        out.rename(first)
+        assert main(argv) == EXIT_OK
+        names = {p.name for p in out.iterdir()}
+        assert names == {p.name for p in first.iterdir()}
+        assert {name for name in names if name.endswith(".npy")} == files
+        for name in names:
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+
+        pair = st.sample(system, 1.0)
+        sol = st.riccati_solve(pair)
+        gain = st.feedback_gain(sol, pair)
+        want = {"K.npy": sol.K, "F.npy": gain.F, "closed_loop.npy": gain.closed_loop}
+        results = read_report(out)["results"]
+        descriptors = [d for block in results.values() if isinstance(block, dict)
+                       for d in block.values() if isinstance(d, dict) and "sha256" in d]
+        assert {d["file"] for d in descriptors} == files
+        for d in descriptors:
+            # A plain .npy, not a zip archive, whose entries would carry a timestamp.
+            assert (out / d["file"]).read_bytes().startswith(b"\x93NUMPY")
+            got = load_array(out, d)
+            assert got.dtype == want[d["file"]].dtype, d["file"]
+            assert got.tobytes() == want[d["file"]].tobytes(), d["file"]
 
 
 class TestSweep:

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose
 import sampstab as st
 from sampstab.closedloop import system_hash
 
-from conftest import cc_stepper, cp_stepper, periodic_schedule, random_cc_stabilized
+from conftest import (cc_stepper, cp_stepper, periodic_schedule, random_cc_stabilized,
+                      to_dense)
 
 SCALAR = st.ContinuousSystem([[0.0]], [[1.0]])
 LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp": st.simulate_cp}
@@ -23,7 +24,7 @@ LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp":
 def _frac_heat_64():
     heat = st.fractional_heat(64, 1.5, 1.0)
     pair = st.sample(heat, 1.0)
-    return st.to_dense(heat), np.diag(st.feedback_gain(st.riccati_solve(pair), pair).F)
+    return to_dense(heat), np.diag(st.feedback_gain(st.riccati_solve(pair), pair).F)
 
 
 @pytest.mark.parametrize("loop", ["cc", "cp"])
@@ -75,7 +76,7 @@ def _rows_close(got, ref, rtol):
 @given(system=spectral_systems(), T=hs.sampled_from([0.5, 1.0, 1.7]))
 def test_spectral_loops_match_their_dense_form(system, T):
     # Per-mode synthesis and simulation against the same system densified.
-    dense = st.to_dense(system)
+    dense = to_dense(system)
     pair, dense_pair = st.sample(system, T), st.sample(dense, T)
     sol, dense_sol = st.riccati_solve(pair), st.riccati_solve(dense_pair)
     assert sol.converged == dense_sol.converged
@@ -111,7 +112,7 @@ class TestSpectralLoops:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 traj = LOOPS[loop](heat, F, 1.0, [1.0, 1.0], 3.0, 16)
-            ref = LOOPS[loop](st.to_dense(heat), np.diag(F), 1.0, [1.0, 1.0], 3.0, 16)
+            ref = LOOPS[loop](to_dense(heat), np.diag(F), 1.0, [1.0, 1.0], 3.0, 16)
             assert _rows_close(traj.states, ref.states, 1e-12), loop
 
 
@@ -126,7 +127,7 @@ class TestSimulateCc:
         assert_allclose(traj.states[:, 0].real, 2 * np.exp(-traj.times), rtol=1e-12)
 
     def test_schrodinger_uniform_damping(self):
-        sch = st.to_dense(st.schrodinger(17, 3.0))
+        sch = to_dense(st.schrodinger(17, 3.0))
         y0 = np.ones(17) / math.sqrt(17)
         traj = st.simulate_cc(sch, -0.3 * np.eye(17), 1.0, y0, 10.0, 10)
         assert_allclose(traj.norms(), np.exp(-0.3 * traj.times), rtol=1e-10)
@@ -313,7 +314,7 @@ class TestSimulateCp:
         # h lambda = -100 is far outside RK4's stability region: the state
         # overflows, reported without numpy warnings, per mode as in dense form.
         heat = st.system_from_json({"symbol": "frac_heat", "s": 2, "c": 0, "modes": [0, 40]})
-        for sys, F in ((st.to_dense(heat), np.zeros((2, 2))), (heat, np.zeros(2))):
+        for sys, F in ((to_dense(heat), np.zeros((2, 2))), (heat, np.zeros(2))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(st.NumericOverflowError, match="--steps-per-period"):
@@ -329,7 +330,7 @@ class TestFitDecay:
         assert abs(c - 1.0) <= 1e-6
 
     def test_unitary_flow_reports_zero(self):
-        sch = st.to_dense(st.schrodinger(9, 2.0))
+        sch = to_dense(st.schrodinger(9, 2.0))
         y0 = np.ones(9) / 3.0
         traj = st.simulate_cc(sch, np.zeros((9, 9)), 1.0, y0, 12.0, 10)
         assert st.fit_decay(traj)[0] == 0.0
@@ -393,7 +394,7 @@ class TestTrajectoryExport:
     def test_spectral_hash_covers_the_per_mode_arrays(self):
         heat = st.fractional_heat(6, 1.5, 1.0)
         masked = st.fractional_heat(6, 1.5, 1.0, mask=[1, 1, 0.5, 1, 1, 1])
-        hashes = {system_hash(heat), system_hash(masked), system_hash(st.to_dense(heat)),
+        hashes = {system_hash(heat), system_hash(masked), system_hash(to_dense(heat)),
                   system_hash(st.fractional_heat(6, 1.5, 1.1))}
         assert len(hashes) == 4
         assert system_hash(heat) == system_hash(st.fractional_heat(6, 1.5, 1.0))

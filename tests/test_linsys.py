@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import sampstab as st
 
-from conftest import (expm_taylor, random_neutral_system, random_stable_system)
+from conftest import expm_taylor, random_neutral_system, random_stable_system, to_dense
 
 
 def rotation(t):
@@ -178,7 +178,7 @@ class TestSample:
     def test_spectral_matches_dense(self):
         heat = st.fractional_heat(9, 1.7, 0.5)
         p_spec = st.sample(heat, 0.8)
-        p_dense = st.sample(st.to_dense(heat), 0.8)
+        p_dense = st.sample(to_dense(heat), 0.8)
         assert_allclose(np.diag(p_spec.Phi), p_dense.Phi, atol=1e-12)
         assert_allclose(np.diag(p_spec.D), p_dense.D, atol=1e-12)
 
@@ -227,16 +227,16 @@ class TestObservationBlock:
 
 class TestToDense:
     def test_single_mode(self):
-        sysd = st.to_dense(st.SpectralSystem([0.0], lambda xi: -np.ones_like(xi) + 0j, [1.0]))
+        sysd = to_dense(st.SpectralSystem([0.0], lambda xi: -np.ones_like(xi) + 0j, [1.0]))
         assert_allclose(sysd.A, [[-1.0]])
         assert_allclose(sysd.B, [[1.0]])
 
     def test_frac_heat_symbol_values(self):
-        sysd = st.to_dense(st.fractional_heat(2, 2.0, 0.0, modes=[1.0, 2.0]))
+        sysd = to_dense(st.fractional_heat(2, 2.0, 0.0, modes=[1.0, 2.0]))
         assert_allclose(sysd.A, np.diag([-1.0, -4.0]), atol=1e-14)
 
     def test_schrodinger_single_mode(self):
-        sysd = st.to_dense(st.SpectralSystem([1.0], st.linsys.schrodinger_symbol(), [1.0]))
+        sysd = to_dense(st.SpectralSystem([1.0], st.linsys.schrodinger_symbol(), [1.0]))
         assert_allclose(sysd.A, [[1j]])
         assert_allclose(sysd.B, [[1.0]])
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_discrete_are
 
 import sampstab as st
+from sampstab.serialize import save_array
 
 from conftest import random_mixed_system, random_stabilizable_pair
 
@@ -240,22 +241,26 @@ class TestPerMode:
         assert sol.K.max() < 1e12 < sol.K.sum()
         assert not sol.converged
 
-    def test_report_lists_are_the_per_mode_arrays(self):
-        # A diagonal pair reports n [re, im] pairs per array, bit for bit; a
-        # dense pair keeps its n x n matrices.
+    def test_report_lists_are_the_per_mode_arrays(self, tmp_path):
+        # A diagonal pair saves its n per-mode entries per array, bit for bit;
+        # a dense pair keeps its n x n matrices.
         modes = st.SampledSystem(self.MODES[:, 0], self.MODES[:, 1], 1.0)
         dense = st.SampledSystem(np.diag(modes.Phi), np.diag(modes.D), 1.0)
-        for pair, shape in ((modes, (5, 2)), (dense, (5, 5, 2))):
+        for pair, shape in ((modes, (5,)), (dense, (5, 5))):
             sol = st.riccati_solve(pair)
             gain = st.feedback_gain(sol, pair)
-            for key, got, want in (("K", sol.to_json()["K"], sol.K),
-                                   ("F", gain.to_json()["F"], gain.F),
-                                   ("closed_loop", gain.to_json()["closed_loop"],
-                                    gain.closed_loop)):
-                got = np.array(got, dtype=float)
-                assert got.shape == shape, key
-                assert (got.view(complex)[..., 0].tobytes()
-                        == np.asarray(want, dtype=complex).tobytes()), key
+
+            def save(name, a):
+                return save_array(a, tmp_path / f"{name}.npy")
+
+            for key, desc, want in (("K", sol.to_json(save)["K"], sol.K),
+                                    ("F", gain.to_json(save)["F"], gain.F),
+                                    ("closed_loop", gain.to_json(save)["closed_loop"],
+                                     gain.closed_loop)):
+                got = np.load(tmp_path / desc["file"])
+                assert got.shape == shape and desc["shape"] == list(shape), key
+                assert got.dtype == want.dtype and desc["dtype"] == str(want.dtype), key
+                assert got.tobytes() == want.tobytes(), key
 
     def test_synthesizes_1e5_modes_in_little_memory(self):
         # The dense n x n kernel alone would take 160 GB.

@@ -20,7 +20,7 @@ from conftest import (bisect_verdict, brute_force_oracle, decide_cc_oracle, deci
                       gramian_quadratic_form, outcome_fields, pathological_periods_loop,
                       random_complex, random_mixed_system, random_neutral_system,
                       random_stable_system, random_unit_states, scratch_bundle,
-                      transition_quadratic_form)
+                      to_dense, transition_quadratic_form)
 
 OSC = st.harmonic_oscillator()
 
@@ -205,7 +205,7 @@ class TestContinuousGramian:
         # scaling and squaring never forms it, and the dense Gramian of the
         # stiff truncation is the diagonal of its spectral form.
         heat = st.fractional_heat(64, 2.0, 1.0, xi_max=20.0)
-        g = st.continuous_gramian(st.to_dense(heat), T_h)
+        g = st.continuous_gramian(to_dense(heat), T_h)
         assert_allclose(np.diag(g.G).real, st.continuous_gramian(heat, T_h).G, rtol=1e-11)
         assert np.all(g.G[~np.eye(64, dtype=bool)] == 0.0)
 
@@ -339,7 +339,7 @@ class TestHorizonWalk:
         # Two stable unobserved modes: ker G is 2-dimensional at every horizon,
         # and they decay below delta = 0.9 only from the third horizon on.
         heat = st.fractional_heat(8, 2.0, 1.0, mask=np.array([1.0, 1, 0, 1, 1, 0, 1, 1]))
-        for sys in (heat, st.to_dense(heat)):
+        for sys in (heat, to_dense(heat)):
             cert = st.decide_cc(sys, 0.01)
             g = st.continuous_gramian(sys, cert.N)
             assert cert.feasible and cert.N == 3 * 0.01 and g.kernel_dim == 2
@@ -423,7 +423,7 @@ class TestDenseEqualsSpectral:
            mode=hs.sampled_from(["discrete", "continuous"]))
     def test_same_verdict(self, spec, T, mode):
         got, cert = _decided(spec, T, 4, mode, 0.9)
-        want, dense_cert = _decided(st.to_dense(spec), T, 4, mode, 0.9)
+        want, dense_cert = _decided(to_dense(spec), T, 4, mode, 0.9)
         assert got[0] == want[0]
         if got[0] == "exhausted":
             return
@@ -431,7 +431,7 @@ class TestDenseEqualsSpectral:
         if got[0] == "feasible":
             C, C_dense = got[2], want[2]
             assert C == C_dense == 0.0 or abs(C - C_dense) <= 1e-6 * C_dense
-            dense = st.to_dense(spec)
+            dense = to_dense(spec)
             g = (st.discrete_gramian(dense, T, int(cert.N)) if mode == "discrete"
                  else st.continuous_gramian(dense, cert.N))
             assert st.check_inequality(g, C, cert.delta).feasible
@@ -440,9 +440,9 @@ class TestDenseEqualsSpectral:
         spec = st.fractional_heat(9, 1.5, 1.0, mask=np.array([0, 0.5, 1] * 3))
         for mode, g, d in (
                 ("discrete", st.discrete_gramian(spec, 0.7, 3),
-                 st.discrete_gramian(st.to_dense(spec), 0.7, 3)),
+                 st.discrete_gramian(to_dense(spec), 0.7, 3)),
                 ("continuous", st.continuous_gramian(spec, 2.1),
-                 st.continuous_gramian(st.to_dense(spec), 2.1))):
+                 st.continuous_gramian(to_dense(spec), 2.1))):
             assert g.G.shape == g.R.shape == (9,), mode
             assert_allclose(np.diag(d.G).real, g.G, rtol=1e-12, atol=1e-15)
             assert_allclose(np.diag(d.R), g.R, rtol=1e-12)
@@ -486,7 +486,7 @@ SWEEP_SYSTEMS = {
     "frac-heat": st.fractional_heat(12, 1.5, 1.0, mask=np.array([1.0, 0.0, 0.5] * 4)),
     "schrodinger": st.SpectralSystem(np.linspace(0.0, 3.0, 10), schrodinger_symbol(),
                                      np.array([1.0, 1.0, 0.0, 0.3, 1.0] * 2)),
-    "dense-heat": st.to_dense(st.fractional_heat(6, 1.5, 1.0,
+    "dense-heat": to_dense(st.fractional_heat(6, 1.5, 1.0,
                                                  mask=np.array([1.0, 0, 1, 1, 0, 1]))),
 }
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from sampstab.cli import EXIT_OK, main
-from sampstab.serialize import (_pair_row, dump_json, matrix_from_json, matrix_to_json,
-                                reals_from_json, vector_from_json)
+from sampstab.serialize import (dump_json, matrix_from_json, matrix_to_json, reals_from_json,
+                                vector_from_json)
 
 from conftest import (json_dump_oracle, matrix_from_json_loop, matrix_to_json_loop,
                       reals_from_json_loop, vector_from_json_loop)
@@ -78,7 +78,6 @@ def test_complex_matrices(shape, data, out_path):
     [[[1.0, 2.0], [3.0, 4.0]]],
 ])
 def test_near_pairs_take_the_general_path(near, out_path):
-    assert _pair_row(near, 0) is None
     assert_same_bytes({"m": [near, near], "v": near}, out_path)
 
 
