@@ -13,7 +13,10 @@ variant replaces the sum with int_0^T exp(At) B B* exp(At)* dt.
 Feasibility searches walk N upward and take the smallest C in closed form.
 The discrete search extends G and R by one period per step from the sampled
 pair (Phi, D) of linsys.sample: W_1* W_1 = D D* and W_{i+1} = W_i Phi*.  The
-continuous search decides on continuous_gramian at every horizon.  The kernel
+continuous search decides on continuous_gramian at every horizon k T; a dense
+horizon 2k T, k a power of two, continues the scaling-and-squaring doubling
+of k T by one step where that is the doubling continuous_gramian makes, so
+it builds no block exponential and its Gramian is the same bits.  The kernel
 of G supplies a structural obstruction: on ker G the inequality collapses to
 ||R* phi||^2 <= delta ||phi||^2, so if the transition preserves norm on the
 kernel no constant C can help at that horizon.
@@ -311,22 +314,41 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
     b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D for a spectral
     system.  A non-finite G or R raises NumericOverflowError.
     """
+    return _continuous_bundle(sys, T_h)[0]
+
+
+def _continuous_bundle(sys: ContinuousSystem | SpectralSystem, T_h: float, half=None):
+    """(continuous_gramian(sys, T_h), doubling).
+
+    doubling is the dense pair (G, E = exp(A T_h)) before G is hermitized, if
+    one more doubling from it is the one continuous_gramian(sys, 2 T_h)
+    makes last, else None.  That holds when ||A||_1 T_h >= 1/2: 2 T_h then
+    takes s + 1 doublings from the same step h.  half is such a pair of
+    T_h / 2, from which one doubling reaches T_h bit for bit.
+    """
     if not (math.isfinite(T_h) and T_h > 0):
         raise ValueError("T_h must be finite and > 0")
     R = semigroup(sys, T_h)
+    doubling = None
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(sys, SpectralSystem):
             G = sys.control_mask ** 2 * linsys._phi1(2.0 * sys.symbol_values.real, T_h).real
         else:
             A, B, n = sys.A, sys.B, sys.state_dim
-            s = max(math.frexp(np.linalg.norm(A, 1) * T_h)[1], 0)
-            aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
-            F = linsys._quiet_expm(aug * (T_h / 2 ** s))
-            E = F[n:, n:].conj().T
-            G = E @ F[:n, n:]
-            for _ in range(s):
+            x = np.linalg.norm(A, 1) * T_h
+            s = max(math.frexp(x)[1], 0)
+            if half is None:
+                aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
+                F = linsys._quiet_expm(aug * (T_h / 2 ** s))
+                E = F[n:, n:].conj().T
+                G, steps = E @ F[:n, n:], s
+            else:
+                (G, E), steps = half, 1
+            for _ in range(steps):
                 G, E = G + E @ G @ E.conj().T, E @ E
-    return GramianBundle(R, G, "continuous", T_h, T_h)
+            if max(math.frexp(2.0 * x)[1], 0) == s + 1:
+                doubling = G, E
+    return GramianBundle(R, G, "continuous", T_h, T_h), doubling
 
 
 def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityCertificate:
@@ -589,16 +611,25 @@ def _discrete_horizons(sys: ContinuousSystem | SpectralSystem, periods: np.ndarr
 def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
     """continuous_gramian(sys, k T), k = 1, 2, ..., as one-period stacks for _search.
 
-    A bundle that overflows raises at k = 1 and stops the search later.
+    A dense horizon 2k T with k a power of two continues the doubling of
+    horizon k T by one step where _continuous_bundle allows it ((2k) T is
+    2 (k T) exactly), so it builds no block exponential; only the last
+    power-of-two horizon's pair is kept.  A bundle that overflows raises at
+    k = 1 and stops the search later.
     """
+    half = None  # at a power of two k: the doubling pair of horizon (k / 2) T, or None
     for k in count(1):
+        power = k & (k - 1) == 0
         try:
-            g = continuous_gramian(sys, k * T)
+            g, doubling = _continuous_bundle(sys, k * T, half if power else None)
         except NumericOverflowError:
             if k == 1:
                 raise
             yield np.zeros(1, dtype=bool), None
             return
+        if power:
+            half = doubling
+        del doubling
         yield np.ones(1, dtype=bool), _Stack.of(g)
 
 
@@ -714,25 +745,26 @@ def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
     """Max over random unit phi of ||R* phi||^2 - C phi*G phi - delta.
 
     Random sampling can only under-detect violations; it never exceeds the
-    eigenvalue margin (up to roundoff).  The states are the columns of an
-    n x n_samples complex Gaussian draw, real parts first, then imaginary
-    parts.  A 1-D bundle streams that draw in row chunks: per mode, the
-    value is sum_i w_i |phi_i|^2 / ||phi||^2 - delta with w = |R|^2 - C G,
-    so memory stays O(n_samples) however many modes there are.
+    eigenvalue margin (up to roundoff).  A dense bundle's states are the
+    columns of an n x n_samples complex Gaussian draw, real parts first, then
+    imaginary parts.  A 1-D bundle needs only |phi_i|^2 per mode: the value is
+    sum_i w_i |phi_i|^2 / ||phi||^2 - delta with w = |R|^2 - C G, and
+    |phi_i|^2 of a standard complex Gaussian is 2 Exp(1), a factor the ratio
+    does not see.  So one standard exponential per mode and sample is drawn,
+    in row chunks of about 1 MiB, each accumulated into both sums by one
+    [w; 1] @ e product: the statistic has the Gaussian draw's distribution,
+    and memory stays O(n_samples) however many modes there are.
     """
     n = g.R.shape[0]
     check_draw(n_samples, n, g.G.ndim == 1)
     rng = np.random.default_rng(seed)
     if g.G.ndim == 1:
-        w = np.abs(g.R) ** 2 - C * g.G
+        W = np.stack([np.abs(g.R) ** 2 - C * g.G, np.ones(n)])
         rows = max(1, _DRAW_CELLS // n_samples)
-        weighted, norm2 = np.zeros(n_samples), np.zeros(n_samples)
-        for _ in ("real", "imaginary"):
-            for lo in range(0, n, rows):
-                x2 = rng.standard_normal((min(rows, n - lo), n_samples)) ** 2
-                weighted += w[lo:lo + rows] @ x2
-                norm2 += x2.sum(axis=0)
-        return float((weighted / norm2).max() - delta)
+        sums = np.zeros((2, n_samples))
+        for lo in range(0, n, rows):
+            sums += W[:, lo:lo + rows] @ rng.standard_exponential((min(rows, n - lo), n_samples))
+        return float((sums[0] / sums[1]).max() - delta)
     phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
     phis /= np.linalg.norm(phis, axis=0)
     v = g.R.conj().T @ phis

@@ -518,15 +518,31 @@ def transition_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ij,ij->j", v.conj(), v))
 
 
-def brute_force_oracle(g: GramianBundle, C: float, delta: float,
-                       n_samples: int, seed: int) -> float:
-    """Oracle: obscheck.brute_force_max_violation on the whole n x n_samples draw at once."""
+def gaussian_violations_oracle(g: GramianBundle, C: float, delta: float,
+                               n_samples: int, seed: int) -> np.ndarray:
+    """Oracle: ||R* phi||^2 - C phi*G phi - delta at each column phi of one
+    normalized n x n_samples complex Gaussian draw, real parts first."""
     rng = np.random.default_rng(seed)
     n = g.R.shape[0]
     phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
     phis /= np.linalg.norm(phis, axis=0)
-    vals = transition_quadratic_form(g, phis) - C * gramian_quadratic_form(g, phis) - delta
-    return float(vals.max())
+    return transition_quadratic_form(g, phis) - C * gramian_quadratic_form(g, phis) - delta
+
+
+def brute_force_oracle(g: GramianBundle, C: float, delta: float,
+                       n_samples: int, seed: int) -> float:
+    """Oracle: obscheck.brute_force_max_violation of a dense bundle, on the
+    whole n x n_samples Gaussian draw at once."""
+    return float(gaussian_violations_oracle(g, C, delta, n_samples, seed).max())
+
+
+def brute_force_exponential_oracle(g: GramianBundle, C: float, delta: float,
+                                   n_samples: int, seed: int) -> float:
+    """Oracle: obscheck.brute_force_max_violation of a 1-D bundle, on the whole
+    n x n_samples standard exponential draw at once (|phi_i|^2 up to scale)."""
+    e = np.random.default_rng(seed).standard_exponential((g.R.shape[0], n_samples))
+    w = np.abs(g.R) ** 2 - C * g.G
+    return float((w @ e / e.sum(axis=0)).max() - delta)
 
 
 def json_dump_oracle(obj) -> str:

@@ -124,6 +124,15 @@ class TestAnalyze:
         assert [results[mode]["status"] for mode in ("discrete", "continuous")] == [
             "infeasible", "infeasible"]
 
+    def test_brute_force_at_1e5_modes(self, tmp_path):
+        # The per-mode brute force at the mode scale of the north star: 2000
+        # samples of 10^5 modes, drawn in row chunks.
+        code = main(["analyze", "--example", "frac-heat", "--modes", "100000", "--T", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
+        assert (brute["samples"], brute["contradicts"]) == (2000, False)
+
     def test_stiff_heat_is_decided(self, tmp_path):
         # The spectral system is decided per mode, on 1-D Gramians.
         code = main(["analyze", "--example", "frac-heat", "--modes", "64",

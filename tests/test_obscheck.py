@@ -12,11 +12,12 @@ from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
-from sampstab import obscheck
+from sampstab import linsys, obscheck
 from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
-from conftest import (bisect_verdict, brute_force_oracle, decide_cc_oracle, decide_dc_oracle,
+from conftest import (bisect_verdict, brute_force_exponential_oracle, brute_force_oracle,
+                      decide_cc_oracle, decide_dc_oracle, gaussian_violations_oracle,
                       gramian_quadratic_form, outcome_fields, pathological_periods_loop,
                       random_complex, random_mixed_system, random_neutral_system,
                       random_stable_system, random_unit_states, scratch_bundle,
@@ -679,6 +680,55 @@ class TestSweep:
         assert list(st.sweep_dc(OSC, [])) == []
 
 
+CC_SYSTEMS = {
+    "mixed-0": (random_mixed_system(0), 0.05, 3.0),
+    "mixed-4": (random_mixed_system(4, n=5, m=1), 0.05, 3.0),
+    "thin-mixed": (random_mixed_system(8, n=3, m=1), 0.05, 3.0),
+    "oscillator": (OSC, 0.05, 7.0),
+    # ||A||_1 k T < 1/2 up to k = 8: no horizon takes a doubling.
+    "slow": (st.ContinuousSystem([[-0.01, 0.02], [0.0, 0.015j]], [[1.0], [0.5]]), 0.05, 1.5),
+    # Blocked at every horizon by the uncontrolled mode e^{it}: the search
+    # walks all N_max horizons.
+    "blocked": (st.ContinuousSystem(np.diag([-0.7, 1j]), [[1.0], [0.0]]), 0.05, 3.0),
+    # The Gramian of e^{100 t} overflows from the horizon 2 T on.
+    "overflow": (st.ContinuousSystem(np.diag([100, 1j]), [[1], [0]]), 1.8, 3.5),
+}
+
+
+class TestPowerOfTwoHorizons:
+    """decide_cc continues the doubling of horizon k T to 2k T, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=hs.sampled_from(sorted(CC_SYSTEMS)), frac=hs.floats(0.0, 1.0),
+           N_max=hs.integers(1, 8), delta=hs.sampled_from([0.3, 0.5, 0.9]))
+    def test_every_horizon_is_the_one_shot_gramian(self, name, frac, N_max, delta):
+        sys, lo, hi = CC_SYSTEMS[name]
+        T = lo + frac * (hi - lo)
+        for k, (ok, s) in enumerate(islice(obscheck._continuous_horizons(sys, T), N_max), 1):
+            try:
+                g = st.continuous_gramian(sys, k * T)
+            except st.NumericOverflowError:
+                assert not ok[0] and s is None
+                break
+            assert ok[0] and np.array_equal(s.G[0], g.G) and np.array_equal(s.R[0], g.R)
+            assert np.array_equal(s.w[0], g.eigenvalues)
+        assert outcome_fields(_decided(sys, T, N_max, "continuous", delta)[1]) == (
+            outcome_fields(decide_cc_oracle(sys, T, N_max, delta)))
+
+    def test_horizon_two_builds_no_block_exponential(self, monkeypatch):
+        # The benchmark's seeded dense n = 128 system (its generator seeded
+        # (7, 128, 8)) is certified at horizon 3 T: horizons T and 3 T build an
+        # order-2n block exponential, and 2 T continues the doubling of T.
+        sys = random_mixed_system((7, 128, 8), n=128, m=8)
+        expm = linsys.expm
+        orders = []
+        monkeypatch.setattr(linsys, "expm", lambda M: orders.append(M.shape[-1]) or expm(M))
+        cert = st.decide_cc(sys, 1.0)
+        assert cert.N == 3.0 and orders.count(256) == 2
+        assert orders.count(128) == 3  # R = semigroup(sys, k T) at each horizon
+        assert outcome_fields(cert) == outcome_fields(decide_cc_oracle(sys, 1.0))
+
+
 class TestBruteForceAgreement:
     def test_feasible_certificate_never_contradicted(self, rng):
         for seed in range(4):
@@ -696,13 +746,50 @@ class TestBruteForceAgreement:
         (random_mixed_system(3), 0.7),
     ])
     def test_streamed_draw_matches_the_whole_draw(self, system, T):
-        # The per-mode form streams the same Gaussian draw in row chunks.
+        # The per-mode form streams one standard exponential draw in row
+        # chunks; a dense bundle takes the whole Gaussian draw.
         g = st.discrete_gramian(system, T, 2)
+        oracle = brute_force_exponential_oracle if g.G.ndim == 1 else brute_force_oracle
         scale = max(np.abs(g.R).max() ** 2, 1.0)
         for C, samples, seed in ((0.0, 2000, 0), (3.5, 700, 11), (40.0, 1, 5)):
             got = brute_force_max_violation(g, C, 0.9, samples, seed)
-            want = brute_force_oracle(g, C, 0.9, samples, seed)
+            want = oracle(g, C, 0.9, samples, seed)
             assert abs(got - want) <= 1e-12 * scale * (1 + C * np.abs(g.G).max())
+
+    @pytest.mark.parametrize("system,C", [
+        (st.fractional_heat(256, 1.5, 1.0), 0.0),
+        (st.fractional_heat(256, 1.5, 1.0), 3.5),
+        (st.schrodinger(128, 4.0), 3.5),
+    ])
+    def test_exponential_draw_has_the_gaussian_quantiles(self, system, C):
+        # |phi_i|^2 of a complex Gaussian is 2 Exp(1), and the statistic does
+        # not see the scale: one-sample calls over 3000 seeds against 3000
+        # Gaussian states.  Drawing chi-square(1) in place of Exp(1) moves the
+        # 5 % and 95 % quantiles by more than a third of the interquartile range.
+        g = st.discrete_gramian(system, 1.0, 2)
+        count = 3000
+        new = [brute_force_max_violation(g, C, 0.9, 1, seed) for seed in range(count)]
+        old = gaussian_violations_oracle(g, C, 0.9, count, 0)
+        q = [5, 25, 50, 75, 95]
+        got, want = np.percentile(new, q), np.percentile(old, q)
+        assert np.abs(got - want).max() <= 0.2 * (want[3] - want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 64),
+           C=hs.sampled_from([0.0, 0.5, 3.0, 1e4]), delta=hs.floats(0.01, 0.99),
+           samples=hs.integers(1, 300), log_scale=hs.floats(-6.0, 6.0))
+    def test_per_mode_draw_never_exceeds_the_margin(self, seed, n, C, delta, samples,
+                                                    log_scale):
+        # The statistic is a convex combination of the per-mode weights, so
+        # it stays below their maximum, the margin, up to roundoff.
+        rng = np.random.default_rng(seed)
+        R = random_complex(rng, n) * 10.0 ** log_scale
+        G = rng.exponential(size=n) * (rng.random(n) < 0.8)
+        g = st.GramianBundle(R, G, "discrete", 1.0, 1.0)
+        margin = st.check_inequality(g, C, delta).margin
+        worst = brute_force_max_violation(g, C, delta, samples, seed % 1000)
+        scale = max(np.abs(R).max() ** 2, C * G.max(), 1.0)
+        assert worst <= margin + 1e-12 * scale
 
     def test_streamed_draw_in_little_memory(self):
         # The whole 6250 x 2000 complex draw would take 200 MB.
