@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse
-from .linsys import (ContinuousSystem, SpectralSystem, _phi1, frac_heat_symbol,
+from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _phi1, frac_heat_symbol,
                      schrodinger_symbol)
 
 __all__ = [
@@ -236,15 +236,18 @@ def witness_band(T: float, N: int, epsilon: float) -> tuple[float, float, float]
     eta solves (eta T / (2 pi - eta))^2 = epsilon / N, so the guaranteed bound
     equals epsilon; the support is (sqrt((2 pi - eta)/T), sqrt((2 pi + eta)/T)).
     """
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be finite and > 0")
+    _check_count(N, "N")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and > 0")
     rho = math.sqrt(epsilon / N)
     eta = 2.0 * math.pi * rho / (T + rho)
-    return eta, math.sqrt((2.0 * math.pi - eta) / T), math.sqrt((2.0 * math.pi + eta) / T)
+    lo, hi = math.sqrt((2.0 * math.pi - eta) / T), math.sqrt((2.0 * math.pi + eta) / T)
+    if not (lo > 0 and hi < math.inf):  # eta rounds to 2 pi, or 2 pi / T overflows
+        raise ValueError(f"the witness band ({lo:.6g}, {hi:.6g}) is not a finite band above 0; "
+                         "raise T or lower epsilon / N")
+    return eta, lo, hi
 
 
 def schrodinger_witness(T: float, N: int, epsilon: float,

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericOverflowError
-from .linsys import ContinuousSystem, SpectralSystem, _expm_on_first_use, _phi1
+from .linsys import ContinuousSystem, SpectralSystem, _check_count, _expm_on_first_use, _phi1
 
 __all__ = [
     "Trajectory",
@@ -106,8 +106,7 @@ def check_grid(T: float, horizon: float, steps_per_period: int, width: int) -> i
         raise ValueError("T must be finite and > 0")
     if not (math.isfinite(horizon) and horizon >= T):
         raise ValueError("horizon must be finite and cover at least one period")
-    if steps_per_period < 1:
-        raise ValueError("steps_per_period must be >= 1")
+    _check_count(steps_per_period, "steps_per_period")
     cells = (horizon / T * steps_per_period + 1) * width
     if cells > _MAX_GRID_CELLS:
         raise ValueError(f"simulation grid needs {cells:.3g} cells, over the ceiling of "

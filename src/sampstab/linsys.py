@@ -212,6 +212,12 @@ def schrodinger_symbol() -> Callable[[np.ndarray], np.ndarray]:
     return lam
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a count below 1, or past the float range that arithmetic on it converts to."""
+    if not 1 <= value <= _sys.float_info.max:
+        raise ValueError(f"{name} must lie in [1, {_sys.float_info.max:.2g}]")
+
+
 def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericOverflowError(f"{what} produced non-finite entries")

@@ -92,6 +92,7 @@ def _value_step(K: np.ndarray, Phi: np.ndarray, D: np.ndarray) -> np.ndarray:
     return _hermitize(Phi.conj().T @ K @ X + np.eye(n))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing iterate ends the doubling
 def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> RiccatiSolution:
     """Double the value recursion until its relative step drops to tol.
@@ -132,7 +133,8 @@ def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
             break
         if np.trace(H).real > _DIVERGENCE_TRACE:
             break
-    residual = float(np.linalg.norm(H - _value_step(H, Phi, D), 2))
+    gap = H - _value_step(H, Phi, D)
+    residual = float(np.linalg.norm(gap, 2)) if np.isfinite(gap).all() else np.inf
     return RiccatiSolution(K=H, residual=residual, iterations=iterations,
                            converged=converged)
 

@@ -13,13 +13,13 @@ variant replaces the sum with int_0^T exp(At) B B* exp(At)* dt.
 Feasibility searches walk N upward and take the smallest C in closed form.
 The discrete search extends G and R by one period per step from the sampled
 pair (Phi, D) of linsys.sample: W_1* W_1 = D D* and W_{i+1} = W_i Phi*.  The
-continuous search decides on continuous_gramian at every horizon k T; a dense
-horizon 2k T, k a power of two, continues the scaling-and-squaring doubling
-of k T by one step where that is the doubling continuous_gramian makes, so
-it builds no block exponential and its Gramian is the same bits.  The kernel
-of G supplies a structural obstruction: on ker G the inequality collapses to
-||R* phi||^2 <= delta ||phi||^2, so if the transition preserves norm on the
-kernel no constant C can help at that horizon.
+continuous search takes every horizon k T from one generator, whose first
+horizon is continuous_gramian; a dense horizon 2k T, k a power of two,
+continues the doubling of k T by one step where a fresh build makes that
+doubling last, so it builds no block exponential and its Gramian is the same
+bits.  The kernel of G supplies a structural obstruction: on ker G the
+inequality collapses to ||R* phi||^2 <= delta ||phi||^2, so if the transition
+preserves norm on the kernel no constant C can help at that horizon.
 
 The sampling period is an array axis.  sweep_dc decides a grid of periods in
 one search: the sampled pairs come from one stacked exponential
@@ -29,7 +29,7 @@ period axis.  Each period stops at its own horizon: the search keeps a mask
 of the periods still undecided.  A grid is cut into chunks of at most
 _CHUNK_CELLS entries per stacked array, so memory stays bounded however many
 periods it holds.  decide_dc is the one-period slice of sweep_dc, decide_cc
-feeds its continuous_gramian bundles through the same search, and the public
+feeds the continuous horizons through the same search, and the public
 one-period functions are slices of the same stacked kernels.
 
 A spectral (diagonal) system stays diagonal: R and G are 1-D arrays of
@@ -45,10 +45,9 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from . import linsys
 from .errors import NumericOverflowError, SearchExhausted
-from .linsys import (ContinuousSystem, SpectralSystem, _hermitize, sample, sample_periods,
-                     semigroup)
+from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize, _phi1,
+                     _quiet_expm, sample, sample_periods, semigroup)
 
 __all__ = [
     "GramianBundle",
@@ -113,6 +112,16 @@ def _decompose(G: np.ndarray, per_mode: bool):
     return G, w, V, ok
 
 
+def _decompose_one(G: np.ndarray, per_mode: bool, mode: str):
+    """_decompose's (G, w, V) of one Gramian G; NumericOverflowError where ok is False."""
+    if not np.isfinite(G).all():
+        raise NumericOverflowError(f"{mode} Gramian has non-finite entries")
+    G, w, V, ok = _decompose(G[None], per_mode)
+    if not ok[0]:
+        raise NumericOverflowError("Gramian has a significantly negative eigenvalue")
+    return G, w, V
+
+
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
     """Transition R, PSD Gramian G, and its eigendecomposition G = V diag(w) V*.
@@ -134,14 +143,10 @@ class GramianBundle:
     eigenvectors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.G).all():
-            raise NumericOverflowError(f"{self.mode} Gramian has non-finite entries")
         per_mode = np.ndim(self.G) == 1
         if per_mode and np.shape(self.R) != np.shape(self.G):
             raise ValueError("a 1-D Gramian needs a 1-D transition of the same length")
-        G, w, V, ok = _decompose(np.asarray(self.G)[None], per_mode)
-        if not ok[0]:
-            raise NumericOverflowError("Gramian has a significantly negative eigenvalue")
+        G, w, V = _decompose_one(np.asarray(self.G), per_mode, self.mode)
         _set(self, R=np.asarray(self.R, dtype=complex), G=G[0], eigenvalues=w[0],
              eigenvectors=None if V is None else V[0])
 
@@ -296,8 +301,7 @@ def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -
 
     A spectral system gives a 1-D bundle (per-mode diagonals).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_count(N, "N")
     pair = sample(sys, T)
     R, G = next(islice(_walk(pair.Phi[None], pair.D[None]), N - 1, None))
     return GramianBundle(R[0], G[0], "discrete", T, float(N))
@@ -312,43 +316,11 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
     E = exp(At) <- E^2, reach T_h without the exp(-A T_h) that loses digits
     or overflows on long or stiff horizons.  Spectral G is the 1-D per-mode
     b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D for a spectral
-    system.  A non-finite G or R raises NumericOverflowError.
+    system.  A non-finite G or R raises NumericOverflowError.  The first
+    horizon of _continuous_horizons(sys, T_h).
     """
-    return _continuous_bundle(sys, T_h)[0]
-
-
-def _continuous_bundle(sys: ContinuousSystem | SpectralSystem, T_h: float, half=None):
-    """(continuous_gramian(sys, T_h), doubling).
-
-    doubling is the dense pair (G, E = exp(A T_h)) before G is hermitized, if
-    one more doubling from it is the one continuous_gramian(sys, 2 T_h)
-    makes last, else None.  That holds when ||A||_1 T_h >= 1/2: 2 T_h then
-    takes s + 1 doublings from the same step h.  half is such a pair of
-    T_h / 2, from which one doubling reaches T_h bit for bit.
-    """
-    if not (math.isfinite(T_h) and T_h > 0):
-        raise ValueError("T_h must be finite and > 0")
-    R = semigroup(sys, T_h)
-    doubling = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(sys, SpectralSystem):
-            G = sys.control_mask ** 2 * linsys._phi1(2.0 * sys.symbol_values.real, T_h).real
-        else:
-            A, B, n = sys.A, sys.B, sys.state_dim
-            x = np.linalg.norm(A, 1) * T_h
-            s = max(math.frexp(x)[1], 0)
-            if half is None:
-                aug = np.block([[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]])
-                F = linsys._quiet_expm(aug * (T_h / 2 ** s))
-                E = F[n:, n:].conj().T
-                G, steps = E @ F[:n, n:], s
-            else:
-                (G, E), steps = half, 1
-            for _ in range(steps):
-                G, E = G + E @ G @ E.conj().T, E @ E
-            if max(math.frexp(2.0 * x)[1], 0) == s + 1:
-                doubling = G, E
-    return GramianBundle(R, G, "continuous", T_h, T_h), doubling
+    _, s = next(_continuous_horizons(sys, T_h))
+    return s.bundles(np.zeros(1, dtype=int))[0]
 
 
 def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityCertificate:
@@ -577,8 +549,7 @@ def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
 
 
 def _check_search(N_max: int, delta_target: float) -> None:
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
+    _check_count(N_max, "N_max")
     if not (0 < delta_target < 1):
         raise ValueError("delta_target must lie in (0, 1)")
 
@@ -609,28 +580,47 @@ def _discrete_horizons(sys: ContinuousSystem | SpectralSystem, periods: np.ndarr
 
 
 def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
-    """continuous_gramian(sys, k T), k = 1, 2, ..., as one-period stacks for _search.
+    """Continuous bundles of horizons k T, k = 1, 2, ..., as one-period stacks for _search.
 
-    A dense horizon 2k T with k a power of two continues the doubling of
-    horizon k T by one step where _continuous_bundle allows it ((2k) T is
-    2 (k T) exactly), so it builds no block exponential; only the last
-    power-of-two horizon's pair is kept.  A bundle that overflows raises at
-    k = 1 and stops the search later.
+    Each is built as continuous_gramian says, but a dense horizon 2k T, k a
+    power of two, continues the raw (G, E) of k T by one doubling when
+    ||A||_1 k T >= 1/2: a fresh build then makes s + 1 doublings from the same
+    step h, so the bits agree.  An overflow raises at k = 1, later it stops.
     """
-    half = None  # at a power of two k: the doubling pair of horizon (k / 2) T, or None
+    spectral = isinstance(sys, SpectralSystem)
+    pair = None  # the raw (G, E) of the last power-of-two horizon, if one doubling continues it
     for k in count(1):
-        power = k & (k - 1) == 0
+        T_h, power = k * T, k & (k - 1) == 0
+        if not (math.isfinite(T_h) and T_h > 0):
+            raise ValueError("T_h must be finite and > 0")
         try:
-            g, doubling = _continuous_bundle(sys, k * T, half if power else None)
+            R = semigroup(sys, T_h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if spectral:
+                    G = sys.control_mask ** 2 * _phi1(2.0 * sys.symbol_values.real, T_h).real
+                else:
+                    A, B, n = sys.A, sys.B, sys.state_dim
+                    x = np.linalg.norm(A, 1) * T_h
+                    s = max(math.frexp(x)[1], 0)
+                    if power and pair is not None:
+                        (G, E), steps = pair, 1
+                    else:  # G holds [[., G(h)], [0, E*]] until G(h) replaces it
+                        G = _quiet_expm(math.ldexp(T_h, -s) * np.block(
+                            [[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]]))
+                        E = G[n:, n:].conj().T
+                        G, steps = E @ G[:n, n:], s
+                    for _ in range(steps):
+                        G, E = G + E @ G @ E.conj().T, E @ E
+                    if power:
+                        pair = (G, E) if max(math.frexp(2.0 * x)[1], 0) == s + 1 else None
+            G, w, V = _decompose_one(G, spectral, "continuous")
         except NumericOverflowError:
             if k == 1:
                 raise
             yield np.zeros(1, dtype=bool), None
             return
-        if power:
-            half = doubling
-        del doubling
-        yield np.ones(1, dtype=bool), _Stack.of(g)
+        yield np.ones(1, dtype=bool), _Stack("continuous", np.array([T_h]), np.array([T_h]),
+                                             R[None], G, w, V)
 
 
 def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
@@ -686,8 +676,8 @@ def decide_cc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
               delta_target: float = 0.9) -> ObservabilityCertificate:
     """Continuous-mode analogue of decide_dc over horizons T_h = k T, k <= N_max.
 
-    Every horizon is decided on continuous_gramian(sys, k T), by the search
-    of sweep_dc over one period.
+    Every horizon is decided on continuous_gramian(sys, k T), as
+    _continuous_horizons builds it, by the search of sweep_dc over one period.
     """
     _check_search(N_max, delta_target)
     [outcome] = _search(
@@ -732,9 +722,8 @@ _MAX_DRAW_CELLS = 10 ** 7
 
 def check_draw(n_samples: int, n: int, per_mode: bool) -> None:
     """Validate a brute-force draw of n_samples states of dimension n before it is allocated."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    cells = n_samples if per_mode else n * n_samples
+    _check_count(n_samples, "n_samples")
+    cells = float(n_samples) * (1 if per_mode else n)  # inf past the float range
     if cells > _MAX_DRAW_CELLS:
         raise ValueError(f"brute force needs {cells:.3g} cells, over the ceiling of "
                          f"{_MAX_DRAW_CELLS:.0e}; lower --brute-samples")

@@ -1,6 +1,7 @@
 """Benchmark systems: oscillator determinant, masked diffusion, witness states."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import sampstab as st
+from sampstab import benchmarks
 from sampstab.benchmarks import _witness_observed
 
 from conftest import det_lambda_quadrature, to_dense, witness_observed_loop
@@ -163,6 +165,53 @@ class TestWitness:
         with pytest.raises(st.GridTooCoarse):
             st.schrodinger_witness(1.0, 2, 0.01, np.linspace(0.0, 4.0, 64))
 
+    def test_bump_that_vanishes_on_the_grid(self):
+        # 32 points inside the support, all where exp(-1 / (1 - u^2)) underflows.
+        _, lo, hi = st.witness_band(1.0, 2, 0.01)
+        u = np.concatenate([-np.linspace(0.99999, 0.9995, 16), np.linspace(0.9995, 0.99999, 16)])
+        with pytest.raises(st.GridTooCoarse, match="bump vanished"):
+            st.schrodinger_witness(1.0, 2, 0.01, lo + (u + 1) / 2 * (hi - lo))
+
+    def test_quadrature_estimate_past_the_slack(self, monkeypatch):
+        # The coarse grid's estimate is moved by the bound: the difference no
+        # longer fits in bound - observed.
+        grid = self.grid(1.0, 2, 0.01)
+        observed = benchmarks._witness_observed
+        calls = []
+
+        def coarse_moved(g, phi, T, N):
+            calls.append(g.size)
+            return observed(g, phi, T, N) + (0.01 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(benchmarks, "_witness_observed", coarse_moved)
+        with pytest.raises(st.GridTooCoarse, match="quadrature error estimate"):
+            st.schrodinger_witness(1.0, 2, 0.01, grid)
+        assert calls == [grid.size, grid[::2].size]
+
+    @pytest.mark.parametrize("T,N,epsilon,match", [
+        (0.0, 2, 0.01, "T must be"), (math.inf, 2, 0.01, "T must be"),
+        (math.nan, 2, 0.01, "T must be"), (1.0, 0, 0.01, "N must lie"),
+        pytest.param(1.0, 2 ** 1024, 0.01, "N must lie", id="N-past-the-float-range"),
+        (1.0, 2, 0.0, "epsilon must"),
+        (1.0, 2, math.inf, "epsilon must"), (1.0, 2, math.nan, "epsilon must"),
+        # eta rounds to 2 pi, so the band reaches 0; 2 pi / T overflows.
+        (1e-300, 2, 0.01, "band"), (1.0, 2, 1e300, "band"), (5e-324, 2, 5e-324, "band"),
+    ])
+    def test_band_refusals(self, T, N, epsilon, match):
+        with pytest.raises(ValueError, match=match):
+            st.witness_band(T, N, epsilon)
+
+    @pytest.mark.parametrize("change,match", [
+        (lambda wit: {"eta": 0.0}, "eta must lie"),
+        (lambda wit: {"eta": 2 * math.pi}, "eta must lie"),
+        (lambda wit: {"phi": 2 * wit.phi}, "norm"),
+        (lambda wit: {"observed": wit.bound + 1e-9}, "exceeds"),
+    ], ids=["eta-0", "eta-2pi", "norm-2", "observed-past-bound"])
+    def test_witness_refusals(self, change, match):
+        wit = st.schrodinger_witness(1.0, 2, 0.05, self.grid(1.0, 2, 0.05))
+        with pytest.raises(ValueError, match=match):
+            replace(wit, **change(wit))
+
     @pytest.mark.parametrize("N", [1, 2, 8])
     def test_observed_sum_matches_the_interval_loop(self, N):
         # One interval times N against the interval-by-interval oracle.
@@ -203,6 +252,18 @@ def thick_sets(draw):
 
 
 class TestThickness:
+    @pytest.mark.parametrize("intervals,length,gamma,match", [
+        (((0.0, 1.0),), 0.0, 0.5, "domain_length"),
+        (((0.0, 1.0),), 2.0, 0.0, "gamma"),
+        (((0.0, 1.0),), 2.0, 1.5, "gamma"),
+        (((1.0, 3.0),), 2.0, 0.5, "not inside"),
+        (((1.0, 1.0),), 2.0, 0.5, "not inside"),
+        (((0.0, 1.0), (0.5, 1.5)), 2.0, 0.5, "disjoint"),
+    ])
+    def test_spec_refusals(self, intervals, length, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            st.ThickSetSpec(intervals, length, gamma)
+
     def test_whole_domain(self):
         spec = st.ThickSetSpec(intervals=((0.0, 10.0),), domain_length=10.0, gamma=1.0)
         res = st.is_thick(spec, 2.0)

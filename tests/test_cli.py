@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import sampstab as st
@@ -270,11 +270,35 @@ class TestAnalyze:
     "analyze --example frac-heat --modes 4 --xi-max inf --T 1",
     "analyze --example schrodinger --modes 4 --xi-max inf --T 1",
     "simulate --example oscillator --T 1 --horizon 2 --y0 [NaN,1]",
+    # A witness band that reaches 0 (eta rounds to 2 pi), and an infinite epsilon.
+    "witness --T 1e-300 --N 2 --epsilon 0.01",
+    "witness --T 1 --N 2 --epsilon 1e300",
+    "witness --T 1 --epsilon inf",
+    "witness --T 5e-324 --epsilon 5e-324",
+    # A sweep whose bounds are out of order or not positive, or whose step is 0.
+    "sweep --example oscillator --sweep 2:1:0.5",
+    "sweep --example oscillator --sweep 0:1:0.5",
+    "sweep --example oscillator --sweep 0.5:1:0",
 ])
 def test_out_of_range_argument_is_config_error(tmp_path, argv):
     code, err = run_quietly(argv.split() + ["--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "witness --T 1 --N {}",
+    "analyze --example oscillator --T 1 --N-max {}",
+    "sweep --example oscillator --sweep 0.5:1:0.5 --N-max {}",
+    "simulate --example oscillator --T 1 --horizon 2 --steps-per-period {}",
+    "analyze --example oscillator --T 1 --brute-samples {}",
+    "analyze --example frac-heat --modes 4 --T 1 --brute-samples {}",
+])
+def test_count_past_the_float_range_is_config_error(tmp_path, argv):
+    # The arithmetic on a count converts it to a float, which 2^1024 overflows.
+    code, err = run_quietly(argv.format(2 ** 1024).split() + ["--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ") and "must lie in [1, " in err[0]
 
 
 _EDGE_NUMBERS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 10 ** 400,
@@ -336,7 +360,74 @@ def test_fuzzed_system_documents_exit_cleanly(doc):
     assert len(err) <= 1, err
 
 
+# Flag values at the edges of the float range; an int past 2^1024 converts to no float.
+_HUGE = str(2 ** 1024 + 1)
+_EDGE_FLOATS = ("0", "-1", "-1e300", "5e-324", "1e-300", "1e300", "1.8e308", "inf", "-inf",
+                "nan", _HUGE)
+_EDGE_INTS = ("0", "-1", "-7", _HUGE, "-" + _HUGE)
+
+# A small call of each command, and the edge values of each of its numeric flags.
+_FUZZED_COMMANDS = {
+    "analyze --example oscillator --T 1 --N-max 4 --brute-samples 16": {
+        "--T": _EDGE_FLOATS, "--delta": _EDGE_FLOATS, "--N-max": _EDGE_INTS,
+        "--brute-samples": _EDGE_INTS, "--seed": _EDGE_INTS},
+    "analyze --example frac-heat --modes 4 --T 1 --N-max 4 --brute-samples 16": {
+        "--T": _EDGE_FLOATS, "--s": _EDGE_FLOATS, "--c": _EDGE_FLOATS,
+        "--xi-max": _EDGE_FLOATS, "--modes": _EDGE_INTS, "--N-max": _EDGE_INTS},
+    "analyze --example schrodinger --modes 4 --T 1 --N-max 4 --brute-samples 16": {
+        "--T": _EDGE_FLOATS, "--xi-max": _EDGE_FLOATS, "--delta": _EDGE_FLOATS,
+        "--brute-samples": _EDGE_INTS},
+    "sweep --example oscillator --sweep 0.5:1:0.5 --N-max 4": {
+        "--delta": _EDGE_FLOATS, "--N-max": _EDGE_INTS},
+    "sweep --example frac-heat --modes 4 --sweep 0.5:1:0.5 --N-max 4": {
+        "--s": _EDGE_FLOATS, "--c": _EDGE_FLOATS, "--modes": _EDGE_INTS},
+    "witness --T 1 --support-points 64": {
+        "--T": _EDGE_FLOATS, "--epsilon": _EDGE_FLOATS, "--N": _EDGE_INTS,
+        "--support-points": _EDGE_INTS},
+    "simulate --example oscillator --T 1 --horizon 2 --steps-per-period 4": {
+        "--T": _EDGE_FLOATS, "--horizon": _EDGE_FLOATS, "--steps-per-period": _EDGE_INTS},
+}
+
+
+@hs.composite
+def numeric_flags(draw):
+    """A small call of one command with one to three of its numeric flags at an edge."""
+    call = draw(hs.sampled_from(sorted(_FUZZED_COMMANDS)))
+    edges = _FUZZED_COMMANDS[call]
+    flags = draw(hs.lists(hs.sampled_from(sorted(edges)), min_size=1, max_size=3, unique=True))
+    argv = call.split()
+    for flag in flags:
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        argv.append(f"{flag}={draw(hs.sampled_from(edges[flag]))}")  # "=": a value may lead with -
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=numeric_flags())
+@example(argv=["witness", "--T=1e-300", "--N=2", "--epsilon=0.01"])
+@example(argv=["witness", "--T=1", "--N=2", "--epsilon=1e300"])
+@example(argv=["witness", "--T=1", f"--N={_HUGE}"])
+@example(argv=["analyze", "--example", "oscillator", "--T=1", f"--N-max={_HUGE}"])
+@example(argv=["analyze", "--example", "oscillator", "--T=1", f"--brute-samples={_HUGE}"])
+@example(argv=["simulate", "--example", "oscillator", "--T=1", "--horizon=2",
+               f"--steps-per-period={_HUGE}"])
+def test_fuzzed_numeric_flags_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, err = run_quietly([*argv, "--out", out_dir])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC)
+    assert len(err) <= 1, err
+
+
 class TestSynthesize:
+    def test_overflowing_doubling_is_one_numeric_failure(self, tmp_path):
+        # exp(400) squared overflows the first doubling, silently.
+        (tmp_path / "sys.json").write_text(json.dumps({"A": [[400.0]], "B": [[0.0]]}))
+        code, err = run_quietly(["synthesize", "--system", str(tmp_path / "sys.json"),
+                                 "--T", "1", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert len(err) == 1 and "did not converge (1 doublings, residual inf)" in err[0]
+
     def test_oscillator(self, tmp_path):
         code = main(["synthesize", "--example", "oscillator", "--T", "1.0",
                      "--out", str(tmp_path)])

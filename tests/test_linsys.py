@@ -45,6 +45,10 @@ class TestSemigroup:
         sys = st.ContinuousSystem([[0.0]], [[1.0]])
         assert_allclose(st.semigroup(sys, 5.0), [[1.0]])
 
+    def test_dense_time_zero_is_the_identity(self):
+        S = st.semigroup(st.harmonic_oscillator(), 0.0)
+        assert S.dtype == complex and np.array_equal(S, np.eye(2))
+
     @pytest.mark.parametrize("t", [0.1, 1.0, np.pi])
     def test_rotation_closed_form(self, t):
         osc = st.harmonic_oscillator()

@@ -45,6 +45,14 @@ class TestRiccatiSolve:
         assert not sol.converged
         assert sol.iterations < 100
 
+    def test_overflowing_iterate_ends_the_doubling(self):
+        # The first doubling of |phi|^2 = 1e400 overflows: the last finite
+        # iterate (K_0 = I) stands, unconverged, and no warning is raised.
+        pair = st.SampledSystem([[1e200, 0.0], [0.0, 0.5]], [[0.0], [1.0]], 1.0)
+        sol = st.riccati_solve(pair)
+        assert (sol.converged, sol.iterations, sol.residual) == (False, 1, math.inf)
+        assert np.array_equal(sol.K, np.eye(2))
+
     def test_kernel_dominates_identity(self):
         for seed in range(6):
             pair = random_stabilizable_pair(seed)
@@ -94,6 +102,10 @@ class TestValueIteration:
     def test_scalar_limit_is_golden(self):
         P = st.dp_value_iterate(scalar_pair(1.0, 1.0), 60)
         assert_allclose(P[0, 0].real, GOLDEN, atol=1e-12)
+
+    def test_horizon_validation(self):
+        with pytest.raises(ValueError, match="horizon n"):
+            st.dp_value_iterate(scalar_pair(1.0, 1.0), 0)
 
     def test_monotone_and_bounded_by_kernel(self):
         for seed in range(4):
@@ -152,6 +164,14 @@ class TestFeedbackGain:
         with pytest.raises(ValueError):
             st.feedback_gain(bad, scalar_pair(1.0, 0.0))
 
+    @pytest.mark.parametrize("pair,K", [(scalar_pair(2.0, 0.0), [[1.0]]),
+                                        (st.SampledSystem([2.0], [0.0], 1.0), [1.0])])
+    def test_unstable_closed_loop_is_refused(self, pair, K):
+        # A kernel marked converged that leaves the uncontrolled mode 2 in place.
+        sol = st.RiccatiSolution(np.array(K, dtype=complex), 0.0, 1, True)
+        with pytest.raises(st.SpectralRadiusError, match="spectral radius 2 >= 1"):
+            st.feedback_gain(sol, pair)
+
     def test_closed_loop_powers_decay(self):
         for seed in range(3):
             pair = random_stabilizable_pair(seed)
@@ -177,6 +197,11 @@ class TestOptimalCost:
         sol = st.riccati_solve(scalar_pair(1.0, 1.0))
         assert_allclose(st.lq_optimal_cost(sol, [1.0]), GOLDEN, atol=1e-10)
         assert_allclose(st.lq_optimal_cost(sol, [2.0]), 2 * (1 + np.sqrt(5)), atol=1e-9)
+
+    def test_requires_convergence(self):
+        bad = st.riccati_solve(scalar_pair(1.0, 0.0), max_iter=5)
+        with pytest.raises(ValueError, match="converged"):
+            st.lq_optimal_cost(bad, [1.0])
 
     def test_simulated_cost_within_kernel_bound(self):
         for seed in range(4):

@@ -98,6 +98,53 @@ class TestCheckInequality:
             assert st.check_inequality(g, C + dC, delta + ddelta).feasible
 
 
+class TestRefusals:
+    def test_significantly_negative_gramian(self):
+        # Roundoff below -1e-12 of the largest eigenvalue passes; -0.5 does not.
+        st.GramianBundle(np.eye(2), np.diag([1.0, -1e-13]), "discrete", 1.0, 1.0)
+        for R, G in ((np.eye(2), np.diag([1.0, -0.5])), (np.ones(2), np.array([1.0, -0.5]))):
+            with pytest.raises(st.NumericOverflowError, match="significantly negative"):
+                st.GramianBundle(R, G, "discrete", 1.0, 1.0)
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"delta": 1.0}, "delta in"), ({"delta": 0.0}, "delta in"), ({"C": -1.0}, "C >= 0"),
+        ({"margin": 2 * obscheck.PSD_TOL}, "margin <= 0"),
+    ])
+    def test_feasible_certificate_checks(self, fields, match):
+        cert = {"mode": "discrete", "T": 1.0, "N": 1.0, "C": 1.0, "delta": 0.5, "margin": 0.0,
+                **fields}
+        with pytest.raises(ValueError, match=match):
+            st.ObservabilityCertificate(**cert, feasible=True)
+        assert not st.ObservabilityCertificate(**cert, feasible=False).feasible
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, np.nan])
+    def test_delta_target_outside_the_unit_interval(self, delta):
+        for decide in (st.decide_dc, st.decide_cc):
+            with pytest.raises(ValueError, match="delta_target"):
+                decide(OSC, 1.0, 4, delta)
+        with pytest.raises(ValueError, match="delta_target"):
+            st.sweep_dc(OSC, [1.0], 4, delta)
+
+    @pytest.mark.parametrize("N", [0, -3, 2 ** 1024], ids=["0", "-3", "2^1024"])
+    def test_horizon_count_outside_the_float_range(self, N):
+        # decide_cc reports N_max * T and a bundle its horizon float(N), which
+        # an int past the float range overflows.
+        for decide in (st.decide_dc, st.decide_cc):
+            with pytest.raises(ValueError, match="N_max must lie in"):
+                decide(OSC, 1.0, N)
+        with pytest.raises(ValueError, match="N must lie in"):
+            st.discrete_gramian(OSC, 1.0, N)
+
+    @pytest.mark.parametrize("per_mode", [False, True])
+    def test_draw_outside_the_float_range(self, per_mode):
+        for samples in (0, 2 ** 1024):
+            with pytest.raises(ValueError, match="n_samples must lie in"):
+                obscheck.check_draw(samples, 4, per_mode)
+        # A product past the float range reads inf, over the ceiling.
+        with pytest.raises(ValueError, match="needs inf cells"):
+            obscheck.check_draw(10 ** 308, 4, False)
+
+
 class TestMinDeltaOnKernel:
     def test_trivial_kernel(self):
         g = st.discrete_gramian(OSC, np.pi / 2, 2)
@@ -209,6 +256,13 @@ class TestContinuousGramian:
         g = st.continuous_gramian(to_dense(heat), T_h)
         assert_allclose(np.diag(g.G).real, st.continuous_gramian(heat, T_h).G, rtol=1e-11)
         assert np.all(g.G[~np.eye(64, dtype=bool)] == 0.0)
+
+    def test_a_thousand_doublings_keep_their_step(self):
+        # ||A||_1 T_h = 1e308 takes s = 1024 doublings, and 2^1024 is no float:
+        # the step h = T_h 2^-s is scaled, not divided by it.  G -> 1 / (2 |a|).
+        g = st.continuous_gramian(st.ContinuousSystem([[-1e200]], [[1.0]]), 1e108)
+        assert_allclose(g.G, [[0.5e-200]], rtol=1e-12)
+        assert np.array_equal(g.R, [[0.0]])
 
     def test_long_mixed_horizon_passes_the_psd_check(self):
         # A single block exponential over this horizon lost enough digits for
