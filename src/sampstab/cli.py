@@ -367,9 +367,6 @@ def main(argv=None) -> int:
     except (GridTooCoarse, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except SearchExhausted as exc:
-        print(f"search exhausted: {exc}", file=_sys.stderr)
-        return EXIT_EXHAUSTED
     print(f"wall time: {time.perf_counter() - start:.3f} s")
     return code
 

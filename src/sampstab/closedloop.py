@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import NumericOverflowError
 from .linsys import ContinuousSystem, SpectralSystem, _check_count, _expm_on_first_use, _phi1
+from .serialize import nulled
 
 __all__ = [
     "Trajectory",
@@ -325,9 +326,10 @@ def trajectory_to_csv(traj: Trajectory, path, header: dict | None = None) -> Non
     """CSV export: t, ||y||, Re/Im of each state and control component.
 
     A JSON header line (prefixed '#') records the header's metadata, with
-    sorted keys and a schema number.  Cells are "%.16g", as np.savetxt writes
-    them; a column that is +0.0 on every row (the imaginary parts of a real
-    loop) is written as the literal 0 without formatting each cell.
+    sorted keys, a schema number and non-finite floats as null.  Cells are
+    "%.16g", as np.savetxt writes them; a column that is +0.0 on every row
+    (the imaginary parts of a real loop) is written as the literal 0 without
+    formatting each cell.
     """
     meta = dict(header or {})
     meta.setdefault("schema", 1)
@@ -341,7 +343,7 @@ def trajectory_to_csv(traj: Trajectory, path, header: dict | None = None) -> Non
                              np.ascontiguousarray(traj.states).view(float),
                              np.ascontiguousarray(traj.controls).view(float)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(nulled(meta), sort_keys=True, allow_nan=False) + "\n")
         fh.write(",".join(cols) + "\n")
         zero = ~(table.any(axis=0) | np.signbit(table).any(axis=0))
         row = ",".join(np.where(zero, "0", "%.16g")) + "\n"

@@ -70,6 +70,8 @@ PSD_TOL = 1e-10
 KERNEL_ONE_TOL = 1e-9
 # Largest constant a search certifies; a horizon needing more counts as failed.
 _C_CEILING = 2.0 ** 60
+# Most horizons a search walks: a period blocked at every horizon walks them all.
+_MAX_HORIZONS = 10 ** 5
 # Re-checks of a closed-form constant, each nudging C up by 4**k relative ulps.
 _NUDGES = 26
 # Entries per stacked array in one chunk of a sweep (4 MiB of complex128):
@@ -91,9 +93,9 @@ def _decompose(G: np.ndarray, per_mode: bool):
     """(G, w, V, ok) of a stack of Gramians, each as GramianBundle takes one.
 
     A dense G is hermitized and decomposed, G = V diag(w) V*, by one stacked
-    eigh over the periods whose G is finite; a per-mode G is its own spectrum
-    and V is None.  ok is False where G has non-finite entries or a
-    significantly negative eigenvalue.
+    eigh over the periods whose G is finite (w and V are NaN at the others);
+    a per-mode G is its own spectrum and V is None.  ok is False where G has
+    non-finite entries or a significantly negative eigenvalue.
     """
     finite = np.isfinite(G).all(axis=tuple(range(1, G.ndim)))
     if per_mode:
@@ -102,12 +104,9 @@ def _decompose(G: np.ndarray, per_mode: bool):
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite
             G = _hermitize(np.asarray(G, dtype=complex))
-        if finite.all():
-            w, V = np.linalg.eigh(G)
-        else:
-            w = np.full(G.shape[:-1], np.nan)
-            V = np.full(G.shape, np.nan, dtype=complex)
-            w[finite], V[finite] = np.linalg.eigh(G[finite])
+        w = np.full(G.shape[:-1], np.nan)
+        V = np.full(G.shape, np.nan, dtype=complex)
+        w[finite], V[finite] = np.linalg.eigh(G[finite])
     ok = finite & ~(w.min(axis=-1) < -1e-12 * np.maximum(np.abs(w).max(axis=-1), 1.0))
     return G, w, V, ok
 
@@ -338,9 +337,6 @@ def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityC
 
 def _by_kernel_dim(dims: np.ndarray):
     """(d, indices of the periods whose kernel dimension is d), for each d present."""
-    if (dims == dims[0]).all():
-        yield int(dims[0]), slice(None)
-        return
     for d in np.unique(dims):
         yield int(d), np.flatnonzero(dims == d)
 
@@ -440,40 +436,26 @@ def _pencil_constants(M, w_k, C_t) -> np.ndarray:
     return np.where(solved, np.where(C < 0.0, 0.0, C), C_t)
 
 
-def _lower(best: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """best[rows] = min(best[rows], values), keeping best where values is NaN."""
-    best[rows] = np.where(values < best[rows], values, best[rows])
-
-
 def _constants(s: _Stack, c: np.ndarray, mask: np.ndarray, delta: float):
     """The smallest constants of the periods c of s, each nudged until its margin passes.
 
-    Returns (passed, C, margin) for the periods whose margin passes within
-    _NUDGES re-checks, and (failed, margin) for the others: the margin at
-    the ceiling where C exceeds it, else at the last re-check.
+    Returns (ok, C, margin) aligned with c: ok where the margin passes within
+    _NUDGES re-checks, and C and its margin at the last re-check.  Where the
+    smallest constant exceeds _C_CEILING, ok is False, C is the ceiling and
+    margin the margin there.
     """
     C = _min_constants(s.take(c), mask[c], delta)
     over = ~(C <= _C_CEILING)
-    failed = [c[over]]
-    failed_margins = ([s.take(c[over]).margins(np.full(over.sum(), _C_CEILING), delta)]
-                      if over.any() else [])
-    j, C = c[~over], C[~over]
-    passed, passed_C, passed_margins = [], [], []
-    for i in range(_NUDGES):
-        margin = s.take(j).margins(C, delta)
-        ok = margin <= PSD_TOL
-        passed.append(j[ok])
-        passed_C.append(C[ok])
-        passed_margins.append(margin[ok])
-        j, C, margin = j[~ok], C[~ok], margin[~ok]
-        if not j.size:
+    C[over] = _C_CEILING
+    margin = s.take(c).margins(C, delta)
+    todo = np.flatnonzero(~over & ~(margin <= PSD_TOL))
+    for i in range(_NUDGES - 1):
+        if not todo.size:
             break
-        C = C * (1.0 + np.finfo(float).eps * 4.0 ** i)
-    else:
-        failed.append(j)
-        failed_margins.append(margin)
-    return (np.concatenate(passed), np.concatenate(passed_C), np.concatenate(passed_margins),
-            np.concatenate(failed), np.concatenate(failed_margins or [np.zeros(0)]))
+        C[todo] *= 1.0 + np.finfo(float).eps * 4.0 ** i
+        margin[todo] = s.take(c[todo]).margins(C[todo], delta)
+        todo = todo[~(margin[todo] <= PSD_TOL)]
+    return ~over & (margin <= PSD_TOL), C, margin
 
 
 def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
@@ -513,27 +495,29 @@ def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
         worst[r[up]], worst_dim[r[up]] = kn[up], dims[up]
         blocked = kn >= 1.0 - KERNEL_ONE_TOL
         blocked_all[r[~blocked]] = False
-        if blocked.any():
-            # No C can rescue a blocked horizon; record a margin data point.
-            b = np.flatnonzero(blocked)
-            _lower(best, r[b], s.take(b).margins(np.ones(b.size), delta))
+        # One margin data point per period, NaN for a certificate.  No C can
+        # rescue a blocked horizon: its margin at C = 1.  Kernel slack that
+        # already reaches the requested delta makes the C-search futile here,
+        # but a larger delta < 1 might work, so it is no proof: kn - delta.  A
+        # failed constant: its last margin.
+        point = np.full(acc.size, np.nan)
+        b = np.flatnonzero(blocked)
+        point[b] = s.take(b).margins(np.ones(b.size), delta)
         slack = ~blocked & (kn >= delta)
-        if slack.any():
-            # Kernel slack already reaches the requested delta: C-search futile
-            # here, but a larger delta < 1 might work, so this is not proof.
-            _lower(best, r[slack], kn[slack] - delta)
+        point[slack] = kn[slack] - delta
         c = np.flatnonzero(~blocked & (kn < delta))
+        keep = acc
         if c.size:
-            passed, C, margin, failed, failed_margin = _constants(s, c, mask, delta)
-            _lower(best, r[failed], failed_margin)
-            for j, Cj, mj, g in zip(passed.tolist(), C.tolist(), margin.tolist(),
-                                    s.bundles(passed)):
+            passes, C, margin = _constants(s, c, mask, delta)
+            point[c] = np.where(passes, np.nan, margin)
+            passed = c[passes]
+            for j, Cj, mj, g in zip(passed.tolist(), C[passes].tolist(),
+                                    margin[passes].tolist(), s.bundles(passed)):
                 found[int(r[j])] = ObservabilityCertificate(
                     mode=g.mode, T=g.T, N=g.horizon, C=Cj, delta=float(delta), margin=mj,
                     feasible=True, kernel_dim=int(dims[j]), kernel_norm=float(kn[j]), bundle=g)
             keep = np.delete(acc, passed)
-        else:
-            keep = acc
+        best[r] = np.where(point < best[r], point, best[r])
         rows = rows[keep]
         del s  # before the next horizon is built
         if not rows.size:
@@ -549,7 +533,8 @@ def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
 
 
 def _check_search(N_max: int, delta_target: float) -> None:
-    _check_count(N_max, "N_max")
+    if not 1 <= N_max <= _MAX_HORIZONS:
+        raise ValueError(f"N_max must lie in [1, {_MAX_HORIZONS:.0e}]")
     if not (0 < delta_target < 1):
         raise ValueError("delta_target must lie in (0, 1)")
 

@@ -1,15 +1,17 @@
 """JSON helpers: arrays are row-major nested lists, complex entries [re, im].
 
 ``dump_json`` is ``json.dump(obj, fh, indent=2, sort_keys=True)`` plus a
-trailing newline.  A report's bulk arrays (kernel, gain, closed loop) are not
-JSON: ``save_array`` writes each to a ``.npy`` file in its own dtype, and the
-report holds its descriptor.
+trailing newline, with every non-finite float written as null (``nulled``):
+JSON has no token for inf or NaN.  A report's bulk arrays (kernel, gain,
+closed loop) are not JSON: ``save_array`` writes each to a ``.npy`` file in
+its own dtype, and the report holds its descriptor.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -73,10 +75,21 @@ def reals_from_json(obj) -> np.ndarray:
     return _floats(obj)
 
 
+def nulled(obj):
+    """obj with each non-finite float, at any depth of dicts and lists, as None (null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [nulled(v) for v in obj]
+    return obj
+
+
 def dump_json(obj, path) -> None:
-    """Write obj as indent-2, key-sorted JSON and a newline to path."""
+    """Write obj as indent-2, key-sorted JSON and a newline to path; inf and NaN as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(nulled(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -546,8 +546,10 @@ def brute_force_exponential_oracle(g: GramianBundle, C: float, delta: float,
 
 
 def json_dump_oracle(obj) -> str:
-    """What serialize.dump_json must write: the standard library's text and a newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """What serialize.dump_json must write: the standard library's text and a newline,
+    each NaN, Infinity and -Infinity token read back as null."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def matrix_to_json_loop(m) -> list:

@@ -419,6 +419,53 @@ def test_fuzzed_numeric_flags_exit_cleanly(argv):
     assert len(err) <= 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    "analyze --example oscillator --T 3.141592653589793 --N-max {}",
+    "sweep --example oscillator --sweep 0.5:1:0.5 --N-max {}",
+])
+def test_horizon_count_over_the_ceiling_is_config_error(tmp_path, argv):
+    # Blocked at every horizon, the analyze search would walk all of them.
+    code, err = run_quietly(argv.format(obscheck._MAX_HORIZONS + 1).split()
+                            + ["--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert err == [f"error: N_max must lie in [1, {obscheck._MAX_HORIZONS:.0e}]"]
+
+
+def strict_json(text: str):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNonFiniteValuesAreNull:
+    def test_exhausted_search_without_a_data_point(self, tmp_path, capsys):
+        # e^{800} overflows the squared transition at k = 1: no horizon gives a
+        # margin, so both best margins are inf, written as null.
+        (tmp_path / "sys.json").write_text(json.dumps({"A": [[400]], "B": [[0]]}))
+        code = main(["analyze", "--system", str(tmp_path / "sys.json"), "--T", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_EXHAUSTED
+        assert "search-exhausted (best margin inf)" in capsys.readouterr().out
+        results = strict_json((tmp_path / "report.json").read_text())["results"]
+        for mode in ("discrete", "continuous"):
+            assert results[mode]["status"] == "search-exhausted"
+            assert results[mode]["best_margin"] is None
+
+    def test_decay_fit_of_states_that_vanish(self, tmp_path, capsys):
+        # e^{-1000} underflows: the sampled states are exactly 0 and the fitted
+        # rate is inf, written as null in the report and the CSV header.
+        (tmp_path / "sys.json").write_text(json.dumps({"A": [[-1000]], "B": [[1]]}))
+        code = main(["simulate", "--system", str(tmp_path / "sys.json"), "--T", "1",
+                     "--horizon", "20", "--loop", "dc", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "fitted omega = inf" in capsys.readouterr().out
+        report = strict_json((tmp_path / "report.json").read_text())
+        assert report["results"]["decay"]["omega"] is None
+        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+        assert strict_json(header.removeprefix("# "))["omega"] is None
+
+
 class TestSynthesize:
     def test_overflowing_doubling_is_one_numeric_failure(self, tmp_path):
         # exp(400) squared overflows the first doubling, silently.

@@ -135,6 +135,13 @@ class TestRefusals:
         with pytest.raises(ValueError, match="N must lie in"):
             st.discrete_gramian(OSC, 1.0, N)
 
+    def test_horizon_count_over_the_ceiling(self):
+        # A period blocked at every horizon walks all N_max of them.
+        for decide in (st.decide_dc, st.decide_cc):
+            with pytest.raises(ValueError, match="N_max must lie in"):
+                decide(OSC, np.pi, obscheck._MAX_HORIZONS + 1)
+            assert decide(OSC, 1.0, obscheck._MAX_HORIZONS).feasible
+
     @pytest.mark.parametrize("per_mode", [False, True])
     def test_draw_outside_the_float_range(self, per_mode):
         for samples in (0, 2 ** 1024):
@@ -591,6 +598,25 @@ class TestSweep:
         slow = scalar_system(-0.001, 0.0)
         assert {row[0] for row in swept(slow, [0.5, 1.0, 2.0], 2, 0.5)} == {"search-exhausted"}
 
+    def test_one_horizon_holds_every_kind_of_period(self):
+        # Inputs of 1e-9 scale every constant by 1e18, so the ceiling binds.
+        # At horizon 1: the neutral mode's D vanishes at 2 pi (blocked), the
+        # unobserved mode keeps |R|^2 = e^{-0.01 T} >= 0.9 at T = 3 (kernel
+        # slack), the constant near 4 pi exceeds _C_CEILING (failed), and
+        # T = 11.5 is certified.
+        sys = st.ContinuousSystem(np.diag([1j, -0.005, -1.0]), np.diag([1e-9, 0.0, 1e-9]))
+        periods = [2 * np.pi, 3.0, 4 * np.pi * (1 + 1e-3), 11.5]
+        first = [st.discrete_gramian(sys, T, 1) for T in periods]
+        kn = [st.min_delta_on_kernel(g) for g in first]
+        assert kn[0] >= 1.0 - obscheck.KERNEL_ONE_TOL and 0.9 <= kn[1] < 1.0
+        assert kn[2] < 0.9 and kn[3] < 0.9
+        assert st.check_inequality(first[2], obscheck._C_CEILING, 0.9).margin > obscheck.PSD_TOL
+        got = swept(sys, periods, 4, 0.9)
+        assert [row[0] for row in got] == ["infeasible", "feasible", "search-exhausted",
+                                           "feasible"]
+        assert got[3][3] == "1.0"  # N
+        assert got == [outcome_fields(decide_dc_oracle(sys, T, 4)) for T in periods]
+
     def test_overflow_stops_each_period_at_its_own_horizon(self):
         # |R|^2 = exp(600 k T) overflows from k T > 1.183 on: at k = 2, 3, 4, 6
         # here, each period decided on the horizons before its stop.
@@ -727,6 +753,8 @@ class TestSweep:
     def test_validation(self):
         with pytest.raises(ValueError, match="N_max"):
             st.sweep_dc(OSC, [1.0], N_max=0)
+        with pytest.raises(ValueError, match=r"N_max must lie in \[1, 1e\+05\]"):
+            st.sweep_dc(OSC, [1.0], N_max=obscheck._MAX_HORIZONS + 1)
         with pytest.raises(ValueError, match="1-D"):
             st.sweep_dc(OSC, 1.0)
         with pytest.raises(ValueError, match="finite and > 0"):

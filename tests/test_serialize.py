@@ -1,4 +1,5 @@
-"""report.json writer: the same bytes as json.dump(indent=2, sort_keys=True)."""
+"""report.json writer: the same bytes as json.dump(indent=2, sort_keys=True), non-finite
+floats written as null."""
 
 import json
 import math
