@@ -114,13 +114,6 @@ def _resolve_system(args):
     return _EXAMPLES[args.name if args.command == "example" else args.example](args)
 
 
-def _backend() -> str:
-    """The numeric libraries' versions.  scipy is imported bare here, at the
-    report, not at start-up: only its version is read."""
-    import scipy
-    return f"numpy {np.__version__}, scipy {scipy.__version__}, expm=pade-scaling-squaring"
-
-
 def _out_path(args, name: str) -> Path:
     """The path of output file `name`, once the --out directory exists."""
     out_dir = Path(args.out)
@@ -139,7 +132,7 @@ def _write_report(args, results: dict) -> None:
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
         "library_version": __version__,
-        "backend": _backend(),
+        "backend": f"numpy {np.__version__}, expm=pade13-scaling-squaring",
         "seed": args.seed,
         "results": results,
     }

@@ -16,11 +16,12 @@ sample recursion y((k+1)T) = maps[-1][:n] y(kT) and fills the period-locked
 grid from the maps, so all four loops share one signature and one grid, the
 horizon rounded up to whole periods.
 
-* cc: maps[j] = [E^j; F E^j] with E = exp((A + B F) h).
-* dc, dp: on [kT, (k+1)T) the input is B F exp(H tau) y(kT) with H = 0 (dc)
-  or H = A + B F (dp), so the augmented state (y, w) with y' = A y + B F w,
-  w' = H w, y(kT) = w(kT) has the block generator [[A, B F], [0, H]], whose
-  exponential over one substep (Van Loan, IEEE TAC 1978) advances both.
+* cc, dp: maps[j] = [E^j; F E^j] with E = exp((A + B F) h).  Under the
+  periodic law, y(t) = exp((A + B F)(t - kT)) y(kT) solves dp and its
+  control F(t) y(kT) is F y(t), so dp is the cc loop.
+* dc: on [kT, (k+1)T) the input is B F y(kT); the exponential of the block
+  generator [[A, B F], [0, 0]] over one substep (Van Loan, IEEE TAC 1978)
+  advances the state and the held sample together.
 * cp: classical fixed-step Runge-Kutta at step h.  RK4 on a linear ODE is a
   linear map, so each step's stages are applied to the matrix of the map
   itself, with F(t) built on the half-step grid by repeated multiplication
@@ -29,9 +30,8 @@ horizon rounded up to whole periods.
 A spectral system with a per-mode gain (the 1-D F that lqsynth gives a
 diagonal pair) stays diagonal: every map is a row of per-mode factors, 2n
 wide for state and control, with A = diag(lambda), B = diag(b), mu = lambda + b f
-and tau = j h.  cc is exp(mu tau); dc and dp are the top row of the 2 x 2
-block above, exp(lambda tau) + b f int_0^tau exp(lambda (tau - s) + H s) ds
-with H = 0 or mu; cp is the same RK4 on the 1-D factors.
+and tau = j h.  cc and dp are exp(mu tau); dc is the per-mode sampled pair,
+exp(lambda tau) + b phi1(lambda, tau) f; cp is the same RK4 on the 1-D factors.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys as _sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericOverflowError
-from .linsys import ContinuousSystem, SpectralSystem, _check_count, _expm_on_first_use, _phi1
+from .linsys import ContinuousSystem, SpectralSystem, _check_count, expm, sample_periods
 from .serialize import nulled
 
 __all__ = [
@@ -59,11 +58,6 @@ __all__ = [
     "fit_decay",
     "trajectory_to_csv",
 ]
-
-# scipy's expm, imported by the first dense loop map.
-__getattr__ = _expm_on_first_use(globals())
-_module = _sys.modules[__name__]
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -178,7 +172,7 @@ def _parts(sys: ContinuousSystem | SpectralSystem):
     if isinstance(sys, SpectralSystem):
         return (sys.symbol_values, sys.control_mask, np.multiply, np.exp,
                 np.ones(sys.state_dim, dtype=complex))
-    return sys.A, sys.B, np.matmul, _module.expm, np.eye(sys.state_dim, dtype=complex)
+    return sys.A, sys.B, np.matmul, expm, np.eye(sys.state_dim, dtype=complex)
 
 
 def _power_maps(E, X, F, S, mul=np.matmul):
@@ -196,32 +190,17 @@ def _cc_maps(sys, F, h, S):
     return _power_maps(exp((A + mul(B, F)) * h), I, F, S, mul)
 
 
-def _hold_maps(sys, F, h, S, periodic: bool):
-    """Sample-and-hold maps: the input on [kT, (k+1)T) is B F exp(H tau) y(kT),
-    with H = 0 (dc) or H = A + B F (dp, periodic).
-
-    Dense: with E = expm([[A, B F], [0, H]] h) and X_j = E^j [I; I], the state
-    at kT + j h is X_j[:n] y(kT) and the control is F X_j[n:] y(kT).  Per mode,
-    the state factor is exp(lambda tau) + b f I(tau), where I(tau) is the
-    integral of exp(lambda (tau - s) + H s) over [0, tau], factored on the
-    exponent with the larger real part so that phi1 sees a non-positive one
-    and a stiff mode does not overflow.
-    """
+def _hold_maps(sys, F, h, S):
+    """Maps for the held input B F y(kT): per mode the state at kT + tau is (Phi + D f) y(kT),
+    (Phi, D) the sampled pair of period tau; dense, X_j[:n] with X_j = E^j [I; I] and E =
+    expm([[A, B F], [0, 0]] h), one exponential of order 2n (S of order n + m take more memory)."""
+    n = sys.state_dim
     if isinstance(sys, SpectralSystem):
-        lam, bf = sys.symbol_values, sys.control_mask * F
-        H = lam + bf if periodic else np.zeros_like(lam)
-        tau = h * np.arange(S + 1)[:, None]
-        lead = H.real > lam.real
-        hi, lo = np.where(lead, H, lam), np.where(lead, lam, H)
-        held = np.exp(hi * tau) * _phi1(lo - hi, tau)
-        return np.hstack([np.exp(lam * tau) + bf * held, F * np.exp(H * tau)])
-    A, B = sys.A, sys.B
-    n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    M[:n, :n], M[:n, n:] = A, B @ F
-    if periodic:
-        M[n:, n:] = A + B @ F
-    return _power_maps(_module.expm(M * h), np.vstack([np.eye(n), np.eye(n)]), F, S)
+        Phi, D = sample_periods(sys, h * np.arange(1, S + 1))
+        state = np.vstack([np.ones(n), Phi + D * F])
+        return np.hstack([state, np.broadcast_to(F, state.shape)])
+    M = np.block([[sys.A, sys.B @ F], [np.zeros((n, 2 * n))]])
+    return _power_maps(expm(M * h), np.vstack([np.eye(n), np.eye(n)]), F, S)
 
 
 def _cp_maps(sys, F, h, S):
@@ -265,19 +244,19 @@ def simulate_dc(sys: ContinuousSystem | SpectralSystem, F: np.ndarray, T: float,
     J_tau the integrated flow; successive samples follow
     y((k+1)T) = (Phi + D F) y(kT).
     """
-    return _tabulate(lambda sys, F, h, S: _hold_maps(sys, F, h, S, periodic=False),
-                     sys, F, T, y0, horizon, steps_per_period)
+    return _tabulate(_hold_maps, sys, F, T, y0, horizon, steps_per_period)
 
 
 def simulate_dp(sys: ContinuousSystem | SpectralSystem, F: np.ndarray, T: float,
                 y0: np.ndarray, horizon: float, steps_per_period: int) -> Trajectory:
     """Sampled observation under the periodic law: y' = A y + B F(t) y(kT).
 
-    With F(t) = F exp((A + B F)(t - kT)) the loop reproduces the continuous
-    loop y' = (A + B F) y exactly, between samples too.
+    With F(t) = F exp((A + B F)(t - kT)), y(t) = exp((A + B F)(t - kT)) y(kT)
+    solves the loop and its control F(t) y(kT) is F y(t): the loop is the
+    continuous loop y' = (A + B F) y, between samples too, and is tabulated
+    by the maps of simulate_cc.
     """
-    return _tabulate(lambda sys, F, h, S: _hold_maps(sys, F, h, S, periodic=True),
-                     sys, F, T, y0, horizon, steps_per_period)
+    return _tabulate(_cc_maps, sys, F, T, y0, horizon, steps_per_period)
 
 
 def simulate_cp(sys: ContinuousSystem | SpectralSystem, F: np.ndarray, T: float,

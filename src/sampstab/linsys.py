@@ -4,9 +4,9 @@ Systems come in two representations: a dense pair (A, B) driving y' = Ay + Bu,
 and a diagonal spectral form given by a mode grid, a symbol xi -> lambda(xi),
 and a diagonal control mask.  Both are validated once, at construction: every
 entry, mode, mask weight and symbol value must be finite.  The flow exp(At) is
-evaluated by scipy's Pade scaling-and-squaring matrix exponential, imported
-on the first dense exponential: spectral systems never load scipy.linalg.  The
-one-period sampled pair comes from one block exponential,
+evaluated by expm, a degree-13 Pade scaling-and-squaring matrix exponential
+that acts on one matrix or on a stack of them.  The one-period sampled pair
+comes from one block exponential,
 exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van Loan, IEEE TAC 23, 1978),
 so no quadrature tolerance enters it.  sample_periods stacks the pairs of many
 periods on a leading period axis, from one stacked exponential; sample is its
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import sys as _sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +30,7 @@ __all__ = [
     "ContinuousSystem",
     "SpectralSystem",
     "SampledSystem",
+    "expm",
     "semigroup",
     "sample",
     "sample_periods",
@@ -40,28 +40,6 @@ __all__ = [
     "system_to_json",
     "load_system",
 ]
-
-
-def _expm_on_first_use(namespace: dict):
-    """PEP 562 ``__getattr__`` for a module whose ``expm`` is scipy.linalg's.
-
-    scipy.linalg is imported on the first lookup, by the first dense operator,
-    and its expm is stored in namespace, the module's globals, so later lookups
-    never get here.  Callers read ``expm`` as an attribute of their module and
-    so find that global, or whatever has since replaced it.
-    """
-    def __getattr__(name: str):
-        if name != "expm":
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        from scipy.linalg import expm
-        namespace["expm"] = expm
-        return expm
-    return __getattr__
-
-
-# _quiet_expm reads expm through the module, never as a bare global name.
-__getattr__ = _expm_on_first_use(globals())
-_module = _sys.modules[__name__]
 
 
 def _as_complex_matrix(m, name: str) -> np.ndarray:
@@ -229,11 +207,56 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().mT)
 
 
-def _quiet_expm(M: np.ndarray) -> np.ndarray:
-    """expm with overflow surfaced as NumericOverflowError, not a warning."""
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return _module.expm(M)
+# Coefficients C(13, k) / P(26, k) of the degree-13 Pade approximant to exp, and the largest
+# 1-norm it serves in double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+_PADE13 = [math.comb(13, k) / math.perm(26, k) for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def expm(M) -> np.ndarray:
+    """exp(M) of a square matrix, or of each matrix of a stack on leading axes.
+
+    Each matrix is scaled by the least 2^-s that brings its 1-norm within
+    theta_13; its Pade approximant is squared s times, and an upper triangular
+    one has each stage's diagonal set to the exact exp(2^(k-s) diag(M))
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009).  A stack
+    member gets the bits of its own single call.  Overflow, or a 1-norm that
+    is not finite, gives non-finite entries and no warning.
+    """
+    M = np.asarray(M, dtype=complex)
+    n = M.shape[-1]
+    X = M.reshape(-1, n, n)
+    lam = np.diagonal(X, 0, 1, 2)
+    tri = np.flatnonzero(~np.tril(X, -1).any(axis=(1, 2)))
+    with np.errstate(all="ignore"):
+        norm = np.abs(X).sum(axis=1).max(axis=1)
+        bad = ~np.isfinite(norm)
+        s = np.where(bad, 0.0, np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)).astype(int)
+        X = np.where(bad[:, None, None], 0.0, X) * np.exp2(-s)[:, None, None]
+        b, I, diag = _PADE13, np.eye(n), np.arange(n)
+        X2 = X @ X
+        X4 = X2 @ X2
+        X6 = X4 @ X2
+        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+                 + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I)
+        V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I
+        E = np.linalg.solve(V - U, V + U)
+        for k in range(s.max(initial=0) + 1):
+            if k:
+                E[s >= k] = E[s >= k] @ E[s >= k]
+            fix = tri[s[tri] >= k]
+            E[fix[:, None], diag, diag] = np.exp(lam[fix] * np.exp2(k - s[fix])[:, None])
+    E[bad] = np.nan
+    return E.reshape(M.shape)
+
+
+def _offdiagonal_scale(inner, outer):
+    """2^-k, the least k >= 0 bringing outer to at most max(inner, 1).  Times it,
+    the off-diagonal block (of 1-norm outer; inner is that of the diagonal blocks)
+    of a block triangular matrix adds no squarings to expm, which would cost the
+    diagonal blocks accuracy; the same block of the exponential scales alike."""
+    with np.errstate(divide="ignore"):
+        return np.exp2(-np.maximum(np.ceil(np.log2(outer / np.maximum(inner, 1.0))), 0.0))
 
 
 def _phi1(lam: np.ndarray, t) -> np.ndarray:
@@ -256,9 +279,7 @@ def semigroup(sys: ContinuousSystem | SpectralSystem, t: float) -> np.ndarray:
     if isinstance(sys, SpectralSystem):
         with np.errstate(over="ignore", invalid="ignore"):
             return _check_finite(np.exp(sys.symbol_values * t), "semigroup")
-    if t == 0:
-        return np.eye(sys.state_dim, dtype=complex)
-    return _check_finite(_quiet_expm(sys.A * t), "semigroup")
+    return _check_finite(expm(sys.A * t), "semigroup")
 
 
 def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
@@ -267,8 +288,6 @@ def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
     The one-period slice of sample_periods.  Non-finite entries raise
     NumericOverflowError; a spectral system's Phi is its semigroup.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("sampling period T must be finite and > 0")
     Phi, D = sample_periods(sys, [T])
     if isinstance(sys, SpectralSystem):
         _check_finite(Phi, "semigroup")
@@ -280,24 +299,26 @@ def sample_periods(sys: ContinuousSystem | SpectralSystem, periods) -> tuple[np.
     """The sampled pairs (Phi, D) of a 1-D array of finite periods > 0, stacked on a leading axis.
 
     Dense systems read both from the top block rows of one stacked exponential,
-    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]]: Phi is (P, n, n) and D is
-    (P, n, m).  A spectral system gives the per-mode pairs Phi = exp(lambda T),
+    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]], B and D scaled by
+    _offdiagonal_scale: Phi is (P, n, n) and D is (P, n, m).  A spectral
+    system gives the per-mode pairs Phi = exp(lambda T),
     D = b phi1(lambda, T), each (P, n).  Entries that overflow are returned
     non-finite, unchecked: the caller decides per period.
     """
     T = np.asarray(periods, dtype=float)
     if T.ndim != 1 or not np.all(np.isfinite(T) & (T > 0)):
         raise ValueError("sampling period T must be finite and > 0")
-    if isinstance(sys, SpectralSystem):
-        lam = sys.symbol_values
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(sys, SpectralSystem):
+            lam = sys.symbol_values
             return np.exp(lam * T[:, None]), _phi1(lam, T[:, None]) * sys.control_mask
-    n, m = sys.state_dim, sys.input_dim
-    aug = np.zeros((n + m, n + m), dtype=complex)
-    aug[:n, :n] = sys.A
-    aug[:n, n:] = sys.B
-    top = _quiet_expm(aug * T[:, None, None])[:, :n]
-    return top[:, :, :n], top[:, :, n:]
+        n, m = sys.state_dim, sys.input_dim
+        scale = _offdiagonal_scale(np.linalg.norm(sys.A, 1) * T, np.linalg.norm(sys.B, 1) * T)
+        aug = np.zeros((T.size, n + m, n + m), dtype=complex)
+        aug[:, :n, :n] = sys.A * T[:, None, None]
+        aug[:, :n, n:] = sys.B * (T * scale)[:, None, None]
+        top = expm(aug)[:, :n]
+        return top[:, :, :n], top[:, :, n:] / scale[:, None, None]
 
 
 # ---------------------------------------------------------------------------

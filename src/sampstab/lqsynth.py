@@ -212,14 +212,20 @@ def closed_loop_cost(gain: FeedbackGain, y0: np.ndarray) -> float:
     With y_i = M y_{i-1}, u_i = F y_{i-1} and M = Phi + D F the gain's
     closed loop, the sum is y0* X y0 for the solution X = M* X M + M* M + F* F
     of the discrete Lyapunov equation.  For the LQ-optimal gain X = K - I, so
-    the cost equals lq_optimal_cost - ||y0||^2.  A diagonal loop solves it per
-    mode, x = (|m|^2 + |f|^2) / (1 - |m|^2).
+    the cost equals lq_optimal_cost - ||y0||^2.  Dense X is summed by Smith
+    doubling, X <- X + A* X A, A <- A^2 from A = M, until a step no longer
+    moves X; a diagonal loop solves it per mode, x = (|m|^2 + |f|^2) / (1 - |m|^2).
     """
     y = np.asarray(y0, dtype=complex).ravel()
     F, M = gain.F, gain.closed_loop
     if F.ndim == 1:
         m2 = np.abs(M) ** 2
         return float(((m2 + np.abs(F) ** 2) / (1.0 - m2)) @ np.abs(y) ** 2)
-    from scipy.linalg import solve_discrete_lyapunov  # dense loops only: slow to import
-    X = solve_discrete_lyapunov(M.conj().T, M.conj().T @ M + F.conj().T @ F)
+    X, A = M.conj().T @ M + F.conj().T @ F, M
+    for _ in range(DEFAULT_MAX_ITER):
+        step = A.conj().T @ X @ A
+        X = X + step
+        if np.linalg.norm(step) <= np.finfo(float).eps * np.linalg.norm(X):
+            break
+        A = A @ A
     return float(np.real(y.conj() @ X @ y))

@@ -46,8 +46,8 @@ from itertools import chain, count, islice
 import numpy as np
 
 from .errors import NumericOverflowError, SearchExhausted
-from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize, _phi1,
-                     _quiet_expm, sample, sample_periods, semigroup)
+from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize,
+                     _offdiagonal_scale, _phi1, expm, sample, sample_periods, semigroup)
 
 __all__ = [
     "GramianBundle",
@@ -309,11 +309,11 @@ def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -
 def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> GramianBundle:
     """G = int_0^{T_h} exp(At) B B* exp(At)* dt and R = exp(A T_h).
 
-    Dense G by scaling and squaring: the block exponential
-    exp([[-A, B B*], [0, A*]] h) gives G(h) at h = T_h / 2^s, ||A||_1 h <= 1
-    (Van Loan, IEEE TAC 23, 1978); s doublings G(2t) = G(t) + E G(t) E*,
-    E = exp(At) <- E^2, reach T_h without the exp(-A T_h) that loses digits
-    or overflows on long or stiff horizons.  Spectral G is the 1-D per-mode
+    Dense G by scaling and squaring: exp([[-A, c B B*], [0, A*]] h) gives
+    c G(h) at h = T_h / 2^s, ||A||_1 h <= 1 (Van Loan, IEEE TAC 23, 1978), c
+    the power of two of linsys._offdiagonal_scale; s doublings G(2t) = G(t) +
+    E G(t) E*, E = exp(At) <- E^2, reach T_h without the exp(-A T_h) that loses
+    digits or overflows on long or stiff horizons.  Spectral G is the 1-D per-mode
     b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D for a spectral
     system.  A non-finite G or R raises NumericOverflowError.  The first
     horizon of _continuous_horizons(sys, T_h).
@@ -410,28 +410,27 @@ def _dense_constants(R, w, V, d: int, delta: float) -> np.ndarray:
 
 
 def _pencil_constants(M, w_k, C_t) -> np.ndarray:
-    """max(2 C_t - 1 / lambda_max(N^-1 B), 0) per period, from scipy's generalized eigh.
+    """max(2 C_t - 1 / mu, 0) per period, mu = lambda_max(L^-1 B L^-*) for the
+    pencil (B, N = 2 C_t B - M), positive definite N = L L* by construction.
 
-    If LAPACK refuses a period's pencil as not numerically definite, that
-    period keeps its bound C_t, which the search re-checks.
+    If Cholesky refuses a period's N as not numerically definite, that period
+    keeps its bound C_t, which the search re-checks.
     """
-    from scipy.linalg import eigh  # a non-trivial dense kernel only: slow to import
     P, n = M.shape[:2]
-    diag = np.arange(n)
-    B = np.zeros((P, n, n))
-    B[:, diag, diag] = np.concatenate([np.maximum(w_k, 0.0), np.ones((P, n - w_k.shape[1]))],
-                                      axis=1)
-    N = (2.0 * C_t)[:, None, None] * B - M
+    b = np.concatenate([np.maximum(w_k, 0.0), np.ones((P, n - w_k.shape[1]))], axis=1)
+    N = (2.0 * C_t[:, None] * b)[:, :, None] * np.eye(n) - M
     solved = np.ones(P, dtype=bool)
     try:
-        mu = eigh(B, N, eigvals_only=True)[:, -1]
+        L = np.linalg.cholesky(N)
     except np.linalg.LinAlgError:  # retry one period at a time
-        mu = np.ones(P)
+        L = np.broadcast_to(np.eye(n, dtype=N.dtype), N.shape).copy()
         for j in range(P):
             try:
-                mu[j] = eigh(B[j], N[j], eigvals_only=True)[-1]
+                L[j] = np.linalg.cholesky(N[j])
             except np.linalg.LinAlgError:
                 solved[j] = False
+    Z = np.linalg.solve(L, np.sqrt(b)[:, :, None] * np.eye(n))
+    mu = np.linalg.eigvalsh(Z @ Z.conj().mT)[:, -1]
     C = 2.0 * C_t - 1.0 / mu
     return np.where(solved, np.where(C < 0.0, 0.0, C), C_t)
 
@@ -502,7 +501,8 @@ def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
         # failed constant: its last margin.
         point = np.full(acc.size, np.nan)
         b = np.flatnonzero(blocked)
-        point[b] = s.take(b).margins(np.ones(b.size), delta)
+        if b.size:
+            point[b] = s.take(b).margins(np.ones(b.size), delta)
         slack = ~blocked & (kn >= delta)
         point[slack] = kn[slack] - delta
         c = np.flatnonzero(~blocked & (kn < delta))
@@ -589,11 +589,12 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
                     s = max(math.frexp(x)[1], 0)
                     if power and pair is not None:
                         (G, E), steps = pair, 1
-                    else:  # G holds [[., G(h)], [0, E*]] until G(h) replaces it
-                        G = _quiet_expm(math.ldexp(T_h, -s) * np.block(
-                            [[-A, B @ B.conj().T], [np.zeros_like(A), A.conj().T]]))
+                    else:  # G holds [[., c G(h)], [0, E*]] until G(h) replaces it
+                        h, Q = math.ldexp(T_h, -s), B @ B.conj().T
+                        c = float(_offdiagonal_scale(math.ldexp(x, -s), np.linalg.norm(Q, 1) * h))
+                        G = expm(h * np.block([[-A, c * Q], [np.zeros_like(A), A.conj().T]]))
                         E = G[n:, n:].conj().T
-                        G, steps = E @ G[:n, n:], s
+                        G, steps = E @ G[:n, n:] / c, s
                     for _ in range(steps):
                         G, E = G + E @ G @ E.conj().T, E @ E
                     if power:

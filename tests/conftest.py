@@ -17,7 +17,7 @@ from sampstab import (ContinuousSystem, GramianBundle, NumericOverflowError,
                       ObservabilityCertificate, SampledSystem, SearchExhausted,
                       SpectralSystem, check_inequality, continuous_gramian,
                       min_delta_on_kernel)
-from sampstab.linsys import _phi1
+from sampstab import linsys, obscheck
 from sampstab.obscheck import _C_CEILING, _NUDGES, KERNEL_ONE_TOL, PSD_TOL, RANK_RTOL
 
 # Every property test draws the same examples on every run.
@@ -300,23 +300,14 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 
 def _oracle_pair(sys, T: float):
-    """Oracle: the sampled pair of one period, from its own 2-D block exponential."""
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if isinstance(sys, SpectralSystem):
-            Phi = np.exp(sys.symbol_values * T)
-            if not np.isfinite(Phi).all():
-                raise NumericOverflowError("semigroup produced non-finite entries")
-            D = _phi1(sys.symbol_values, T) * sys.control_mask
-        else:
-            n, m = sys.state_dim, sys.input_dim
-            aug = np.zeros((n + m, n + m), dtype=complex)
-            aug[:n, :n], aug[:n, n:] = sys.A, sys.B
-            top = expm(aug * T)[:n]
-            Phi, D = top[:, :n], top[:, n:]
-    if not (np.isfinite(Phi).all() and np.isfinite(D).all()):
-        raise NumericOverflowError("sampled pair produced non-finite entries")
-    return Phi, D
+    """Oracle: the sampled pair of one period, from the program's linsys.sample.
+
+    This is an oracle of the stacked search, which must reproduce the
+    one-period pair bit for bit; test_linsys pins the pair and linsys.expm
+    to scipy's and to exact exponentials.
+    """
+    pair = linsys.sample(sys, T)
+    return pair.Phi, pair.D
 
 
 def _oracle_decomposed(R, G, mode: str):
@@ -372,13 +363,9 @@ def _oracle_min_constant(R, G, w, V, delta: float) -> float:
     C = float(np.linalg.eigvalsh(_herm(H)).max(initial=0.0))
     if d == 0 or C == 0.0:
         return C
-    from scipy.linalg import eigh
-    b = np.concatenate([np.maximum(w[:d], 0.0), np.ones(w.size - d)])
-    try:
-        mu = eigh(np.diag(b), 2.0 * C * np.diag(b) - M, eigvals_only=True)[-1]
-    except np.linalg.LinAlgError:
-        return C
-    return max(2.0 * C - 1.0 / mu, 0.0)
+    # The program's pencil step, on a stack of one; test_obscheck pins it to
+    # scipy's generalized eigh.
+    return float(obscheck._pencil_constants(M[None], w[None, :d], np.array([C]))[0])
 
 
 def search_oracle(bundles, mode: str, N_max: int, delta: float, exhausted: str,

@@ -6,9 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
+from sampstab.linsys import expm
 
 from conftest import expm_taylor, random_neutral_system, random_stable_system, to_dense
 
@@ -123,6 +127,82 @@ class TestSemigroup:
         sys = st.ContinuousSystem([[800.0]], [[1.0]])
         with pytest.raises(st.NumericOverflowError):
             st.semigroup(sys, 10.0)
+
+
+def _rel_1norm(got, want) -> float:
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+def _random_matrix(seed: int, n: int, norm: float, kind: str) -> np.ndarray:
+    """A complex n x n matrix of 1-norm norm: dense, strictly upper triangular
+    (nilpotent), or a Jordan-like block lambda I + N."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind != "dense":
+        M = np.triu(M, 1)
+    scale = np.linalg.norm(M, 1)
+    M = M * (norm / scale) if scale else M
+    if kind == "jordan":
+        lam = complex(*rng.uniform(-1.0, 1.0, 2))
+        M = M / 2 + lam * (norm / 2 / abs(lam)) * np.eye(n)
+    return M
+
+
+class TestExpm:
+    """linsys.expm against scipy.linalg.expm and exact exponentials."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 10), norm=hs.floats(0.0, 50.0),
+           kind=hs.sampled_from(["dense", "nilpotent", "jordan"]))
+    def test_matches_scipy(self, seed, n, norm, kind):
+        M = _random_matrix(seed, n, norm, kind)
+        assert _rel_1norm(expm(M), scipy.linalg.expm(M)) <= 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 6), size=hs.integers(1, 12))
+    def test_stack_members_are_single_calls_bit_for_bit(self, seed, n, size):
+        rng = np.random.default_rng(seed)
+        kinds = ["dense", "nilpotent", "jordan"]
+        stack = np.array([_random_matrix(seed + i, n, rng.uniform(0.0, 300.0), kinds[i % 3])
+                          for i in range(size)])
+        stack[rng.integers(size)] *= 1e3  # one member overflows or squares far more often
+        got = expm(stack.reshape(size, 1, n, n))
+        assert got.shape == (size, 1, n, n)
+        for M, E in zip(stack, got[:, 0]):
+            assert np.array_equal(E, expm(M), equal_nan=True)
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert np.isfinite(E).all() or not np.isfinite(scipy.linalg.expm(M)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 8), log_norm=hs.floats(0.0, 3.0))
+    def test_stiff_normal_matrices_match_the_exact_exponential(self, seed, n, log_norm):
+        # A = Q diag(lambda) Q* with one mode at Re lambda = 0 and the others
+        # down to -10**log_norm.  scipy is no reference here: it differs from
+        # the exact value by about as much as expm does.
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        re = -rng.uniform(0.0, 1.0, n)
+        re[0] = 0.0
+        lam = 10.0 ** log_norm * (re + 1j * rng.uniform(-1.0, 1.0, n))
+        exact = Q @ np.diag(np.exp(lam)) @ Q.conj().T
+        assert _rel_1norm(expm(Q @ np.diag(lam) @ Q.conj().T), exact) <= 1e-12
+
+    def test_triangular_diagonal_is_exact(self):
+        M = np.triu(np.arange(1.0, 17.0).reshape(4, 4)) * (3.0 + 1.0j)
+        assert np.array_equal(np.diag(expm(M)), np.exp(np.diag(M)))
+
+    def test_overflow_is_non_finite_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(expm([[800.0, 1.0], [1.0, 800.0]])).all()
+            assert np.isnan(expm(np.full((2, 2), 1e308))).all()  # the 1-norm overflows
+            for sys in (st.ContinuousSystem([[800.0]], [[1.0]]),
+                        st.ContinuousSystem([[800.0, 1.0], [1.0, 800.0]], [[1.0], [0.0]])):
+                with pytest.raises(st.NumericOverflowError, match="semigroup"):
+                    st.semigroup(sys, 10.0)
+                with pytest.raises(st.NumericOverflowError, match="sampled pair"):
+                    st.sample(sys, 10.0)
 
 
 class TestSample:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 import sampstab as st
 from sampstab.serialize import save_array
@@ -215,6 +215,21 @@ class TestOptimalCost:
             # Under the optimal gain the loop's cost from i = 1 is K - I.
             kernel = st.lq_optimal_cost(sol, y0) - np.linalg.norm(y0) ** 2
             assert_allclose(simulated, kernel, rtol=1e-10)
+
+
+    @pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+    def test_smith_doubling_matches_scipy_lyapunov(self, rho):
+        # A non-normal closed loop of spectral radius rho and a random gain.
+        rng = np.random.default_rng(int(rho * 1e4))
+        n, m = 6, 2
+        Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lam = rho * np.exp(2j * np.pi * rng.uniform(size=n)) * np.r_[1.0, rng.uniform(0, 1, n - 1)]
+        M = Q @ np.diag(lam) @ np.linalg.inv(Q)
+        F = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        y0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        X = solve_discrete_lyapunov(M.conj().T, M.conj().T @ M + F.conj().T @ F)
+        gain = st.FeedbackGain(F=F, closed_loop=M, spectral_radius=rho)
+        assert_allclose(st.closed_loop_cost(gain, y0), np.real(y0.conj() @ X @ y0), rtol=1e-11)
 
 
 class TestPerMode:

@@ -7,6 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
@@ -455,6 +456,24 @@ class TestClosedFormConstant:
     def test_exhausted_matches_bisection(self, mode):
         assert_matches_bisection(scalar_system(-0.001, 0.0), 1.0, 2, mode, delta=0.5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hs.integers(0, 2 ** 32 - 1), P=hs.integers(1, 5), n=hs.integers(1, 8),
+           data=hs.data())
+    def test_cholesky_pencil_matches_scipy_eigh(self, seed, P, n, data):
+        # N = 2 C_t B - M positive definite, B = diag(b) with the kernel's
+        # entries max(w_k, 0), some of them 0, and ones after.
+        d = data.draw(hs.integers(1, n))
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, (P, n, n))
+        N = X @ X.conj().mT + 1e-3 * np.eye(n)
+        w_k = rng.uniform(-1e-3, 1.0, (P, d))
+        C_t = rng.uniform(0.1, 10.0, P)
+        b = np.concatenate([np.maximum(w_k, 0.0), np.ones((P, n - d))], axis=1)
+        M = 2.0 * C_t[:, None, None] * (b[:, :, None] * np.eye(n)) - N
+        mu = [scipy.linalg.eigh(np.diag(b[j]), N[j], eigvals_only=True)[-1] for j in range(P)]
+        want = np.maximum(2.0 * C_t - 1.0 / np.array(mu), 0.0)
+        assert_allclose(obscheck._pencil_constants(M, w_k, C_t), want, rtol=1e-12, atol=0.0)
+
     def test_reach_ends_at_the_former_ceiling(self):
         # Scalar integrator: C_min = (1 - delta) / b^2, about 5e17 and 5e19 here,
         # on either side of 2**60.
@@ -647,17 +666,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("fail", ["batch", "all"])
     def test_a_refused_pencil_keeps_the_bound_per_period(self, fail, monkeypatch):
-        import scipy.linalg
-        eigh = scipy.linalg.eigh
+        cholesky = np.linalg.cholesky
 
-        def refusing(a, b=None, **kwargs):
+        def refusing(a, *args, **kwargs):
             if fail == "all" or np.ndim(a) == 3:
                 raise np.linalg.LinAlgError("not definite")
-            return eigh(a, b, **kwargs)
+            return cholesky(a, *args, **kwargs)
 
         sys, periods = SWEEP_SYSTEMS["thin-stable"], np.linspace(0.2, 6.0, 12).tolist()
         want = [outcome_fields(decide_dc_oracle(sys, T, 6)) for T in periods]
-        monkeypatch.setattr(scipy.linalg, "eigh", refusing)
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
         if fail == "all":
             want = [outcome_fields(decide_dc_oracle(sys, T, 6)) for T in periods]
         assert swept(sys, periods, 6, 0.9) == want
@@ -689,7 +707,7 @@ class TestSweep:
         with pytest.raises(st.SearchExhausted) as err:
             st.decide_dc(OSC, 1.0, 4)
         assert outcome_fields(err.value) == outcome_fields(decide_dc_oracle(OSC, 1.0, 4))
-        assert (err.value.best_margin, err.value.best_horizon) == (0.0457636130454607, 4)
+        assert (err.value.best_margin, err.value.best_horizon) == (0.04576361304546042, 4)
         periods = [0.5, 1.0, 1.5]
         got = swept(OSC, periods, 3, 0.9)
         assert {row[0] for row in got} == {"search-exhausted"}
@@ -728,7 +746,6 @@ class TestSweep:
         # An oscillator period takes 9 entries per stacked array and about
         # 2 kB while its chunk is alive: 250-period chunks hold the peak well
         # under what one 2000-period chunk would take.
-        import scipy.linalg  # noqa: F401  (its import is not the sweep's memory)
         grid = np.arange(1, 2001) * 0.005
         monkeypatch.setattr(obscheck, "_CHUNK_CELLS", 9 * 250)
         tracemalloc.start()
@@ -802,9 +819,10 @@ class TestPowerOfTwoHorizons:
         # (7, 128, 8)) is certified at horizon 3 T: horizons T and 3 T build an
         # order-2n block exponential, and 2 T continues the doubling of T.
         sys = random_mixed_system((7, 128, 8), n=128, m=8)
-        expm = linsys.expm
         orders = []
-        monkeypatch.setattr(linsys, "expm", lambda M: orders.append(M.shape[-1]) or expm(M))
+        for module in (linsys, obscheck):  # each calls expm by its own global name
+            monkeypatch.setattr(module, "expm",
+                                lambda M, expm=module.expm: orders.append(M.shape[-1]) or expm(M))
         cert = st.decide_cc(sys, 1.0)
         assert cert.N == 3.0 and orders.count(256) == 2
         assert orders.count(128) == 3  # R = semigroup(sys, k T) at each horizon
