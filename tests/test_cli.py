@@ -961,3 +961,11 @@ def test_unwritable_output_is_config_error(tmp_path, command, out):
     code, err = run_quietly([*command.split(), "--out", str(tmp_path / out)])
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # No module of the package imports it (det_lambda's quadrature oracle
+    # lives with the tests); loading it would add about half to every call's
+    # start-up.
+    code = "import sys, sampstab.cli; print('scipy.integrate' in sys.modules)"
+    assert fresh_stdout(code) == ["False"]
