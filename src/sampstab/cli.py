@@ -165,9 +165,9 @@ def _entry(outcome) -> dict:
 
 def cmd_analyze(args) -> int:
     system = _resolve_system(args)
-    # Before the searches, which may certify a draw too large to allocate.
-    obscheck.check_draw(args.brute_samples, system.state_dim,
-                        isinstance(system, linsys.SpectralSystem))
+    spectral = isinstance(system, linsys.SpectralSystem)
+    # Before the searches, which may certify a draw too large to allocate (spectral: none).
+    obscheck.check_draw(args.brute_samples, 0 if spectral else system.state_dim)
     dc = _outcome(obscheck.decide_dc, system, args.T, args.N_max, args.delta)
     dc_entry = _entry(dc)
     # Only the entry: the certificate would keep its bundle alive through the brute force.
@@ -175,12 +175,11 @@ def cmd_analyze(args) -> int:
 
     if dc_entry["status"] == "feasible":
         violation = obscheck.brute_force_max_violation(
-            dc.bundle, dc.C, dc.delta, args.brute_samples, args.seed)
-        dc_entry["brute_force"] = {
-            "samples": args.brute_samples,
-            "max_violation": violation,
-            "contradicts": bool(violation > 1e-8),
-        }
+            system, dc.bundle, dc.C, dc.delta, args.brute_samples, args.seed)
+        size = ({"modes": min(obscheck._BINDING_MODES, system.state_dim)} if spectral
+                else {"samples": args.brute_samples})
+        dc_entry["brute_force"] = {**size, "max_violation": violation,
+                                   "contradicts": bool(violation > 1e-8)}
 
     results = {"discrete": dc_entry, "continuous": cc_entry}
     _write_report(args, results)

@@ -19,9 +19,9 @@ horizon rounded up to whole periods.
 * cc, dp: maps[j] = [E^j; F E^j] with E = exp((A + B F) h).  Under the
   periodic law, y(t) = exp((A + B F)(t - kT)) y(kT) solves dp and its
   control F(t) y(kT) is F y(t), so dp is the cc loop.
-* dc: on [kT, (k+1)T) the input is B F y(kT); the exponential of the block
-  generator [[A, B F], [0, 0]] over one substep (Van Loan, IEEE TAC 1978)
-  advances the state and the held sample together.
+* dc: on [kT, (k+1)T) the input is B F y(kT); [[Phi, D F], [0, I]], of the
+  sampled pair (Phi, D) of one substep, advances the state and the held
+  sample together.
 * cp: classical fixed-step Runge-Kutta at step h.  RK4 on a linear ODE is a
   linear map, so each step's stages are applied to the matrix of the map
   itself, with F(t) built on the half-step grid by repeated multiplication
@@ -193,14 +193,15 @@ def _cc_maps(sys, F, h, S):
 def _hold_maps(sys, F, h, S):
     """Maps for the held input B F y(kT): per mode the state at kT + tau is (Phi + D f) y(kT),
     (Phi, D) the sampled pair of period tau; dense, X_j[:n] with X_j = E^j [I; I] and E =
-    expm([[A, B F], [0, 0]] h), one exponential of order 2n (S of order n + m take more memory)."""
+    [[Phi, D F], [0, I]] at period h, so a large F adds no squarings to the exponential."""
     n = sys.state_dim
     if isinstance(sys, SpectralSystem):
         Phi, D = sample_periods(sys, h * np.arange(1, S + 1))
         state = np.vstack([np.ones(n), Phi + D * F])
         return np.hstack([state, np.broadcast_to(F, state.shape)])
-    M = np.block([[sys.A, sys.B @ F], [np.zeros((n, 2 * n))]])
-    return _power_maps(expm(M * h), np.vstack([np.eye(n), np.eye(n)]), F, S)
+    (Phi,), (D,) = sample_periods(sys, [h])
+    E = np.block([[Phi, D @ F], [np.zeros((n, n)), np.eye(n)]])
+    return _power_maps(E, np.vstack([np.eye(n), np.eye(n)]), F, S)
 
 
 def _cp_maps(sys, F, h, S):

@@ -289,9 +289,7 @@ def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
     NumericOverflowError; a spectral system's Phi is its semigroup.
     """
     Phi, D = sample_periods(sys, [T])
-    if isinstance(sys, SpectralSystem):
-        _check_finite(Phi, "semigroup")
-    _check_finite(Phi, "sampled pair")
+    _check_finite(Phi, "semigroup" if isinstance(sys, SpectralSystem) else "sampled pair")
     return SampledSystem(Phi[0], _check_finite(D, "sampled pair")[0], T)
 
 

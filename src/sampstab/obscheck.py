@@ -77,6 +77,12 @@ _NUDGES = 26
 # Entries per stacked array in one chunk of a sweep (4 MiB of complex128):
 # a period takes (n + m)^2 of them for a dense system, n for a spectral one.
 _CHUNK_CELLS = 1 << 18
+# Candidate periods over which pathological_periods refuses before allocating them.
+_MAX_PATHOLOGICAL_PERIODS = 10 ** 6
+# Ceiling on a dense brute-force draw: n x n_samples complex states (160 MB per array).
+_MAX_DRAW_CELLS = 10 ** 7
+# Modes of a 1-D bundle that the brute force checks in dense form (expm of order 64).
+_BINDING_MODES = 32
 
 
 def _set(obj, **fields) -> None:
@@ -689,7 +695,10 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
     # The multiples k base <= limit, compared as the float products k * base:
     # k = 1 .. floor(limit / base) + 1 includes every k that passes.
     limit = T_max * (1 + 1e-12)
-    counts = np.floor(limit / base).astype(int) + 1
+    counts = np.floor(limit / base) + 1
+    if counts.sum() > _MAX_PATHOLOGICAL_PERIODS:  # inf past the float range
+        raise ValueError(f"{counts.sum():.3g} candidate periods up to T_max, over the ceiling")
+    counts = counts.astype(int)
     k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     periods = k * np.repeat(base, counts)
     out: list[float] = []
@@ -699,47 +708,37 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
     return out
 
 
-# Random values the per-mode brute force draws per chunk (1 MiB of float64).
-_DRAW_CELLS = 1 << 17
-# Ceiling on the brute force's draw: n x n_samples complex states for a dense
-# bundle (160 MB per array), n_samples per accumulator for a per-mode one.
-_MAX_DRAW_CELLS = 10 ** 7
-
-
-def check_draw(n_samples: int, n: int, per_mode: bool) -> None:
-    """Validate a brute-force draw of n_samples states of dimension n before it is allocated."""
+def check_draw(n_samples: int, n: int) -> None:
+    """Validate a draw of n_samples states of dimension n (0: no draw) before it is made."""
     _check_count(n_samples, "n_samples")
-    cells = float(n_samples) * (1 if per_mode else n)  # inf past the float range
+    cells = float(n_samples) * n  # inf past the float range
     if cells > _MAX_DRAW_CELLS:
         raise ValueError(f"brute force needs {cells:.3g} cells, over the ceiling of "
                          f"{_MAX_DRAW_CELLS:.0e}; lower --brute-samples")
 
 
-def brute_force_max_violation(g: GramianBundle, C: float, delta: float,
-                              n_samples: int, seed: int) -> float:
-    """Max over random unit phi of ||R* phi||^2 - C phi*G phi - delta.
+def brute_force_max_violation(sys: ContinuousSystem | SpectralSystem, g: GramianBundle,
+                              C: float, delta: float, n_samples: int, seed: int) -> float:
+    """Largest ||R* phi||^2 - C phi*G phi - delta found for g, a discrete bundle of sys.
 
-    Random sampling can only under-detect violations; it never exceeds the
-    eigenvalue margin (up to roundoff).  A dense bundle's states are the
-    columns of an n x n_samples complex Gaussian draw, real parts first, then
-    imaginary parts.  A 1-D bundle needs only |phi_i|^2 per mode: the value is
-    sum_i w_i |phi_i|^2 / ||phi||^2 - delta with w = |R|^2 - C G, and
-    |phi_i|^2 of a standard complex Gaussian is 2 Exp(1), a factor the ratio
-    does not see.  So one standard exponential per mode and sample is drawn,
-    in row chunks of about 1 MiB, each accumulated into both sums by one
-    [w; 1] @ e product: the statistic has the Gaussian draw's distribution,
-    and memory stays O(n_samples) however many modes there are.
+    Dense: over the normalized columns of an n x n_samples complex Gaussian
+    draw (real parts first), which can only under-detect a violation.  1-D: a
+    diagonal system's margin is decided at its largest w = |R|^2 - C G, so the
+    value is the margin check_inequality finds on the dense ContinuousSystem
+    of the min(_BINDING_MODES, n) modes of largest w (ties by index): the
+    largest violation over their span, through arithmetic the search does not use.
     """
-    n = g.R.shape[0]
-    check_draw(n_samples, n, g.G.ndim == 1)
-    rng = np.random.default_rng(seed)
     if g.G.ndim == 1:
-        W = np.stack([np.abs(g.R) ** 2 - C * g.G, np.ones(n)])
-        rows = max(1, _DRAW_CELLS // n_samples)
-        sums = np.zeros((2, n_samples))
-        for lo in range(0, n, rows):
-            sums += W[:, lo:lo + rows] @ rng.standard_exponential((min(rows, n - lo), n_samples))
-        return float((sums[0] / sums[1]).max() - delta)
+        w = np.abs(g.R) ** 2 - C * g.G
+        k = min(_BINDING_MODES, w.size)
+        modes = np.flatnonzero(w >= np.partition(w, w.size - k)[w.size - k])
+        modes = modes[np.argsort(-w[modes], kind="stable")[:k]]
+        dense = ContinuousSystem(np.diag(sys.symbol_values[modes]),
+                                 np.diag(sys.control_mask[modes]))
+        return check_inequality(discrete_gramian(dense, g.T, int(g.horizon)), C, delta).margin
+    n = g.R.shape[0]
+    check_draw(n_samples, n)
+    rng = np.random.default_rng(seed)
     phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
     phis /= np.linalg.norm(phis, axis=0)
     v = g.R.conj().T @ phis

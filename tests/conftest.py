@@ -523,15 +523,6 @@ def brute_force_oracle(g: GramianBundle, C: float, delta: float,
     return float(gaussian_violations_oracle(g, C, delta, n_samples, seed).max())
 
 
-def brute_force_exponential_oracle(g: GramianBundle, C: float, delta: float,
-                                   n_samples: int, seed: int) -> float:
-    """Oracle: obscheck.brute_force_max_violation of a 1-D bundle, on the whole
-    n x n_samples standard exponential draw at once (|phi_i|^2 up to scale)."""
-    e = np.random.default_rng(seed).standard_exponential((g.R.shape[0], n_samples))
-    w = np.abs(g.R) ** 2 - C * g.G
-    return float((w @ e / e.sum(axis=0)).max() - delta)
-
-
 def json_dump_oracle(obj) -> str:
     """What serialize.dump_json must write: the standard library's text and a newline,
     each NaN, Infinity and -Infinity token read back as null."""

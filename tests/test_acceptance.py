@@ -188,5 +188,5 @@ def test_criterion_9_certificate_vs_brute_force():
             cert = st.decide_dc(sys, 0.7, N_max=8, delta_target=0.9)
             assert cert.feasible
             g = st.discrete_gramian(sys, 0.7, int(cert.N))
-            worst = brute_force_max_violation(g, cert.C, cert.delta, 10_000, 7000 + seed)
+            worst = brute_force_max_violation(sys, g, cert.C, cert.delta, 10_000, 7000 + seed)
             assert worst <= 1e-8

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,14 +125,20 @@ class TestAnalyze:
         assert [results[mode]["status"] for mode in ("discrete", "continuous")] == [
             "infeasible", "infeasible"]
 
-    def test_brute_force_at_1e5_modes(self, tmp_path):
-        # The per-mode brute force at the mode scale of the north star: 2000
-        # samples of 10^5 modes, drawn in row chunks.
+    def test_brute_force_at_1e5_modes(self, tmp_path, monkeypatch):
+        # At the mode scale of the north star the cross-check is the dense
+        # form of 32 binding modes: no exponential above order 64, whatever n.
+        orders = []
+        for module in (linsys, obscheck):  # each calls expm by its own global name
+            monkeypatch.setattr(module, "expm",
+                                lambda M, expm=module.expm: orders.append(M.shape[-1]) or expm(M))
         code = main(["analyze", "--example", "frac-heat", "--modes", "100000", "--T", "1",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
-        assert (brute["samples"], brute["contradicts"]) == (2000, False)
+        assert (brute["modes"], brute["contradicts"]) == (32, False)
+        assert "samples" not in brute
+        assert orders and max(orders) == 64
 
     def test_stiff_heat_is_decided(self, tmp_path):
         # The spectral system is decided per mode, on 1-D Gramians.
@@ -174,10 +181,13 @@ class TestAnalyze:
                   else st.fractional_heat(64, 1.5, 1.0))
         cert = st.decide_dc(system, 1.0)
         want = obscheck.brute_force_max_violation(
-            st.discrete_gramian(system, 1.0, int(cert.N)), cert.C, cert.delta, 2000, 5)
+            system, st.discrete_gramian(system, 1.0, int(cert.N)), cert.C, cert.delta, 2000, 5)
 
-        def rewalk(*args):
-            raise AssertionError("analyze walked the discrete Gramian twice")
+        def rewalk(sys, *args, gramian=obscheck.discrete_gramian):
+            # A spectral check builds the dense form of its binding modes, a new system.
+            if sys.state_dim == system.state_dim:
+                raise AssertionError("analyze walked the discrete Gramian twice")
+            return gramian(sys, *args)
 
         monkeypatch.setattr(obscheck, "discrete_gramian", rewalk)
         code = main(["analyze", "--example", example, "--T", "1", "--seed", "5",
@@ -185,19 +195,29 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert read_report(tmp_path)["results"]["discrete"]["brute_force"]["max_violation"] == want
 
-    @pytest.mark.parametrize("argv", [
-        "--example oscillator --brute-samples 10000000000000",
-        # A per-mode draw is O(samples), whatever the number of modes.
-        "--example frac-heat --modes 8 --brute-samples 20000000",
-    ])
-    def test_oversized_brute_force_is_refused_before_the_search(self, tmp_path, monkeypatch,
-                                                                 argv):
+    def test_brute_force_contradicts_a_lowered_constant(self, tmp_path, monkeypatch):
+        # A per-mode certificate whose C is lowered by 0.1 % at a time until
+        # its exact margin passes 1e-8: the dense check of its binding modes
+        # reports the violation.
+        system = st.fractional_heat(64, 1.5, 1.0)
+        cert = st.decide_dc(system, 1.0)
+        C = cert.C
+        while st.check_inequality(cert.bundle, C, cert.delta).margin <= 1e-8:
+            C *= 0.999
+        monkeypatch.setattr(obscheck, "decide_dc", lambda *args: replace(cert, C=C))
+        assert main(["analyze", "--example", "frac-heat", "--T", "1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
+        assert brute["max_violation"] > 1e-8 and brute["contradicts"] is True
+
+    def test_oversized_brute_force_is_refused_before_the_search(self, tmp_path, monkeypatch):
         def search(*args, **kwargs):
             raise AssertionError("analyze searched before refusing the draw")
 
         monkeypatch.setattr(obscheck, "decide_dc", search)
         monkeypatch.setattr(obscheck, "decide_cc", search)
-        code, err = run_quietly(["analyze", "--T", "1", *argv.split(), "--out", str(tmp_path)])
+        code, err = run_quietly(["analyze", "--T", "1", "--example", "oscillator",
+                                 "--brute-samples", "10000000000000", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert len(err) == 1 and "ceiling" in err[0] and "--brute-samples" in err[0]
 

@@ -12,10 +12,11 @@ from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
+from sampstab import closedloop
 from sampstab.closedloop import system_hash
 
 from conftest import (cc_stepper, cp_stepper, periodic_schedule, random_cc_stabilized,
-                      to_dense)
+                      random_complex, random_stable_system, to_dense)
 
 SCALAR = st.ContinuousSystem([[0.0]], [[1.0]])
 LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp": st.simulate_cp}
@@ -182,6 +183,23 @@ class TestSimulateDc:
             y_k = traj.states[k * steps]
             exact = st.semigroup(osc, j * h) @ y_k + st.sample(osc, j * h).D @ F @ y_k
             assert np.linalg.norm(y - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("gain_norm", [1.0, 1e4, 1e8, 1e12])
+    def test_large_gain_keeps_the_dense_maps_exact(self, seed, gain_norm):
+        # The gain enters after the exponential, so a large one adds no
+        # squarings: the state rows stay Phi + D F of each substep, and the
+        # control rows F itself.  The exponential of [[A, B F], [0, 0]] h was
+        # off by 1e-9 relative at |F| = 1e8 and by 1e-5 at 1e12.
+        sys = random_stable_system(seed, n=4, m=2)
+        F = random_complex(np.random.default_rng(seed), (2, 4))
+        F *= gain_norm / np.linalg.norm(F, 2)
+        h, S = 1 / 16, 16
+        maps = closedloop._hold_maps(sys, F, h, S)
+        Phi, D = st.sample_periods(sys, h * np.arange(1, S + 1))
+        for j, want in enumerate(Phi + D @ F, start=1):
+            assert np.linalg.norm(maps[j, :4] - want, 1) <= 1e-12 * np.linalg.norm(want, 1)
+        assert (maps[:, 4:] == F).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

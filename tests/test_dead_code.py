@@ -1,12 +1,15 @@
 """No orphans in src/sampstab: every import is used, and every module-level
 private function, class or constant is referenced by some other line of the
-package.  A deletion that leaves a helper, a constant or an import behind
+package.  No orphans in tests/conftest.py either: every top-level helper is
+used by a test module or another helper, every fixture is a test's parameter.
+A deletion that leaves a helper, an oracle, a constant or an import behind
 fails here."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sampstab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "sampstab"
 MODULES = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p))
            for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -71,4 +74,33 @@ def test_every_private_module_name_is_referenced():
             if not any(ref == name and not (other == module and first <= line <= last)
                        for other, refs in references.items() for ref, line in refs):
                 orphans.append(f"{module}:{first} {name}")
+    assert orphans == []
+
+
+def _is_fixture(node) -> bool:
+    """True for a def decorated with pytest.fixture, called or not."""
+    return any(isinstance(d, ast.Attribute) and d.attr == "fixture"
+               for d in (getattr(dec, "func", dec) for dec in node.decorator_list))
+
+
+def test_every_conftest_helper_is_used():
+    conftest = ast.parse((TESTS / "conftest.py").read_text(encoding="utf-8"))
+    tests = [ast.parse(p.read_text(encoding="utf-8"), str(p))
+             for p in sorted(TESTS.glob("test_*.py"))]
+    read = {name for tree in tests for name, _ in _references(tree)}
+    parameters = {node.arg for tree in (*tests, conftest) for node in ast.walk(tree)
+                  if isinstance(node, ast.arg)}
+    in_conftest = _references(conftest)
+    orphans = []
+    for node in conftest.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if _is_fixture(node):
+            used = node.name in parameters
+        else:
+            used = node.name in read or any(
+                ref == node.name and not node.lineno <= line <= node.end_lineno
+                for ref, line in in_conftest)
+        if not used:
+            orphans.append(f"conftest.py:{node.lineno} {node.name}")
     assert orphans == []

@@ -17,8 +17,7 @@ from sampstab import linsys, obscheck
 from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
-from conftest import (bisect_verdict, brute_force_exponential_oracle, brute_force_oracle,
-                      decide_cc_oracle, decide_dc_oracle, gaussian_violations_oracle,
+from conftest import (bisect_verdict, brute_force_oracle, decide_cc_oracle, decide_dc_oracle,
                       gramian_quadratic_form, outcome_fields, pathological_periods_loop,
                       random_complex, random_mixed_system, random_neutral_system,
                       random_stable_system, random_unit_states, scratch_bundle,
@@ -143,14 +142,15 @@ class TestRefusals:
                 decide(OSC, np.pi, obscheck._MAX_HORIZONS + 1)
             assert decide(OSC, 1.0, obscheck._MAX_HORIZONS).feasible
 
-    @pytest.mark.parametrize("per_mode", [False, True])
-    def test_draw_outside_the_float_range(self, per_mode):
+    @pytest.mark.parametrize("n", [4, 0])
+    def test_draw_outside_the_float_range(self, n):
+        # n = 0: the count of a spectral certificate, which draws nothing.
         for samples in (0, 2 ** 1024):
             with pytest.raises(ValueError, match="n_samples must lie in"):
-                obscheck.check_draw(samples, 4, per_mode)
+                obscheck.check_draw(samples, n)
         # A product past the float range reads inf, over the ceiling.
         with pytest.raises(ValueError, match="needs inf cells"):
-            obscheck.check_draw(10 ** 308, 4, False)
+            obscheck.check_draw(10 ** 308, 4)
 
 
 class TestMinDeltaOnKernel:
@@ -836,98 +836,72 @@ class TestBruteForceAgreement:
             cert = st.decide_dc(sys, 0.7, N_max=8, delta_target=0.9)
             assert cert.feasible
             g = st.discrete_gramian(sys, 0.7, int(cert.N))
-            worst = brute_force_max_violation(g, cert.C, cert.delta, 10_000, seed)
+            worst = brute_force_max_violation(sys, g, cert.C, cert.delta, 10_000, seed)
             assert worst <= 1e-8
+
+    def test_dense_draw_matches_the_whole_draw(self):
+        sys = random_mixed_system(3)
+        g = st.discrete_gramian(sys, 0.7, 2)
+        scale = max(np.abs(g.R).max() ** 2, 1.0)
+        for C, samples, seed in ((0.0, 2000, 0), (3.5, 700, 11), (40.0, 1, 5)):
+            got = brute_force_max_violation(sys, g, C, 0.9, samples, seed)
+            want = brute_force_oracle(g, C, 0.9, samples, seed)
+            assert abs(got - want) <= 1e-12 * scale * (1 + C * np.abs(g.G).max())
 
     @pytest.mark.parametrize("system,T", [
         (st.fractional_heat(256, 1.5, 1.0), 1.0),
         (st.fractional_heat(9, 1.5, 1.0, mask=np.array([0, 0.5, 1] * 3)), 0.7),
         (st.schrodinger(128, 4.0), 1.0),
-        (random_mixed_system(3), 0.7),
+        (st.fractional_heat(64, 2.0, 1.0, xi_max=20.0), 5.0),
     ])
-    def test_streamed_draw_matches_the_whole_draw(self, system, T):
-        # The per-mode form streams one standard exponential draw in row
-        # chunks; a dense bundle takes the whole Gaussian draw.
+    def test_spectral_check_is_the_dense_margin_of_the_binding_modes(self, system, T):
+        # The margin of the 32 modes of largest w, each state of their span
+        # included, is the per-mode margin: a diagonal system's inequality is
+        # decided mode by mode.
         g = st.discrete_gramian(system, T, 2)
-        oracle = brute_force_exponential_oracle if g.G.ndim == 1 else brute_force_oracle
-        scale = max(np.abs(g.R).max() ** 2, 1.0)
-        for C, samples, seed in ((0.0, 2000, 0), (3.5, 700, 11), (40.0, 1, 5)):
-            got = brute_force_max_violation(g, C, 0.9, samples, seed)
-            want = oracle(g, C, 0.9, samples, seed)
-            assert abs(got - want) <= 1e-12 * scale * (1 + C * np.abs(g.G).max())
+        for C in (0.0, 3.5, 40.0):
+            margin = st.check_inequality(g, C, 0.9).margin
+            got = brute_force_max_violation(system, g, C, 0.9, 1, 0)
+            assert abs(got - margin) <= 1e-12 * max(np.abs(g.R).max() ** 2, C * g.G.max(), 1.0)
 
-    @pytest.mark.parametrize("system,C", [
-        (st.fractional_heat(256, 1.5, 1.0), 0.0),
-        (st.fractional_heat(256, 1.5, 1.0), 3.5),
-        (st.schrodinger(128, 4.0), 3.5),
+    def test_spectral_check_takes_the_largest_weights_in_index_order(self, monkeypatch):
+        # 24 modes of w = 3.5 and 10 tied at w = 1.75 across the cut at 32:
+        # the lower indices of the tie are taken, whatever order the partition
+        # leaves.  The distinct input entries tell the modes apart.
+        mask = np.linspace(0.01, 1.0, 64)
+        system = st.fractional_heat(64, 1.5, 1.0, mask=mask)
+        R = np.ones(64)
+        R[40:], R[10:20] = 2.0, 1.5
+        g = st.GramianBundle(R, np.ones(64), "discrete", 1.0, 1.0)
+        built = []
+        monkeypatch.setattr(obscheck, "ContinuousSystem", lambda A, B: built.append(
+            np.diag(B).real) or linsys.ContinuousSystem(A, B))
+        brute_force_max_violation(system, g, 0.5, 0.9, 1, 0)
+        assert_allclose(built[0], mask[np.r_[40:64, 10:18]], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("samples,n", [
+        (2000, 128),    # the default on the seeded dense n = 128 system
+        (5000, 2000),
+        (10 ** 13, 0),  # a spectral certificate draws nothing
     ])
-    def test_exponential_draw_has_the_gaussian_quantiles(self, system, C):
-        # |phi_i|^2 of a complex Gaussian is 2 Exp(1), and the statistic does
-        # not see the scale: one-sample calls over 3000 seeds against 3000
-        # Gaussian states.  Drawing chi-square(1) in place of Exp(1) moves the
-        # 5 % and 95 % quantiles by more than a third of the interquartile range.
-        g = st.discrete_gramian(system, 1.0, 2)
-        count = 3000
-        new = [brute_force_max_violation(g, C, 0.9, 1, seed) for seed in range(count)]
-        old = gaussian_violations_oracle(g, C, 0.9, count, 0)
-        q = [5, 25, 50, 75, 95]
-        got, want = np.percentile(new, q), np.percentile(old, q)
-        assert np.abs(got - want).max() <= 0.2 * (want[3] - want[1])
+    def test_draw_within_the_ceiling_is_accepted(self, samples, n):
+        obscheck.check_draw(samples, n)
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 64),
-           C=hs.sampled_from([0.0, 0.5, 3.0, 1e4]), delta=hs.floats(0.01, 0.99),
-           samples=hs.integers(1, 300), log_scale=hs.floats(-6.0, 6.0))
-    def test_per_mode_draw_never_exceeds_the_margin(self, seed, n, C, delta, samples,
-                                                    log_scale):
-        # The statistic is a convex combination of the per-mode weights, so
-        # it stays below their maximum, the margin, up to roundoff.
-        rng = np.random.default_rng(seed)
-        R = random_complex(rng, n) * 10.0 ** log_scale
-        G = rng.exponential(size=n) * (rng.random(n) < 0.8)
-        g = st.GramianBundle(R, G, "discrete", 1.0, 1.0)
-        margin = st.check_inequality(g, C, delta).margin
-        worst = brute_force_max_violation(g, C, delta, samples, seed % 1000)
-        scale = max(np.abs(R).max() ** 2, C * G.max(), 1.0)
-        assert worst <= margin + 1e-12 * scale
-
-    def test_streamed_draw_in_little_memory(self):
-        # The whole 6250 x 2000 complex draw would take 200 MB.
-        g = st.discrete_gramian(st.fractional_heat(6250, 1.5, 1.0), 1.0, 1)
-        tracemalloc.start()
-        try:
-            brute_force_max_violation(g, 2.2, 0.9, 2000, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
-
-    @pytest.mark.parametrize("samples,n,per_mode", [
-        (2000, 128, False),      # the default on the seeded dense n = 128 system
-        (2000, 10 ** 5, True),   # a per-mode draw holds O(samples), not O(n samples)
-        (10 ** 7, 10 ** 6, True),
-        (5000, 2000, False),
+    @pytest.mark.parametrize("samples,n", [
+        (10 ** 5, 128),
+        (10 ** 13, 2),
+        (0, 0),
     ])
-    def test_draw_within_the_ceiling_is_accepted(self, samples, n, per_mode):
-        obscheck.check_draw(samples, n, per_mode)
-
-    @pytest.mark.parametrize("samples,n,per_mode", [
-        (10 ** 5, 128, False),
-        (10 ** 13, 2, False),
-        (10 ** 7 + 1, 1, True),
-        (0, 4, True),
-    ])
-    def test_draw_over_the_ceiling_is_refused(self, samples, n, per_mode):
+    def test_draw_over_the_ceiling_is_refused(self, samples, n):
         with pytest.raises(ValueError):
-            obscheck.check_draw(samples, n, per_mode)
+            obscheck.check_draw(samples, n)
 
-    @pytest.mark.parametrize("system", [st.harmonic_oscillator(), st.fractional_heat(8, 1.5, 1.0)])
-    def test_brute_force_refuses_before_allocating(self, system):
-        g = st.discrete_gramian(system, 1.0, 2)
+    def test_brute_force_refuses_before_allocating(self):
+        g = st.discrete_gramian(OSC, 1.0, 2)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="ceiling"):
-                brute_force_max_violation(g, 1.0, 0.9, 10 ** 13, 0)
+                brute_force_max_violation(OSC, g, 1.0, 0.9, 10 ** 13, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -956,6 +930,17 @@ class TestPathologicalPeriods:
         for T_max in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="T_max must be finite and > 0"):
                 st.pathological_periods(OSC.A, T_max)
+
+    def test_too_many_periods_are_refused_before_allocating(self):
+        # A gap of 2e3 up to T_max = 1e4 has 3.2e6 multiples, just over the ceiling of 1e6.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="3.18e[+]06 candidate periods.*ceiling"):
+                st.pathological_periods(np.diag([1e3j, -1e3j]), 1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @settings(max_examples=60, deadline=None)
     @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(2, 8),
