@@ -10,7 +10,9 @@ comes from one block exponential,
 exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van Loan, IEEE TAC 23, 1978),
 so no quadrature tolerance enters it.  sample_periods stacks the pairs of many
 periods on a leading period axis, from one stacked exponential; sample is its
-one-period slice.
+one-period slice.  The continuous Gramian's first step needs two blocks of
+the order-2n exponential exp([[-A, B B*], [0, A*]] h); _van_loan evaluates
+them from polynomials in Ah of order n.
 """
 
 from __future__ import annotations
@@ -248,6 +250,49 @@ def expm(M) -> np.ndarray:
             E[fix[:, None], diag, diag] = np.exp(lam[fix] * np.exp2(k - s[fix])[:, None])
     E[bad] = np.nan
     return E.reshape(M.shape)
+
+
+def _van_loan(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, F): E = exp(X), F the top-right block of exp([[-X, Y], [0, X*]]), all n x n.
+
+    The block's degree-13 Pade approximant r = (V - U)^-1 (V + U), evaluated
+    block by block without squaring, so the block's 1-norm must lie within
+    theta_13.  Each power M^k of the block is [[(-X)^k, Y_k], [0, (X^k)*]]: U
+    is odd and V even, so their diagonal blocks are -u, u* and v, v* for the
+    polynomials u = U(X), v = V(X) of order n that expm forms, and E is
+    expm(X) bit for bit.  An off-diagonal block of a product costs two order-n
+    products, a b' + b c'.  The rational step is block back-substitution:
+    (v - u) E = v + u, then (v + u) F = (V + U)_12 - (V - U)_12 E*.  A block
+    whose 1-norm is not finite gives NaN E and F, and no warning.
+    """
+    n = X.shape[-1]
+    with np.errstate(all="ignore"):  # columns of [[-X], [0]], then of [[Y], [X*]]
+        absX = np.abs(X)
+        norm = np.maximum(absX.sum(axis=0).max(),
+                          (np.abs(Y).sum(axis=0) + absX.sum(axis=1)).max())
+    if not np.isfinite(norm):
+        return np.full((n, n), np.nan, dtype=complex), np.full((n, n), np.nan, dtype=complex)
+    if norm > _THETA13:
+        raise ValueError(f"block 1-norm {norm:.3g} exceeds theta_13; scale the step down")
+    b, I, H = _PADE13, np.eye(n), lambda m: m.conj().T
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    Y2 = Y @ H(X) - X @ Y
+    Y4 = X2 @ Y2 + Y2 @ H(X2)
+    Y6 = X4 @ Y2 + Y4 @ H(X2)
+    pu, Yp = b[13] * X6 + b[11] * X4 + b[9] * X2, b[13] * Y6 + b[11] * Y4 + b[9] * Y2
+    wu = X6 @ pu + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I
+    Yw = X6 @ Yp + Y6 @ H(pu) + b[7] * Y6 + b[5] * Y4 + b[3] * Y2
+    u, Yu = X @ wu, Y @ H(wu) - X @ Yw
+    pv, Yp = b[12] * X6 + b[10] * X4 + b[8] * X2, b[12] * Y6 + b[10] * Y4 + b[8] * Y2
+    v = X6 @ pv + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I
+    Yv = X6 @ Yp + Y6 @ H(pv) + b[6] * Y6 + b[4] * Y4 + b[2] * Y2
+    E = np.linalg.solve(v - u, v + u)
+    F = np.linalg.solve(v + u, Yv + Yu - (Yv - Yu) @ H(E))
+    if not np.tril(X, -1).any():
+        E[np.diag_indices(n)] = np.exp(np.diagonal(X))
+    return E, F
 
 
 def _offdiagonal_scale(inner, outer):

@@ -16,10 +16,10 @@ pair (Phi, D) of linsys.sample: W_1* W_1 = D D* and W_{i+1} = W_i Phi*.  The
 continuous search takes every horizon k T from one generator, whose first
 horizon is continuous_gramian; a dense horizon 2k T, k a power of two,
 continues the doubling of k T by one step where a fresh build makes that
-doubling last, so it builds no block exponential and its Gramian is the same
-bits.  The kernel of G supplies a structural obstruction: on ker G the
-inequality collapses to ||R* phi||^2 <= delta ||phi||^2, so if the transition
-preserves norm on the kernel no constant C can help at that horizon.
+doubling last, so it builds no first step and its Gramian is the same bits.
+The kernel of G supplies a structural obstruction: on ker G the inequality
+collapses to ||R* phi||^2 <= delta ||phi||^2, so if the transition preserves
+norm on the kernel no constant C can help at that horizon.
 
 The sampling period is an array axis.  sweep_dc decides a grid of periods in
 one search: the sampled pairs come from one stacked exponential
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NumericOverflowError, SearchExhausted
 from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize,
-                     _offdiagonal_scale, _phi1, expm, sample, sample_periods, semigroup)
+                     _offdiagonal_scale, _phi1, _van_loan, sample, sample_periods, semigroup)
 
 __all__ = [
     "GramianBundle",
@@ -99,8 +99,8 @@ def _decompose(G: np.ndarray, per_mode: bool):
     """(G, w, V, ok) of a stack of Gramians, each as GramianBundle takes one.
 
     A dense G is hermitized and decomposed, G = V diag(w) V*, by one stacked
-    eigh over the periods whose G is finite (w and V are NaN at the others);
-    a per-mode G is its own spectrum and V is None.  ok is False where G has
+    eigh with each non-finite G replaced by 0, whose w and V are then NaN; a
+    per-mode G is its own spectrum and V is None.  ok is False where G has
     non-finite entries or a significantly negative eigenvalue.
     """
     finite = np.isfinite(G).all(axis=tuple(range(1, G.ndim)))
@@ -110,9 +110,8 @@ def _decompose(G: np.ndarray, per_mode: bool):
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite
             G = _hermitize(np.asarray(G, dtype=complex))
-        w = np.full(G.shape[:-1], np.nan)
-        V = np.full(G.shape, np.nan, dtype=complex)
-        w[finite], V[finite] = np.linalg.eigh(G[finite])
+        w, V = np.linalg.eigh(np.where(finite[:, None, None], G, 0.0))
+        w[~finite], V[~finite] = np.nan, np.nan
     ok = finite & ~(w.min(axis=-1) < -1e-12 * np.maximum(np.abs(w).max(axis=-1), 1.0))
     return G, w, V, ok
 
@@ -315,14 +314,17 @@ def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -
 def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> GramianBundle:
     """G = int_0^{T_h} exp(At) B B* exp(At)* dt and R = exp(A T_h).
 
-    Dense G by scaling and squaring: exp([[-A, c B B*], [0, A*]] h) gives
-    c G(h) at h = T_h / 2^s, ||A||_1 h <= 1 (Van Loan, IEEE TAC 23, 1978), c
-    the power of two of linsys._offdiagonal_scale; s doublings G(2t) = G(t) +
-    E G(t) E*, E = exp(At) <- E^2, reach T_h without the exp(-A T_h) that loses
-    digits or overflows on long or stiff horizons.  Spectral G is the 1-D per-mode
-    b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D for a spectral
-    system.  A non-finite G or R raises NumericOverflowError.  The first
-    horizon of _continuous_horizons(sys, T_h).
+    Dense G by scaling and squaring.  The first step takes h = T_h / 2^s, s
+    the least s >= 0 with max(||A||_1, ||A||_inf) h < 1, and reads E = exp(Ah)
+    and G(h) = E F / c off the block exponential exp([[-A, c B B*], [0, A*]] h),
+    whose top-right block is F = c exp(-Ah) G(h) (Van Loan, IEEE TAC 23, 1978);
+    c is the power of two of linsys._offdiagonal_scale, and linsys._van_loan
+    evaluates E and F from polynomials in Ah of order n.  Then s doublings
+    G(2t) = G(t) + E G(t) E*, E <- E^2, reach T_h without the exp(-A T_h) that
+    loses digits or overflows on long or stiff horizons.  Spectral G is the
+    1-D per-mode b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D
+    for a spectral system.  A non-finite G or R raises NumericOverflowError.
+    The first horizon of _continuous_horizons(sys, T_h).
     """
     _, s = next(_continuous_horizons(sys, T_h))
     return s.bundles(np.zeros(1, dtype=int))[0]
@@ -343,8 +345,8 @@ def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityC
 
 def _by_kernel_dim(dims: np.ndarray):
     """(d, indices of the periods whose kernel dimension is d), for each d present."""
-    for d in np.unique(dims):
-        yield int(d), np.flatnonzero(dims == d)
+    for d in sorted(set(dims.tolist())):
+        yield d, np.flatnonzero(dims == d)
 
 
 def _kernel_norms(s: _Stack, mask: np.ndarray) -> np.ndarray:
@@ -573,10 +575,12 @@ def _discrete_horizons(sys: ContinuousSystem | SpectralSystem, periods: np.ndarr
 def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
     """Continuous bundles of horizons k T, k = 1, 2, ..., as one-period stacks for _search.
 
-    Each is built as continuous_gramian says, but a dense horizon 2k T, k a
-    power of two, continues the raw (G, E) of k T by one doubling when
-    ||A||_1 k T >= 1/2: a fresh build then makes s + 1 doublings from the same
-    step h, so the bits agree.  An overflow raises at k = 1, later it stops.
+    Each is built as continuous_gramian says: one first step (linsys._van_loan,
+    of order n) and s doublings.  A dense horizon 2k T, k a power of two,
+    instead continues the raw (G, E) of k T by one doubling when
+    max(||A||_1, ||A||_inf) k T >= 1/2: a fresh build then makes s + 1
+    doublings from the same step h, so the bits agree.  An overflow raises at
+    k = 1, later it stops.
     """
     spectral = isinstance(sys, SpectralSystem)
     pair = None  # the raw (G, E) of the last power-of-two horizon, if one doubling continues it
@@ -590,17 +594,16 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
                 if spectral:
                     G = sys.control_mask ** 2 * _phi1(2.0 * sys.symbol_values.real, T_h).real
                 else:
-                    A, B, n = sys.A, sys.B, sys.state_dim
-                    x = np.linalg.norm(A, 1) * T_h
+                    A, B = sys.A, sys.B
+                    x = max(np.linalg.norm(A, 1), np.linalg.norm(A, np.inf)) * T_h
                     s = max(math.frexp(x)[1], 0)
                     if power and pair is not None:
                         (G, E), steps = pair, 1
-                    else:  # G holds [[., c G(h)], [0, E*]] until G(h) replaces it
+                    else:  # F = c exp(-Ah) G(h)
                         h, Q = math.ldexp(T_h, -s), B @ B.conj().T
                         c = float(_offdiagonal_scale(math.ldexp(x, -s), np.linalg.norm(Q, 1) * h))
-                        G = expm(h * np.block([[-A, c * Q], [np.zeros_like(A), A.conj().T]]))
-                        E = G[n:, n:].conj().T
-                        G, steps = E @ G[:n, n:] / c, s
+                        E, F = _van_loan(h * A, h * (c * Q))
+                        G, steps = E @ F / c, s
                     for _ in range(steps):
                         G, E = G + E @ G @ E.conj().T, E @ E
                     if power:
@@ -738,8 +741,8 @@ def brute_force_max_violation(sys: ContinuousSystem | SpectralSystem, g: Gramian
         return check_inequality(discrete_gramian(dense, g.T, int(g.horizon)), C, delta).margin
     n = g.R.shape[0]
     check_draw(n_samples, n)
-    rng = np.random.default_rng(seed)
-    phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
+    phis = np.empty((n, n_samples), dtype=complex)
+    phis.real, phis.imag = np.random.default_rng(seed).standard_normal((2, n, n_samples))
     phis /= np.linalg.norm(phis, axis=0)
     v = g.R.conj().T @ phis
     vals = (np.real(np.einsum("ij,ij->j", v.conj(), v))

@@ -299,6 +299,16 @@ def _herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def van_loan_oracle(X: np.ndarray, Y: np.ndarray):
+    """Oracle: linsys._van_loan's (E, F) from the whole order-2n block exponential
+    linsys.expm(M), M = [[-X, Y], [0, X*]]: E = exp(X) read off M's bottom-right
+    block as its adjoint, and F its top-right block.  test_linsys pins
+    linsys.expm to scipy's."""
+    n = X.shape[0]
+    M = linsys.expm(np.block([[-X, Y], [np.zeros_like(X), X.conj().T]]))
+    return M[n:, n:].conj().T, M[:n, n:]
+
+
 def _oracle_pair(sys, T: float):
     """Oracle: the sampled pair of one period, from the program's linsys.sample.
 

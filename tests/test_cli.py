@@ -127,18 +127,21 @@ class TestAnalyze:
 
     def test_brute_force_at_1e5_modes(self, tmp_path, monkeypatch):
         # At the mode scale of the north star the cross-check is the dense
-        # form of 32 binding modes: no exponential above order 64, whatever n.
-        orders = []
-        for module in (linsys, obscheck):  # each calls expm by its own global name
-            monkeypatch.setattr(module, "expm",
-                                lambda M, expm=module.expm: orders.append(M.shape[-1]) or expm(M))
+        # form of 32 binding modes: no exponential above order 64, whatever n,
+        # and the spectral continuous Gramian takes no dense step.
+        orders, steps = [], []
+        monkeypatch.setattr(linsys, "expm",
+                            lambda M, expm=linsys.expm: orders.append(M.shape[-1]) or expm(M))
+        monkeypatch.setattr(obscheck, "_van_loan",
+                            lambda X, Y, step=obscheck._van_loan: steps.append(X.shape[-1])
+                            or step(X, Y))
         code = main(["analyze", "--example", "frac-heat", "--modes", "100000", "--T", "1",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
         assert (brute["modes"], brute["contradicts"]) == (32, False)
         assert "samples" not in brute
-        assert orders and max(orders) == 64
+        assert orders and max(orders) == 64 and steps == []
 
     def test_stiff_heat_is_decided(self, tmp_path):
         # The spectral system is decided per mode, on 1-D Gramians.

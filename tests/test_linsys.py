@@ -12,9 +12,11 @@ from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 import sampstab as st
-from sampstab.linsys import expm
+from sampstab import obscheck
+from sampstab.linsys import _van_loan, expm
 
-from conftest import expm_taylor, random_neutral_system, random_stable_system, to_dense
+from conftest import (expm_taylor, random_mixed_system, random_neutral_system,
+                      random_stable_system, to_dense, van_loan_oracle)
 
 
 def rotation(t):
@@ -203,6 +205,68 @@ class TestExpm:
                     st.semigroup(sys, 10.0)
                 with pytest.raises(st.NumericOverflowError, match="sampled pair"):
                     st.sample(sys, 10.0)
+
+
+def _first_steps(monkeypatch, sys, T_h: float) -> list:
+    """The (X, Y, E, F) of each linsys._van_loan call of continuous_gramian(sys, T_h)."""
+    steps = []
+
+    def spy(X, Y, step=obscheck._van_loan):
+        steps.append((X, Y, *step(X, Y)))
+        return steps[-1][2:]
+
+    monkeypatch.setattr(obscheck, "_van_loan", spy)
+    st.continuous_gramian(sys, T_h)
+    return steps
+
+
+VAN_LOAN_SYSTEMS = {
+    "stable": lambda n: random_stable_system(n, n=n, m=min(n, 2)),
+    "mixed": lambda n: random_mixed_system(n, n=n, m=min(n, 2)),
+    "stiff-heat": lambda n: to_dense(st.fractional_heat(n, 2.0, 1.0, xi_max=20.0)),
+    "schrodinger": lambda n: to_dense(st.schrodinger(n, 4.0)),
+    # ||A||_inf = n - 1/2 against ||A||_1 = 3/2: the step is sized by the larger norm,
+    # which bounds the block's right-hand columns.
+    "one-row": lambda n: st.ContinuousSystem(np.eye(n) * -0.5 + np.eye(n, 1) @ np.ones((1, n)),
+                                             np.ones((n, 1))),
+    # B B* far above A: _offdiagonal_scale brings the block down by a power of two.
+    "B-1e3": lambda n: st.ContinuousSystem(random_mixed_system(n, n=n).A, 1e3 * np.ones((n, 1))),
+    "B-1e9": lambda n: st.ContinuousSystem(random_mixed_system(n, n=n).A, 1e9 * np.ones((n, 1))),
+}
+
+
+class TestVanLoan:
+    """linsys._van_loan against the order-2n block exponential it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 128])
+    @pytest.mark.parametrize("name", sorted(VAN_LOAN_SYSTEMS))
+    def test_matches_the_block_exponential(self, monkeypatch, name, n):
+        sys = VAN_LOAN_SYSTEMS[name](n)
+        diagonal = not np.any(sys.A - np.diag(np.diagonal(sys.A)))
+        for T_h in (1.0, 5.0):
+            [(X, Y, E, F)] = _first_steps(monkeypatch, sys, T_h)
+            E_want, F_want = van_loan_oracle(X, Y)
+            assert np.abs(E - E_want).max() <= 1e-13 * np.abs(E_want).max()
+            assert np.abs(F - F_want).max() <= 1e-13 * np.abs(F_want).max()
+            assert np.array_equal(E, expm(X))
+            if diagonal:  # the exact diagonal expm sets on the triangular block
+                assert np.array_equal(np.diagonal(E), np.exp(np.diagonal(X)))
+                assert np.array_equal(np.diagonal(E), np.diagonal(E_want))
+
+    def test_a_non_finite_block_raises_at_the_first_horizon(self):
+        # B B* overflows: the scaled block holds 0 * inf = NaN.
+        sys = st.ContinuousSystem(random_mixed_system(1, n=3).A, 1e200 * np.ones((3, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (st.continuous_gramian, st.decide_cc):
+                with pytest.raises(st.NumericOverflowError, match="non-finite"):
+                    call(sys, 1.0)
+            E, F = _van_loan(np.eye(3, dtype=complex), np.full((3, 3), np.nan, dtype=complex))
+        assert np.isnan(E).all() and np.isnan(F).all()
+
+    def test_refuses_a_block_that_needs_squaring(self):
+        with pytest.raises(ValueError, match="theta_13"):
+            _van_loan(6.0 * np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
 
 
 class TestSample:

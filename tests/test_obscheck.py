@@ -816,16 +816,22 @@ class TestPowerOfTwoHorizons:
 
     def test_horizon_two_builds_no_block_exponential(self, monkeypatch):
         # The benchmark's seeded dense n = 128 system (its generator seeded
-        # (7, 128, 8)) is certified at horizon 3 T: horizons T and 3 T build an
-        # order-2n block exponential, and 2 T continues the doubling of T.
+        # (7, 128, 8)) is certified at horizon 3 T: horizons T and 3 T build
+        # one order-n first step each, and 2 T continues the doubling of T.
         sys = random_mixed_system((7, 128, 8), n=128, m=8)
-        orders = []
-        for module in (linsys, obscheck):  # each calls expm by its own global name
-            monkeypatch.setattr(module, "expm",
-                                lambda M, expm=module.expm: orders.append(M.shape[-1]) or expm(M))
+        orders, steps = [], []
+        monkeypatch.setattr(linsys, "expm",
+                            lambda M, expm=linsys.expm: orders.append(M.shape[-1]) or expm(M))
+        monkeypatch.setattr(obscheck, "_van_loan",
+                            lambda X, Y, step=obscheck._van_loan: steps.append(X.shape[-1])
+                            or step(X, Y))
+        built = [len(steps) for _ in islice(obscheck._continuous_horizons(sys, 1.0), 3)]
+        assert built == [1, 1, 2] and steps == [128, 128]
+        steps.clear()
+        orders.clear()
         cert = st.decide_cc(sys, 1.0)
-        assert cert.N == 3.0 and orders.count(256) == 2
-        assert orders.count(128) == 3  # R = semigroup(sys, k T) at each horizon
+        assert cert.N == 3.0 and steps == [128, 128]
+        assert orders == [128] * 3  # R = semigroup(sys, k T) at each horizon, nothing of order 2n
         assert outcome_fields(cert) == outcome_fields(decide_cc_oracle(sys, 1.0))
 
 
@@ -847,6 +853,15 @@ class TestBruteForceAgreement:
             got = brute_force_max_violation(sys, g, C, 0.9, samples, seed)
             want = brute_force_oracle(g, C, 0.9, samples, seed)
             assert abs(got - want) <= 1e-12 * scale * (1 + C * np.abs(g.G).max())
+
+    def test_dense_draw_is_the_two_call_draw(self):
+        # One (2, n, samples) draw fills the real then the imaginary parts: the
+        # stream of two (n, samples) calls, so the same value to the last bit.
+        sys = random_mixed_system(3, n=16)
+        g = st.discrete_gramian(sys, 0.7, 2)
+        for C, samples, seed in ((0.0, 2000, 0), (3.5, 700, 11), (40.0, 1, 5)):
+            got = brute_force_max_violation(sys, g, C, 0.9, samples, seed)
+            assert got == brute_force_oracle(g, C, 0.9, samples, seed)
 
     @pytest.mark.parametrize("system,T", [
         (st.fractional_heat(256, 1.5, 1.0), 1.0),
