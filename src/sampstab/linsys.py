@@ -6,13 +6,13 @@ and a diagonal control mask.  Both are validated once, at construction: every
 entry, mode, mask weight and symbol value must be finite.  The flow exp(At) is
 evaluated by expm, a degree-13 Pade scaling-and-squaring matrix exponential
 that acts on one matrix or on a stack of them.  The one-period sampled pair
-comes from one block exponential,
-exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van Loan, IEEE TAC 23, 1978),
-so no quadrature tolerance enters it.  sample_periods stacks the pairs of many
-periods on a leading period axis, from one stacked exponential; sample is its
-one-period slice.  The continuous Gramian's first step needs two blocks of
-the order-2n exponential exp([[-A, B B*], [0, A*]] h); _van_loan evaluates
-them from polynomials in Ah of order n.
+is the top block row of exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]] (Van
+Loan, IEEE TAC 23, 1978), so no quadrature tolerance enters it; _expm_phi1
+forms it from blocks of order n, and expm is its case with no input columns.
+sample_periods stacks the pairs of many periods on a leading period axis;
+sample is its one-period slice.  The continuous Gramian's first step needs
+two blocks of exp([[-A, B B*], [0, A*]] h); _van_loan forms them from the
+same Pade polynomials in Ah of order n (_pade13).
 """
 
 from __future__ import annotations
@@ -215,93 +215,98 @@ _PADE13 = [math.comb(13, k) / math.perm(26, k) for k in range(14)]
 _THETA13 = 5.371920351148152
 
 
-def expm(M) -> np.ndarray:
-    """exp(M) of a square matrix, or of each matrix of a stack on leading axes.
+def _pade13(X: np.ndarray):
+    """Degree-13 Pade pieces of X: (X^2, X^4, X^6), inner parts (pu, pv), w, U = X w, V."""
+    b, I = _PADE13, np.eye(X.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    pu = b[13] * X6 + b[11] * X4 + b[9] * X2
+    pv = b[12] * X6 + b[10] * X4 + b[8] * X2
+    w = X6 @ pu + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I
+    v = X6 @ pv + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I
+    return (X2, X4, X6), (pu, pv), w, X @ w, v
 
-    Each matrix is scaled by the least 2^-s that brings its 1-norm within
-    theta_13; its Pade approximant is squared s times, and an upper triangular
-    one has each stage's diagonal set to the exact exp(2^(k-s) diag(M))
-    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009).  A stack
-    member gets the bits of its own single call.  Overflow, or a 1-norm that
-    is not finite, gives non-finite entries and no warning.
+
+def _expm_phi1(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(X), phi1(X) Y), phi1(X) = int_0^1 exp(Xt) dt, of stacks (P, n, n) X, (P, n, m) Y.
+
+    The top block row of exp([[X, Y], [0, 0]]) (Van Loan, IEEE TAC 23, 1978)
+    from order-n blocks: the block is linear in Y, so ||X||_1 alone sets the
+    scaling 2^-s (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30(4), 2009),
+    the Pade approximant is [[(v - u)^-1 (v + u), 2 (v - u)^-1 w Y], [0, I]]
+    and a squaring maps (E, D) to (E^2, E D + D).  An upper triangular X gets
+    each stage's diagonal exact (ibid. 31(3), 2009).  Members go in order of
+    decreasing s, so a squaring acts on a prefix, and each gets the bits of its
+    own call.  A non-finite 1-norm of X, or overflow, gives non-finite entries.
     """
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[-1]
-    X = M.reshape(-1, n, n)
-    lam = np.diagonal(X, 0, 1, 2)
-    tri = np.flatnonzero(~np.tril(X, -1).any(axis=(1, 2)))
+    n = X.shape[-1]
     with np.errstate(all="ignore"):
         norm = np.abs(X).sum(axis=1).max(axis=1)
         bad = ~np.isfinite(norm)
         s = np.where(bad, 0.0, np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)).astype(int)
-        X = np.where(bad[:, None, None], 0.0, X) * np.exp2(-s)[:, None, None]
-        b, I, diag = _PADE13, np.eye(n), np.arange(n)
-        X2 = X @ X
-        X4 = X2 @ X2
-        X6 = X4 @ X2
-        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-                 + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I)
-        V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I
-        E = np.linalg.solve(V - U, V + U)
-        for k in range(s.max(initial=0) + 1):
+        order = None if (s[:-1] >= s[1:]).all() else np.argsort(-s, kind="stable")
+        if order is not None:
+            s, bad, X, Y = s[order], bad[order], X[order], Y[order]
+        lam, tri = np.diagonal(X, 0, 1, 2), ~np.tril(X, -1).any(axis=(1, 2))
+        X = np.where(bad[:, None, None], 0.0, X)
+        X, Y = X * np.exp2(-s)[:, None, None], Y * np.exp2(-s)[:, None, None]
+        w, u, v = _pade13(X)[2:]
+        ED = np.linalg.solve(v - u, np.concatenate([v + u, 2.0 * (w @ Y)], axis=-1))
+        E, D, diag = ED[..., :n], ED[..., n:], np.arange(n)
+        for k in range(s[0] + 1 if s.size else 0):
+            j = np.count_nonzero(s >= k)
             if k:
-                E[s >= k] = E[s >= k] @ E[s >= k]
-            fix = tri[s[tri] >= k]
-            E[fix[:, None], diag, diag] = np.exp(lam[fix] * np.exp2(k - s[fix])[:, None])
-    E[bad] = np.nan
-    return E.reshape(M.shape)
+                E[:j], D[:j] = E[:j] @ E[:j], E[:j] @ D[:j] + D[:j]
+            fix = np.flatnonzero(tri[:j])
+            if fix.size:
+                E[fix[:, None], diag, diag] = np.exp(lam[fix] * np.exp2(k - s[fix])[:, None])
+    ED[bad] = np.nan
+    if order is not None:
+        ED[order] = ED.copy()
+    return np.ascontiguousarray(ED[..., :n]), np.ascontiguousarray(ED[..., n:])
+
+
+def expm(M) -> np.ndarray:
+    """exp(M) of a square matrix, or of each matrix of a stack on leading axes:
+    _expm_phi1 with no input columns, degree-13 Pade scaling and squaring."""
+    M = np.asarray(M, dtype=complex)
+    X = M.reshape(-1, M.shape[-1], M.shape[-1])
+    return _expm_phi1(X, np.zeros(X.shape[:-1] + (0,), dtype=complex))[0].reshape(M.shape)
 
 
 def _van_loan(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, F): E = exp(X), F the top-right block of exp([[-X, Y], [0, X*]]), all n x n.
 
-    The block's degree-13 Pade approximant r = (V - U)^-1 (V + U), evaluated
-    block by block without squaring, so the block's 1-norm must lie within
-    theta_13.  Each power M^k of the block is [[(-X)^k, Y_k], [0, (X^k)*]]: U
-    is odd and V even, so their diagonal blocks are -u, u* and v, v* for the
-    polynomials u = U(X), v = V(X) of order n that expm forms, and E is
-    expm(X) bit for bit.  An off-diagonal block of a product costs two order-n
-    products, a b' + b c'.  The rational step is block back-substitution:
-    (v - u) E = v + u, then (v + u) F = (V + U)_12 - (V - U)_12 E*.  A block
-    whose 1-norm is not finite gives NaN E and F, and no warning.
+    The block's degree-13 Pade approximant, evaluated block by block without
+    squaring; F is linear in Y, so only max(||X||_1, ||X||_inf) must lie
+    within theta_13.  Each power of the block is [[(-X)^k, Y_k], [0, (X^k)*]],
+    so U and V have diagonal blocks -u, u* and v, v* for the _pade13
+    polynomials of X, and E is expm(X) bit for bit.  An off-diagonal block of
+    a product costs two order-n products, and (v - u) E = v + u, then
+    (v + u) F = (V + U)_12 - (V - U)_12 E*.  A non-finite X or Y gives NaNs.
     """
     n = X.shape[-1]
-    with np.errstate(all="ignore"):  # columns of [[-X], [0]], then of [[Y], [X*]]
-        absX = np.abs(X)
-        norm = np.maximum(absX.sum(axis=0).max(),
-                          (np.abs(Y).sum(axis=0) + absX.sum(axis=1)).max())
-    if not np.isfinite(norm):
+    with np.errstate(all="ignore"):  # columns of [[-X], [0]], then of [[0], [X*]]
+        norm = max(np.abs(X).sum(axis=0).max(), np.abs(X).sum(axis=1).max())
+    if not (np.isfinite(norm) and np.isfinite(Y).all()):
         return np.full((n, n), np.nan, dtype=complex), np.full((n, n), np.nan, dtype=complex)
     if norm > _THETA13:
-        raise ValueError(f"block 1-norm {norm:.3g} exceeds theta_13; scale the step down")
-    b, I, H = _PADE13, np.eye(n), lambda m: m.conj().T
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
+        raise ValueError(f"1-norm {norm:.3g} of X exceeds theta_13; scale the step down")
+    b, H = _PADE13, lambda m: m.conj().T
+    (X2, X4, X6), (pu, pv), wu, u, v = _pade13(X)
     Y2 = Y @ H(X) - X @ Y
     Y4 = X2 @ Y2 + Y2 @ H(X2)
     Y6 = X4 @ Y2 + Y4 @ H(X2)
-    pu, Yp = b[13] * X6 + b[11] * X4 + b[9] * X2, b[13] * Y6 + b[11] * Y4 + b[9] * Y2
-    wu = X6 @ pu + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I
-    Yw = X6 @ Yp + Y6 @ H(pu) + b[7] * Y6 + b[5] * Y4 + b[3] * Y2
-    u, Yu = X @ wu, Y @ H(wu) - X @ Yw
-    pv, Yp = b[12] * X6 + b[10] * X4 + b[8] * X2, b[12] * Y6 + b[10] * Y4 + b[8] * Y2
-    v = X6 @ pv + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I
+    Yp = b[13] * Y6 + b[11] * Y4 + b[9] * Y2
+    Yu = Y @ H(wu) - X @ (X6 @ Yp + Y6 @ H(pu) + b[7] * Y6 + b[5] * Y4 + b[3] * Y2)
+    Yp = b[12] * Y6 + b[10] * Y4 + b[8] * Y2
     Yv = X6 @ Yp + Y6 @ H(pv) + b[6] * Y6 + b[4] * Y4 + b[2] * Y2
     E = np.linalg.solve(v - u, v + u)
     F = np.linalg.solve(v + u, Yv + Yu - (Yv - Yu) @ H(E))
     if not np.tril(X, -1).any():
         E[np.diag_indices(n)] = np.exp(np.diagonal(X))
     return E, F
-
-
-def _offdiagonal_scale(inner, outer):
-    """2^-k, the least k >= 0 bringing outer to at most max(inner, 1).  Times it,
-    the off-diagonal block (of 1-norm outer; inner is that of the diagonal blocks)
-    of a block triangular matrix adds no squarings to expm, which would cost the
-    diagonal blocks accuracy; the same block of the exponential scales alike."""
-    with np.errstate(divide="ignore"):
-        return np.exp2(-np.maximum(np.ceil(np.log2(outer / np.maximum(inner, 1.0))), 0.0))
 
 
 def _phi1(lam: np.ndarray, t) -> np.ndarray:
@@ -341,9 +346,9 @@ def sample(sys: ContinuousSystem | SpectralSystem, T: float) -> SampledSystem:
 def sample_periods(sys: ContinuousSystem | SpectralSystem, periods) -> tuple[np.ndarray, np.ndarray]:
     """The sampled pairs (Phi, D) of a 1-D array of finite periods > 0, stacked on a leading axis.
 
-    Dense systems read both from the top block rows of one stacked exponential,
-    exp([[A, B], [0, 0]] T) = [[Phi, D], [0, I]], B and D scaled by
-    _offdiagonal_scale: Phi is (P, n, n) and D is (P, n, m).  A spectral
+    Dense systems take both from one stacked _expm_phi1(A T, B T): Phi =
+    exp(AT) is (P, n, n), bit for bit semigroup(sys, T), and D = phi1(AT) B T
+    is (P, n, m), the top block row of exp([[A, B], [0, 0]] T).  A spectral
     system gives the per-mode pairs Phi = exp(lambda T),
     D = b phi1(lambda, T), each (P, n).  Entries that overflow are returned
     non-finite, unchecked: the caller decides per period.
@@ -355,13 +360,7 @@ def sample_periods(sys: ContinuousSystem | SpectralSystem, periods) -> tuple[np.
         if isinstance(sys, SpectralSystem):
             lam = sys.symbol_values
             return np.exp(lam * T[:, None]), _phi1(lam, T[:, None]) * sys.control_mask
-        n, m = sys.state_dim, sys.input_dim
-        scale = _offdiagonal_scale(np.linalg.norm(sys.A, 1) * T, np.linalg.norm(sys.B, 1) * T)
-        aug = np.zeros((T.size, n + m, n + m), dtype=complex)
-        aug[:, :n, :n] = sys.A * T[:, None, None]
-        aug[:, :n, n:] = sys.B * (T * scale)[:, None, None]
-        top = expm(aug)[:, :n]
-        return top[:, :, :n], top[:, :, n:] / scale[:, None, None]
+        return _expm_phi1(sys.A * T[:, None, None], sys.B * T[:, None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from itertools import chain, count, islice
 import numpy as np
 
 from .errors import NumericOverflowError, SearchExhausted
-from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize,
-                     _offdiagonal_scale, _phi1, _van_loan, sample, sample_periods, semigroup)
+from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize, _phi1,
+                     _van_loan, sample, sample_periods, semigroup)
 
 __all__ = [
     "GramianBundle",
@@ -74,8 +74,8 @@ _C_CEILING = 2.0 ** 60
 _MAX_HORIZONS = 10 ** 5
 # Re-checks of a closed-form constant, each nudging C up by 4**k relative ulps.
 _NUDGES = 26
-# Entries per stacked array in one chunk of a sweep (4 MiB of complex128):
-# a period takes (n + m)^2 of them for a dense system, n for a spectral one.
+# Entries per stacked array in one chunk of a sweep (4 MiB of complex128): a period
+# takes n (n + m) of them for a dense system (its widest array), n for a spectral one.
 _CHUNK_CELLS = 1 << 18
 # Candidate periods over which pathological_periods refuses before allocating them.
 _MAX_PATHOLOGICAL_PERIODS = 10 ** 6
@@ -316,10 +316,10 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
 
     Dense G by scaling and squaring.  The first step takes h = T_h / 2^s, s
     the least s >= 0 with max(||A||_1, ||A||_inf) h < 1, and reads E = exp(Ah)
-    and G(h) = E F / c off the block exponential exp([[-A, c B B*], [0, A*]] h),
-    whose top-right block is F = c exp(-Ah) G(h) (Van Loan, IEEE TAC 23, 1978);
-    c is the power of two of linsys._offdiagonal_scale, and linsys._van_loan
-    evaluates E and F from polynomials in Ah of order n.  Then s doublings
+    and G(h) = E F off the block exponential exp([[-A, B B*], [0, A*]] h),
+    whose top-right block is F = exp(-Ah) G(h) (Van Loan, IEEE TAC 23, 1978);
+    linsys._van_loan evaluates E and F from polynomials in Ah of order n, and
+    F is linear in B B*, so its size adds no squarings.  Then s doublings
     G(2t) = G(t) + E G(t) E*, E <- E^2, reach T_h without the exp(-A T_h) that
     loses digits or overflows on long or stiff horizons.  Spectral G is the
     1-D per-mode b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D
@@ -599,11 +599,10 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
                     s = max(math.frexp(x)[1], 0)
                     if power and pair is not None:
                         (G, E), steps = pair, 1
-                    else:  # F = c exp(-Ah) G(h)
-                        h, Q = math.ldexp(T_h, -s), B @ B.conj().T
-                        c = float(_offdiagonal_scale(math.ldexp(x, -s), np.linalg.norm(Q, 1) * h))
-                        E, F = _van_loan(h * A, h * (c * Q))
-                        G, steps = E @ F / c, s
+                    else:  # F = exp(-Ah) G(h)
+                        h = math.ldexp(T_h, -s)
+                        E, F = _van_loan(h * A, h * (B @ B.conj().T))
+                        G, steps = E @ F, s
                     for _ in range(steps):
                         G, E = G + E @ G @ E.conj().T, E @ E
                     if power:
@@ -624,17 +623,18 @@ def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
 
     Each outcome is the certificate decide_dc(sys, T, N_max, delta_target)
     returns, or the SearchExhausted it raises.  The grid is decided chunk by
-    chunk, each chunk of at most _CHUNK_CELLS entries per stacked array by one
-    stacked search, so a certificate's bundle (its period's slice) lives only
-    as long as the caller keeps it.  A period whose first horizon overflows
-    raises its NumericOverflowError, as decide_dc does, and ends the iteration.
+    chunk, each of at most _CHUNK_CELLS entries per stacked array (n (n + m)
+    a dense period, n a spectral one) by one stacked search, so a
+    certificate's bundle (its period's slice) lives only as long as the
+    caller keeps it.  A period whose first horizon overflows raises its
+    NumericOverflowError, as decide_dc does, and ends the iteration.
     """
     _check_search(N_max, delta_target)
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 1:
         raise ValueError("periods must be a 1-D grid")
     n = sys.state_dim
-    cells = n if isinstance(sys, SpectralSystem) else (n + sys.input_dim) ** 2
+    cells = n if isinstance(sys, SpectralSystem) else n * (n + sys.input_dim)
     step = max(1, _CHUNK_CELLS // cells)
     chunks = (periods[lo:lo + step] for lo in range(0, periods.size, step))
     exhausted = (f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "

@@ -299,14 +299,39 @@ def _herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _offdiagonal_scale(inner, outer):
+    """2^-k, the least k >= 0 bringing outer to at most max(inner, 1).  Times it,
+    the off-diagonal block (of 1-norm outer; inner is that of the diagonal blocks)
+    of a block triangular matrix adds no squarings to an exponential, which would
+    cost the diagonal blocks accuracy; the same block of the exponential scales alike."""
+    with np.errstate(divide="ignore"):
+        return np.exp2(-np.maximum(np.ceil(np.log2(outer / np.maximum(inner, 1.0))), 0.0))
+
+
 def van_loan_oracle(X: np.ndarray, Y: np.ndarray):
     """Oracle: linsys._van_loan's (E, F) from the whole order-2n block exponential
-    linsys.expm(M), M = [[-X, Y], [0, X*]]: E = exp(X) read off M's bottom-right
-    block as its adjoint, and F its top-right block.  test_linsys pins
-    linsys.expm to scipy's."""
+    linsys.expm(M), M = [[-X, c Y], [0, X*]], c = _offdiagonal_scale: E = exp(X)
+    read off M's bottom-right block as its adjoint, and F its top-right block
+    over c.  test_linsys pins linsys.expm to scipy's."""
     n = X.shape[0]
-    M = linsys.expm(np.block([[-X, Y], [np.zeros_like(X), X.conj().T]]))
-    return M[n:, n:].conj().T, M[:n, n:]
+    c = _offdiagonal_scale(max(np.linalg.norm(X, 1), np.linalg.norm(X, np.inf)),
+                           np.linalg.norm(Y, 1))
+    M = linsys.expm(np.block([[-X, c * Y], [np.zeros_like(X), X.conj().T]]))
+    return M[n:, n:].conj().T, M[:n, n:] / c
+
+
+def sampled_pairs_oracle(sys: ContinuousSystem, periods):
+    """Oracle: linsys.sample_periods' dense pairs from scipy's stacked order-(n+m)
+    exponential exp([[A, c B], [0, 0]] T) = [[Phi, c D], [0, I]], with
+    c = _offdiagonal_scale of each period's blocks."""
+    n, m = sys.state_dim, sys.input_dim
+    T = np.asarray(periods, dtype=float)[:, None, None]
+    c = _offdiagonal_scale(np.linalg.norm(sys.A, 1) * T, np.linalg.norm(sys.B, 1) * T)
+    aug = np.zeros((T.size, n + m, n + m), dtype=complex)
+    aug[:, :n, :n] = sys.A * T
+    aug[:, :n, n:] = sys.B * (T * c)
+    top = expm(aug)[:, :n]
+    return top[:, :, :n], top[:, :, n:] / c
 
 
 def _oracle_pair(sys, T: float):

@@ -128,10 +128,11 @@ class TestAnalyze:
     def test_brute_force_at_1e5_modes(self, tmp_path, monkeypatch):
         # At the mode scale of the north star the cross-check is the dense
         # form of 32 binding modes: no exponential above order 64, whatever n,
-        # and the spectral continuous Gramian takes no dense step.
+        # and the spectral continuous Gramian takes no dense step.  The order
+        # of an exponential is that of its block [[X, Y], [0, 0]].
         orders, steps = [], []
-        monkeypatch.setattr(linsys, "expm",
-                            lambda M, expm=linsys.expm: orders.append(M.shape[-1]) or expm(M))
+        monkeypatch.setattr(linsys, "_expm_phi1", lambda X, Y, step=linsys._expm_phi1:
+                            orders.append(X.shape[-1] + Y.shape[-1]) or step(X, Y))
         monkeypatch.setattr(obscheck, "_van_loan",
                             lambda X, Y, step=obscheck._van_loan: steps.append(X.shape[-1])
                             or step(X, Y))
@@ -806,22 +807,22 @@ class TestSweep:
         assert err == ["numeric failure: sampled pair produced non-finite entries"]
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("cells,chunks", [(None, 1), (9 * 7, 3), (1, 20)])
+    @pytest.mark.parametrize("cells,chunks", [(None, 1), (6 * 7, 3), (1, 20)])
     def test_one_stacked_exponential_per_chunk(self, tmp_path, monkeypatch, cells, chunks):
-        # A dense n = 2, m = 1 system takes (n + m)^2 = 9 entries per period.
+        # A dense n = 2, m = 1 system takes n (n + m) = 6 entries per period.
         sys = random_mixed_system(4, n=2, m=1)
         (tmp_path / "sys.json").write_text(json.dumps(st.system_to_json(sys)))
         calls = []
-        expm = linsys.expm
+        stacked = linsys._expm_phi1
 
-        def counted(M):
-            calls.append(M.shape)
-            return expm(M)
+        def counted(X, Y):
+            calls.append(X.shape)
+            return stacked(X, Y)
 
         def per_period(*args, **kwargs):
             raise AssertionError("sweep decided a period on its own")
 
-        monkeypatch.setattr(linsys, "expm", counted)
+        monkeypatch.setattr(linsys, "_expm_phi1", counted)
         monkeypatch.setattr(obscheck, "decide_dc", per_period)
         if cells is not None:
             monkeypatch.setattr(obscheck, "_CHUNK_CELLS", cells)

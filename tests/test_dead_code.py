@@ -2,16 +2,24 @@
 private function, class or constant is referenced by some other line of the
 package.  No orphans in tests/conftest.py either: every top-level helper is
 used by a test module or another helper, every fixture is a test's parameter.
-A deletion that leaves a helper, an oracle, a constant or an import behind
+No stale names either: every private name that a src docstring or comment
+names, and every module._name in README.md, is defined in src.  A deletion
+that leaves a helper, an oracle, a constant, an import or a mention behind
 fails here."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "sampstab"
-MODULES = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p))
-           for p in sorted(PACKAGE.glob("*.py"))}
+SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+MODULES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
+# A private name, _name or module._name.  A name glued to a word or to a norm's
+# bars (G_r, ||A||_inf) and a subscript such as _1 are not names.
+PRIVATE = re.compile(r"(?<![\w|])(?:(\w+)\.)?(_[A-Za-z]\w*)")
 
 
 def _exports(tree) -> list[tuple[str, int]]:
@@ -104,3 +112,55 @@ def test_every_conftest_helper_is_used():
         if not used:
             orphans.append(f"conftest.py:{node.lineno} {node.name}")
     assert orphans == []
+
+
+def _defined_anywhere(tree) -> set[str]:
+    """Names a module defines at any depth: defs, classes, assigned names,
+    arguments and import aliases."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, ast.alias) and node.asname:
+            out.add(node.asname)
+    return out
+
+
+def _stale(text: str, where: str, anywhere: set[str], qualified_only: bool) -> list[str]:
+    """'where name' for each private name of text that src does not define
+    (anywhere holds its names): a module._name must be a module-level private
+    name of that src module."""
+    out = []
+    for match in PRIVATE.finditer(text):
+        module, name = match.groups()
+        if name.startswith("__"):
+            continue
+        if f"{module}.py" in MODULES:
+            ok = name in {d for d, _, _ in _private_definitions(MODULES[f"{module}.py"])}
+        elif qualified_only:
+            continue
+        else:
+            ok = name in anywhere
+        if not ok:
+            out.append(f"{where} {match.group(0)}")
+    return out
+
+
+def test_every_named_private_name_is_defined():
+    texts = []
+    for module, text in SOURCES.items():
+        texts += [(module, ast.get_docstring(node, clean=False))
+                  for node in ast.walk(MODULES[module]) if isinstance(
+                      node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+        texts += [(module, tok.string)
+                  for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                  if tok.type == tokenize.COMMENT]
+    anywhere = set().union(*map(_defined_anywhere, MODULES.values()))
+    stale = [entry for module, text in texts if text
+             for entry in _stale(text, module, anywhere, qualified_only=False)]
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    assert stale + _stale(readme, "README.md", anywhere, qualified_only=True) == []

@@ -16,7 +16,7 @@ from sampstab import obscheck
 from sampstab.linsys import _van_loan, expm
 
 from conftest import (expm_taylor, random_mixed_system, random_neutral_system,
-                      random_stable_system, to_dense, van_loan_oracle)
+                      random_stable_system, sampled_pairs_oracle, to_dense, van_loan_oracle)
 
 
 def rotation(t):
@@ -229,7 +229,8 @@ VAN_LOAN_SYSTEMS = {
     # which bounds the block's right-hand columns.
     "one-row": lambda n: st.ContinuousSystem(np.eye(n) * -0.5 + np.eye(n, 1) @ np.ones((1, n)),
                                              np.ones((n, 1))),
-    # B B* far above A: _offdiagonal_scale brings the block down by a power of two.
+    # B B* far above A: F is linear in B B*, so its size adds no squarings to the
+    # step; the oracle scales its block down by a power of two.
     "B-1e3": lambda n: st.ContinuousSystem(random_mixed_system(n, n=n).A, 1e3 * np.ones((n, 1))),
     "B-1e9": lambda n: st.ContinuousSystem(random_mixed_system(n, n=n).A, 1e9 * np.ones((n, 1))),
 }
@@ -269,6 +270,18 @@ class TestVanLoan:
             _van_loan(6.0 * np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
 
 
+SAMPLED_SYSTEMS = {
+    "stable": lambda n: random_stable_system(n, n=n, m=min(n, 2)),
+    "mixed": lambda n: random_mixed_system(n, n=n, m=min(n, 2)),
+    "stiff-heat": lambda n: to_dense(st.fractional_heat(n, 2.0, 1.0, xi_max=20.0)),
+    "one-row": VAN_LOAN_SYSTEMS["one-row"],
+    "triangular": lambda n: st.ContinuousSystem(np.triu(random_mixed_system(n, n=n).A),
+                                                np.ones((n, 1))),
+    "B-1e3": VAN_LOAN_SYSTEMS["B-1e3"],
+    "B-1e9": VAN_LOAN_SYSTEMS["B-1e9"],
+}
+
+
 class TestSample:
     def test_zero_generator(self):
         sys = st.ContinuousSystem([[0.0]], [[1.0]])
@@ -300,10 +313,30 @@ class TestSample:
             st.SampledSystem(p.Phi, np.full(9, np.nan), 0.8)
 
     def test_phi_matches_semigroup(self):
-        for seed in range(4):
-            sys = random_stable_system(seed)
-            T = 0.4 + 0.2 * seed
-            assert np.abs(st.sample(sys, T).Phi - st.semigroup(sys, T)).max() <= 1e-14
+        periods = [0.4, 1.0, 3.1415]
+        for sys in (st.harmonic_oscillator(), *(random_mixed_system(n, n=n) for n in (2, 4, 8)),
+                    random_mixed_system((7, 128, 8), n=128, m=8),
+                    to_dense(st.fractional_heat(64, 2.0, 1.0, xi_max=20.0))):
+            Phi, _ = st.sample_periods(sys, periods)
+            for T, P in zip(periods, Phi):
+                assert np.array_equal(P, st.semigroup(sys, T))
+                assert np.array_equal(st.sample(sys, T).Phi, P)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
+    def test_pair_matches_the_block_exponential(self, name, n):
+        # The order-n pair against the order-(n + m) block it replaced.
+        sys = SAMPLED_SYSTEMS[name](n)
+        periods = [0.01, 0.5, 1.0, 3.1415, 5.0, 40.0]
+        for got, want in zip(st.sample_periods(sys, periods), sampled_pairs_oracle(sys, periods)):
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert (err <= 1e-13 * np.abs(want).max(axis=(1, 2))).all()
+
+    def test_a_large_input_block_adds_no_squarings(self):
+        # B T far above A T: the case the oracle scales its input block for.
+        sys = st.ContinuousSystem([[300.0]], [[1e140]])
+        for got, want in zip(st.sample_periods(sys, [0.5]), sampled_pairs_oracle(sys, [0.5])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_input_map_against_inverse_formula(self):
         # For invertible A: D = A^{-1} (exp(AT) - I) B.

@@ -707,7 +707,7 @@ class TestSweep:
         with pytest.raises(st.SearchExhausted) as err:
             st.decide_dc(OSC, 1.0, 4)
         assert outcome_fields(err.value) == outcome_fields(decide_dc_oracle(OSC, 1.0, 4))
-        assert (err.value.best_margin, err.value.best_horizon) == (0.04576361304546042, 4)
+        assert (err.value.best_margin, err.value.best_horizon) == (0.04576361304546051, 4)
         periods = [0.5, 1.0, 1.5]
         got = swept(OSC, periods, 3, 0.9)
         assert {row[0] for row in got} == {"search-exhausted"}
