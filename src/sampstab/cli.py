@@ -239,6 +239,12 @@ def cmd_simulate(args) -> int:
           else _default_y0(system.state_dim))
     simulate = getattr(closedloop, f"simulate_{args.loop}")
     traj = simulate(system, gain.F, args.T, y0, args.horizon, args.steps_per_period)
+    radius = traj.loop_radius()
+    if not radius < 1.0:
+        raise SpectralRadiusError(
+            f"{args.loop} loop is not stable: its one-period map has spectral radius "
+            f"{radius:.6g} >= 1 under the sampled LQ gain")
+    rate = -math.log(radius) / args.T if radius > 0 else math.inf
     # The trajectory keeps its norms: the fit, the CSV and the ratio share one computation.
     omega, c = closedloop.fit_decay(traj)
 
@@ -255,6 +261,8 @@ def cmd_simulate(args) -> int:
         "riccati": {"iterations": sol.iterations, "residual": sol.residual},
         "gain": gain.to_json(_array_saver(args)),
         "decay": {"omega": omega, "c": c},
+        "loop_radius": radius,
+        "loop_rate": rate,
         "final_norm_ratio": float(norms[-1] / norms[0]),
     }
     _write_report(args, results)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -563,6 +564,24 @@ def json_dump_oracle(obj) -> str:
     each NaN, Infinity and -Infinity token read back as null."""
     obj = json.loads(json.dumps(obj), parse_constant=lambda token: None)
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_rows_oracle(table: np.ndarray, fh) -> None:
+    """Oracle: the rows closedloop.trajectory_to_csv wrote before its kernel,
+    to the text handle fh: one "%.16g" format string per row over tolist(),
+    each column that is +0.0 on every row written as the literal 0."""
+    with np.errstate(invalid="ignore"):  # any() of a nan
+        zero = ~(table.any(axis=0) | np.signbit(table).any(axis=0))
+    row = ",".join(np.where(zero, "0", "%.16g")) + "\n"
+    for cells in table[:, ~zero].tolist():
+        fh.write(row % tuple(cells))
+
+
+def csv_bytes_oracle(table) -> bytes:
+    """csv_rows_oracle's rows of a 2-D float table, as bytes."""
+    fh = io.StringIO()
+    csv_rows_oracle(np.asarray(table, dtype=float), fh)
+    return fh.getvalue().encode("ascii")
 
 
 def matrix_to_json_loop(m) -> list:

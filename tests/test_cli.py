@@ -24,7 +24,8 @@ from sampstab.benchmarks import _trapezoid_weights, _witness_observed
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
 
-from conftest import decide_dc_oracle, random_mixed_system, to_dense, witness_grid_padded
+from conftest import (csv_bytes_oracle, decide_dc_oracle, random_mixed_system,
+                      random_stable_system, to_dense, witness_grid_padded)
 
 
 def read_report(out_dir):
@@ -682,6 +683,57 @@ class TestSimulate:
         assert unit["decay"]["omega"] > 0
         assert scaled["decay"]["omega"] == pytest.approx(unit["decay"]["omega"], rel=1e-9)
         assert scaled["final_norm_ratio"] == pytest.approx(unit["final_norm_ratio"], rel=1e-9)
+
+    @pytest.mark.parametrize("loop", ["dc", "dp", "cp", "cc"])
+    @pytest.mark.parametrize("system", ["frac-heat", "dense"])
+    def test_trajectory_rows_are_the_old_writers_bytes(self, tmp_path, monkeypatch, loop,
+                                                       system):
+        written = []
+        write = closedloop.trajectory_to_csv
+
+        def spy(traj, path, header=None):
+            written.append(traj)
+            write(traj, path, header)
+
+        monkeypatch.setattr(closedloop, "trajectory_to_csv", spy)
+        if system == "dense":
+            (tmp_path / "sys.json").write_text(
+                json.dumps(st.system_to_json(random_stable_system(2, n=4, m=2))))
+            source = ["--system", str(tmp_path / "sys.json")]
+        else:
+            source = ["--example", "frac-heat", "--modes", "8"]
+        code = main(["simulate", *source, "--T", "1", "--horizon", "6", "--loop", loop,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        traj, = written
+        table = np.column_stack([traj.times, traj.norms(), traj.states.view(float),
+                                 traj.controls.view(float)])
+        rows = (tmp_path / "trajectory.csv").read_bytes().split(b"\n", 2)[2]
+        assert rows == csv_bytes_oracle(table)
+
+    @pytest.mark.parametrize("loop", ["dc", "dp", "cp", "cc"])
+    def test_report_carries_the_loop_radius_and_rate(self, tmp_path, loop):
+        code = main(["simulate", "--example", "oscillator", "--T", "0.8", "--horizon", "4",
+                     "--loop", loop, "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        results = read_report(tmp_path)["results"]
+        osc = st.harmonic_oscillator()
+        pair = st.sample(osc, 0.8)
+        F = st.feedback_gain(st.riccati_solve(pair), pair).F
+        traj = getattr(st, f"simulate_{loop}")(osc, F, 0.8, [1.0, 1.0], 0.8, 16)
+        assert results["loop_radius"] == traj.loop_radius() < 1
+        assert results["loop_rate"] == -math.log(traj.loop_radius()) / 0.8
+
+    @pytest.mark.parametrize("loop", ["cc", "dp", "cp"])
+    def test_unstable_loop_is_numeric_failure(self, tmp_path, loop):
+        # Near T = pi the sampled LQ gain holds the dc loop (radius 0.99991) but
+        # not the others (1.917 for cc and dp, 3.853 for cp): no CSV, no report.
+        code, err = run_quietly(["simulate", "--example", "oscillator", "--T", "3.1415",
+                                 "--horizon", "60", "--loop", loop, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert len(err) == 1 and "spectral radius" in err[0] and ">= 1" in err[0]
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "report.json").exists()
 
     def test_norms_are_computed_once(self, tmp_path, monkeypatch):
         # The decay fit, the CSV's norm column and the final ratio share one array.

@@ -3,20 +3,24 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 import sampstab as st
 from sampstab import closedloop
 from sampstab.closedloop import system_hash
 
-from conftest import (cc_stepper, cp_stepper, periodic_schedule, random_cc_stabilized,
-                      random_complex, random_stable_system, to_dense)
+from conftest import (cc_stepper, cp_stepper, csv_bytes_oracle, csv_rows_oracle,
+                      periodic_schedule, random_cc_stabilized, random_complex,
+                      random_stable_system, to_dense)
 
 SCALAR = st.ContinuousSystem([[0.0]], [[1.0]])
 LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp": st.simulate_cp}
@@ -446,3 +450,167 @@ class TestTrajectoryExport:
         cells = path.read_text().splitlines()[3].split(",")
         want = [1e-9, norm, *edge, -2.5e-17, 1e300]
         assert cells == [f"{x:.16g}" for x in want]
+
+
+def _kernel_bytes(table) -> bytes:
+    return b"".join(closedloop._csv_rows(np.asarray(table, dtype=float)))
+
+
+class TestCsvKernel:
+    """closedloop._csv_rows against the writer it replaced, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2 ** 64, size=(1024, 1024), dtype=np.uint64)
+        table = bits.view(float)
+        exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+        assert (exponent == 0).any() and (exponent == 0x7FF).any()  # subnormals, inf and nan
+        assert np.signbit(table).any() and not np.signbit(table).all()
+        assert _kernel_bytes(table) == csv_bytes_oracle(table)
+
+    def test_powers_of_ten_their_neighbours_and_powers_of_two(self):
+        p = np.array([float(f"1e{k}") for k in range(-324, 309)])
+        edges = np.column_stack([p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p])
+        assert _kernel_bytes(edges) == csv_bytes_oracle(edges)
+        # 2^-24 = 5.9604644775390625e-08 is a 16-digit tie, like many powers of two.
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))[:, None] * [1.0, -1.5]
+        assert _kernel_bytes(twos) == csv_bytes_oracle(twos)
+
+    def test_exact_ties_round_half_even(self):
+        table = np.array([[1234567890123456.5, 1234567890123457.5, -1234567890123456.5,
+                           2.0 ** -24]])
+        assert _kernel_bytes(table) == b"1234567890123456,1234567890123458,-1234567890123456,"\
+                                       b"5.960464477539062e-08\n"
+        assert _kernel_bytes(table) == csv_bytes_oracle(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=hs.lists(hs.floats(), min_size=1, max_size=48), column=hs.booleans())
+    def test_any_float(self, values, column):
+        table = np.array(values)[:, None] if column else np.array(values)[None, :]
+        assert _kernel_bytes(table) == csv_bytes_oracle(table)
+
+    @pytest.mark.parametrize("cells", [2 ** 13 - 1, 2 ** 13, 2 ** 13 + 1, 3 * 2 ** 13 + 5])
+    @pytest.mark.parametrize("shape", ["column", "row", "block"])
+    def test_chunk_boundaries(self, cells, shape):
+        rng = np.random.default_rng(cells)
+        x = rng.standard_normal(cells) * 10.0 ** rng.integers(-30, 30, cells)
+        x[rng.random(cells) < 0.3] = 0.0
+        table = {"column": x[:, None], "row": x[None, :]}.get(shape)
+        if table is None:  # rows that straddle the chunks
+            table = np.append(x, np.zeros(-cells % 7)).reshape(-1, 7)
+        chunks = list(closedloop._csv_rows(table))
+        assert len(chunks) == math.ceil(table.size / 2 ** 13)
+        assert b"".join(chunks) == csv_bytes_oracle(table)
+
+    def test_normal_draws_at_every_scale(self):
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** np.arange(-310, 201, 10)
+        table = rng.standard_normal((64, scales.size)) * scales
+        assert _kernel_bytes(table) == csv_bytes_oracle(table)
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        pow10 = closedloop._tables()[0]
+        assert pow10.size == closedloop._E_HI - closedloop._E_LO + 1
+        for E, x in zip(range(closedloop._E_LO, closedloop._E_HI + 1), pow10):
+            want = Fraction(10) ** (15 - E)
+            err = abs(Fraction(*x.as_integer_ratio()) - want)
+            for side in (-np.inf, np.inf):
+                assert err < abs(Fraction(*np.nextafter(x, side).as_integer_ratio()) - want), E
+
+    def test_ties_decades_and_non_finite_cells_take_the_fallback(self, monkeypatch):
+        seen = []
+        exact = closedloop._exact_cells
+
+        def spy(x, sep):
+            seen.extend(x.tolist())
+            return exact(x, sep)
+
+        monkeypatch.setattr(closedloop, "_exact_cells", spy)
+        # Ties, log10 within 1e-12 of an integer (10^k and 1e-13 off it), non-finite.
+        fallback = [1234567890123456.5, -1234567890123457.5, 100.0, 1e-300, 1.0000000000001,
+                    -9.9999999999999e22, np.inf, -np.inf]
+        kernel = [0.3, -2.5e-300, 123.456, 7e22, 5e-324, 1.7976931348623157e308, 0.0, -0.0]
+        table = np.array([fallback + [np.nan] + kernel])
+        assert _kernel_bytes(table) == csv_bytes_oracle(table)
+        assert seen[:-1] == fallback and math.isnan(seen[-1])
+
+    def test_peak_memory_is_at_most_the_old_writers(self, tmp_path):
+        # The frac-heat n = 64 dc table of the benchmark's certify workload, 641 x 258.
+        heat = st.fractional_heat(64, 1.5, 1.0)
+        pair = st.sample(heat, 1.0)
+        F = st.feedback_gain(st.riccati_solve(pair), pair).F
+        traj = st.simulate_dc(heat, F, 1.0, np.ones(64) / 8, 40.0, 16)
+        traj.norms()
+        closedloop._tables()
+
+        def old_writer():
+            table = np.column_stack([traj.times, traj.norms(), traj.states.view(float),
+                                     traj.controls.view(float)])
+            assert table.shape == (641, 258)
+            with open(tmp_path / "old.csv", "w", encoding="utf-8") as fh:
+                fh.write("# {}\n")
+                csv_rows_oracle(table, fh)
+
+        peaks = []
+        for write in (old_writer, lambda: st.trajectory_to_csv(traj, tmp_path / "new.csv")):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+        new = (tmp_path / "new.csv").read_bytes().split(b"\n", 2)[2]
+        assert new == (tmp_path / "old.csv").read_bytes().split(b"\n", 1)[1]
+
+
+def _monodromy(sys, F, T, loop, steps):
+    """The loop's one-period map, built without closedloop: scipy's expm of
+    the closed loop (cc, dp) or of the Van Loan block (dc), and the RK4
+    stepper on each unit vector (cp)."""
+    n = sys.state_dim
+    F = np.atleast_2d(F)
+    if loop in ("cc", "dp"):
+        return expm((sys.A + sys.B @ F) * T)
+    if loop == "dc":
+        block = np.zeros((n + sys.input_dim,) * 2, dtype=complex)
+        block[:n, :n], block[:n, n:] = sys.A, sys.B
+        E = expm(block * T)
+        return E[:n, :n] + E[:n, n:] @ F
+    return np.column_stack([cp_stepper(sys, F, T, e, T, T / steps)[1][-1] for e in np.eye(n)])
+
+
+class TestLoopRadius:
+    @pytest.mark.parametrize("loop", ["cc", "dc", "dp", "cp"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_radius_is_the_monodromys(self, loop, seed):
+        sys = random_stable_system(seed, n=4, m=2)
+        pair = st.sample(sys, 0.7)
+        F = st.feedback_gain(st.riccati_solve(pair), pair).F
+        traj = LOOPS[loop](sys, F, 0.7, np.ones(4), 1.4, 8)
+        want = np.abs(np.linalg.eigvals(_monodromy(sys, F, 0.7, loop, 8))).max()
+        assert traj.loop_radius() == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("loop", ["cc", "dc", "dp", "cp"])
+    @pytest.mark.parametrize("system", ["frac-heat", "schrodinger"])
+    def test_per_mode_radius_is_the_dense_monodromys(self, loop, system):
+        sys = (st.fractional_heat(6, 1.5, 1.0) if system == "frac-heat"
+               else st.schrodinger(5, 2.0))
+        F = (st.feedback_gain(st.riccati_solve(st.sample(sys, 1.0)), st.sample(sys, 1.0)).F
+             if system == "frac-heat" else -0.4 * np.ones(5))
+        traj = LOOPS[loop](sys, F, 1.0, np.ones(sys.state_dim), 2.0, 8)
+        assert traj.monodromy.shape == (sys.state_dim,)
+        want = np.abs(np.linalg.eigvals(_monodromy(to_dense(sys), np.diag(F), 1.0, loop, 8)))
+        assert traj.loop_radius() == pytest.approx(want.max(), rel=1e-10)
+
+    @pytest.mark.parametrize("system", ["oscillator", "frac-heat"])
+    def test_dc_radius_is_the_gains(self, system):
+        sys = st.harmonic_oscillator() if system == "oscillator" else st.fractional_heat(16, 1.5, 1.0)
+        pair = st.sample(sys, 1.0)
+        gain = st.feedback_gain(st.riccati_solve(pair), pair)
+        traj = st.simulate_dc(sys, gain.F, 1.0, np.ones(sys.state_dim), 3.0, 4)
+        assert traj.loop_radius() == pytest.approx(gain.spectral_radius, rel=1e-12)
+
+    def test_a_trajectory_without_a_map_has_no_radius(self):
+        traj = st.Trajectory([0.0, 1.0], np.ones((2, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="one-period map"):
+            traj.loop_radius()
