@@ -79,9 +79,8 @@ _NUDGES = 26
 _CHUNK_CELLS = 1 << 18
 # Candidate periods over which pathological_periods refuses before allocating them.
 _MAX_PATHOLOGICAL_PERIODS = 10 ** 6
-# Ceiling on a dense brute-force draw: n x n_samples complex states (160 MB per array).
-_MAX_DRAW_CELLS = 10 ** 7
-# Modes of a 1-D bundle that the brute force checks in dense form (expm of order 64).
+# Modes of a 1-D bundle that the brute force re-decides in dense form (one order-32
+# linsys._expm_phi1 samples them).
 _BINDING_MODES = 32
 
 
@@ -580,15 +579,17 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
     instead continues the raw (G, E) of k T by one doubling when
     max(||A||_1, ||A||_inf) k T >= 1/2: a fresh build then makes s + 1
     doublings from the same step h, so the bits agree.  An overflow raises at
-    k = 1, later it stops.
+    k = 1; later, an overflowing bundle or horizon k T stops the horizons.
     """
     spectral = isinstance(sys, SpectralSystem)
     pair = None  # the raw (G, E) of the last power-of-two horizon, if one doubling continues it
     for k in count(1):
         T_h, power = k * T, k & (k - 1) == 0
-        if not (math.isfinite(T_h) and T_h > 0):
+        if k == 1 and not (math.isfinite(T_h) and T_h > 0):
             raise ValueError("T_h must be finite and > 0")
         try:
+            if not math.isfinite(T_h):
+                raise NumericOverflowError("horizon k T overflows")
             R = semigroup(sys, T_h)
             with np.errstate(over="ignore", invalid="ignore"):
                 if spectral:
@@ -711,40 +712,36 @@ def pathological_periods(A: np.ndarray, T_max: float) -> list[float]:
     return out
 
 
-def check_draw(n_samples: int, n: int) -> None:
-    """Validate a draw of n_samples states of dimension n (0: no draw) before it is made."""
-    _check_count(n_samples, "n_samples")
-    cells = float(n_samples) * n  # inf past the float range
-    if cells > _MAX_DRAW_CELLS:
-        raise ValueError(f"brute force needs {cells:.3g} cells, over the ceiling of "
-                         f"{_MAX_DRAW_CELLS:.0e}; lower --brute-samples")
-
-
 def brute_force_max_violation(sys: ContinuousSystem | SpectralSystem, g: GramianBundle,
-                              C: float, delta: float, n_samples: int, seed: int) -> float:
-    """Largest ||R* phi||^2 - C phi*G phi - delta found for g, a discrete bundle of sys.
+                              C: float, delta: float, seed: int) -> tuple[float, float]:
+    """(margin, tolerance): g's inequality re-decided on a dense system built apart from g.
 
-    Dense: over the normalized columns of an n x n_samples complex Gaussian
-    draw (real parts first), which can only under-detect a violation.  1-D: a
-    diagonal system's margin is decided at its largest w = |R|^2 - C G, so the
-    value is the margin check_inequality finds on the dense ContinuousSystem
-    of the min(_BINDING_MODES, n) modes of largest w (ties by index): the
-    largest violation over their span, through arithmetic the search does not use.
+    g is a discrete bundle of sys.  The margin is check_inequality's on the
+    discrete_gramian of a system with the same margin, so the check samples,
+    walks and decomposes matrices the search never formed.  Dense:
+    ContinuousSystem(Q* A Q, Q* B), Q the unitary factor of the QR of an
+    n x n complex Gaussian drawn from seed; the inequality is invariant under
+    a unitary change of basis.  1-D: a diagonal system's margin is decided at
+    its largest w = |R|^2 - C G, so the dense ContinuousSystem of the
+    min(_BINDING_MODES, n) modes of largest w (ties by index) has the
+    per-mode margin.  The two margins differ by rounding, which the tolerance
+    max(1e-8, 64 eps (C ||G||_2 + ||R||_2^2)) bounds; ||R||_F^2 stands in for
+    a dense ||R||_2^2.
     """
     if g.G.ndim == 1:
-        w = np.abs(g.R) ** 2 - C * g.G
+        RR = np.abs(g.R) ** 2
+        w = RR - C * g.G
         k = min(_BINDING_MODES, w.size)
         modes = np.flatnonzero(w >= np.partition(w, w.size - k)[w.size - k])
         modes = modes[np.argsort(-w[modes], kind="stable")[:k]]
         dense = ContinuousSystem(np.diag(sys.symbol_values[modes]),
                                  np.diag(sys.control_mask[modes]))
-        return check_inequality(discrete_gramian(dense, g.T, int(g.horizon)), C, delta).margin
-    n = g.R.shape[0]
-    check_draw(n_samples, n)
-    phis = np.empty((n, n_samples), dtype=complex)
-    phis.real, phis.imag = np.random.default_rng(seed).standard_normal((2, n, n_samples))
-    phis /= np.linalg.norm(phis, axis=0)
-    v = g.R.conj().T @ phis
-    vals = (np.real(np.einsum("ij,ij->j", v.conj(), v))
-            - C * np.real(np.einsum("ij,ij->j", phis.conj(), g.G @ phis)) - delta)
-    return float(vals.max())
+        R2 = RR.max()
+    else:
+        n = g.R.shape[0]
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        dense = ContinuousSystem(Q.conj().T @ sys.A @ Q, Q.conj().T @ sys.B)
+        R2 = np.linalg.norm(g.R) ** 2
+    margin = check_inequality(discrete_gramian(dense, g.T, int(g.horizon)), C, delta).margin
+    return margin, max(1e-8, 64.0 * np.finfo(float).eps * float(C * g.eigenvalues.max() + R2))

@@ -543,20 +543,13 @@ def transition_quadratic_form(g: GramianBundle, phis: np.ndarray) -> np.ndarray:
 
 def gaussian_violations_oracle(g: GramianBundle, C: float, delta: float,
                                n_samples: int, seed: int) -> np.ndarray:
-    """Oracle: ||R* phi||^2 - C phi*G phi - delta at each column phi of one
-    normalized n x n_samples complex Gaussian draw, real parts first."""
+    """||R* phi||^2 - C phi*G phi - delta at each column phi of one normalized
+    n x n_samples complex Gaussian draw: the inequality at random states."""
     rng = np.random.default_rng(seed)
     n = g.R.shape[0]
     phis = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
     phis /= np.linalg.norm(phis, axis=0)
     return transition_quadratic_form(g, phis) - C * gramian_quadratic_form(g, phis) - delta
-
-
-def brute_force_oracle(g: GramianBundle, C: float, delta: float,
-                       n_samples: int, seed: int) -> float:
-    """Oracle: obscheck.brute_force_max_violation of a dense bundle, on the
-    whole n x n_samples Gaussian draw at once."""
-    return float(gaussian_violations_oracle(g, C, delta, n_samples, seed).max())
 
 
 def json_dump_oracle(obj) -> str:

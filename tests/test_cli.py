@@ -1,11 +1,13 @@
 """Command-line front end: dispatch, artifacts, determinism, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,7 +81,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "(DC)_T: feasible" in out
         report = read_report(tmp_path)
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["results"]["discrete"]["status"] == "feasible"
         assert report["results"]["discrete"]["brute_force"]["contradicts"] is False
 
@@ -126,11 +128,27 @@ class TestAnalyze:
         assert [results[mode]["status"] for mode in ("discrete", "continuous")] == [
             "infeasible", "infeasible"]
 
+    @pytest.mark.parametrize("doc", [
+        {"symbol": "frac_heat", "s": 2.0, "c": 0.0, "modes": [-4, 0, 4], "mask": [1, 0, 1]},
+        {"A": [[0.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]]},
+    ], ids=["spectral", "dense"])
+    def test_overflowing_horizon_is_infeasible(self, tmp_path, doc):
+        # 2 T = 2e308 passes the float range: the continuous search decides on
+        # the horizon T, blocked by the neutral unobserved mode.
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_quietly(["analyze", "--system", str(path), "--T", "1e308",
+                                 "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        cc = read_report(tmp_path)["results"]["continuous"]
+        assert (cc["status"], cc["certificate"]["N"]) == ("infeasible", 1e308)
+
     def test_brute_force_at_1e5_modes(self, tmp_path, monkeypatch):
         # At the mode scale of the north star the cross-check is the dense
         # form of 32 binding modes: no exponential above order 64, whatever n,
         # and the spectral continuous Gramian takes no dense step.  The order
-        # of an exponential is that of its block [[X, Y], [0, 0]].
+        # of an exponential is that of its block [[X, Y], [0, 0]].  The entry
+        # holds the re-decided margin, its tolerance and the verdict, no size.
         orders, steps = [], []
         monkeypatch.setattr(linsys, "_expm_phi1", lambda X, Y, step=linsys._expm_phi1:
                             orders.append(X.shape[-1] + Y.shape[-1]) or step(X, Y))
@@ -141,8 +159,8 @@ class TestAnalyze:
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
-        assert (brute["modes"], brute["contradicts"]) == (32, False)
-        assert "samples" not in brute
+        assert sorted(brute) == ["contradicts", "max_violation", "tolerance"]
+        assert (brute["tolerance"], brute["contradicts"]) == (1e-8, False)
         assert orders and max(orders) == 64 and steps == []
 
     def test_stiff_heat_is_decided(self, tmp_path):
@@ -186,45 +204,60 @@ class TestAnalyze:
                   else st.fractional_heat(64, 1.5, 1.0))
         cert = st.decide_dc(system, 1.0)
         want = obscheck.brute_force_max_violation(
-            system, st.discrete_gramian(system, 1.0, int(cert.N)), cert.C, cert.delta, 2000, 5)
+            system, st.discrete_gramian(system, 1.0, int(cert.N)), cert.C, cert.delta, 5)
+        walked = []
 
         def rewalk(sys, *args, gramian=obscheck.discrete_gramian):
-            # A spectral check builds the dense form of its binding modes, a new system.
-            if sys.state_dim == system.state_dim:
-                raise AssertionError("analyze walked the discrete Gramian twice")
+            # The check re-decides on a new system: the binding modes' dense
+            # form, or the dense system in a random basis.
+            walked.append(closedloop.system_hash(sys))
             return gramian(sys, *args)
 
         monkeypatch.setattr(obscheck, "discrete_gramian", rewalk)
         code = main(["analyze", "--example", example, "--T", "1", "--seed", "5",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert read_report(tmp_path)["results"]["discrete"]["brute_force"]["max_violation"] == want
+        assert len(walked) == 1 and walked[0] != closedloop.system_hash(system)
+        brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
+        assert (brute["max_violation"], brute["tolerance"]) == want
 
-    def test_brute_force_contradicts_a_lowered_constant(self, tmp_path, monkeypatch):
-        # A per-mode certificate whose C is lowered by 0.1 % at a time until
-        # its exact margin passes 1e-8: the dense check of its binding modes
-        # reports the violation.
-        system = st.fractional_heat(64, 1.5, 1.0)
+    @pytest.mark.parametrize("system", [
+        st.fractional_heat(64, 1.5, 1.0), st.harmonic_oscillator(), random_mixed_system(8, n=8),
+        random_mixed_system((7, 128, 8), n=128, m=8),
+    ], ids=["frac-heat", "oscillator", "dense-8", "dense-128-seed-7"])
+    def test_brute_force_contradicts_a_lowered_constant(self, tmp_path, monkeypatch, system):
+        # A certificate whose C is lowered by 0.1 % at a time until its exact
+        # margin passes the tolerance: the re-decided margin reports it, for
+        # the dense check of the binding modes and for the rotated dense one.
         cert = st.decide_dc(system, 1.0)
         C = cert.C
-        while st.check_inequality(cert.bundle, C, cert.delta).margin <= 1e-8:
+        while (st.check_inequality(cert.bundle, C, cert.delta).margin
+               <= obscheck.brute_force_max_violation(system, cert.bundle, C, cert.delta, 0)[1]):
             C *= 0.999
         monkeypatch.setattr(obscheck, "decide_dc", lambda *args: replace(cert, C=C))
-        assert main(["analyze", "--example", "frac-heat", "--T", "1",
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(st.system_to_json(system)))
+        assert main(["analyze", "--system", str(path), "--T", "1",
                      "--out", str(tmp_path)]) == EXIT_OK
         brute = read_report(tmp_path)["results"]["discrete"]["brute_force"]
-        assert brute["max_violation"] > 1e-8 and brute["contradicts"] is True
+        assert brute["max_violation"] > brute["tolerance"] and brute["contradicts"] is True
 
-    def test_oversized_brute_force_is_refused_before_the_search(self, tmp_path, monkeypatch):
-        def search(*args, **kwargs):
-            raise AssertionError("analyze searched before refusing the draw")
-
-        monkeypatch.setattr(obscheck, "decide_dc", search)
-        monkeypatch.setattr(obscheck, "decide_cc", search)
-        code, err = run_quietly(["analyze", "--T", "1", "--example", "oscillator",
-                                 "--brute-samples", "10000000000000", "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert len(err) == 1 and "ceiling" in err[0] and "--brute-samples" in err[0]
+    def test_seed_moves_the_basis_but_not_the_verdict(self, tmp_path):
+        # The same --seed writes the same bytes; another seed re-decides in
+        # another basis, to another rounding of the same margin.
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(st.system_to_json(random_mixed_system(8, n=8))))
+        reports = {}
+        for seed in (0, 0, 1, 2, 3):
+            argv = ["analyze", "--system", str(path), "--T", "1", "--seed", str(seed),
+                    "--out", str(tmp_path / "out")]
+            assert main(argv) == EXIT_OK
+            report = (tmp_path / "out" / "report.json").read_bytes()
+            assert reports.setdefault(seed, report) == report
+        brutes = [json.loads(r)["results"]["discrete"]["brute_force"] for r in reports.values()]
+        assert [(sorted(b), b["contradicts"]) for b in brutes] == [
+            (["contradicts", "max_violation", "tolerance"], False)] * 4
+        assert len({b["max_violation"] for b in brutes}) > 1
 
     def test_reports_are_byte_identical(self, tmp_path):
         argv = ["analyze", "--example", "oscillator", "--T", "1.0",
@@ -277,8 +310,6 @@ class TestAnalyze:
     "simulate --example oscillator --T 1 --horizon 2 --y0 [1,true]",
     # The horizon is checked before the Riccati solve, which diverges at T = pi.
     "simulate --example oscillator --T 3.141592653589793 --horizon 1",
-    "analyze --example oscillator --T 1 --brute-samples 0",
-    "analyze --example oscillator --T 1 --brute-samples -1",
     # A band narrower than the float spacing, and --support-points outside [1, 1e7].
     "witness --T 1 --N 2 --epsilon 1e-30",
     "witness --T 1 --support-points 0",
@@ -316,8 +347,6 @@ def test_out_of_range_argument_is_config_error(tmp_path, argv):
     "analyze --example oscillator --T 1 --N-max {}",
     "sweep --example oscillator --sweep 0.5:1:0.5 --N-max {}",
     "simulate --example oscillator --T 1 --horizon 2 --steps-per-period {}",
-    "analyze --example oscillator --T 1 --brute-samples {}",
-    "analyze --example frac-heat --modes 4 --T 1 --brute-samples {}",
 ])
 def test_count_past_the_float_range_is_config_error(tmp_path, argv):
     # The arithmetic on a count converts it to a float, which 2^1024 overflows.
@@ -380,7 +409,7 @@ def system_documents(draw):
 @given(doc=system_documents())
 def test_fuzzed_system_documents_exit_cleanly(doc):
     with tempfile.TemporaryDirectory() as out_dir:
-        code, err = analyze_document(doc, out_dir, "--brute-samples", "64")
+        code, err = analyze_document(doc, out_dir)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC)
     assert len(err) <= 1, err
 
@@ -393,15 +422,14 @@ _EDGE_INTS = ("0", "-1", "-7", _HUGE, "-" + _HUGE)
 
 # A small call of each command, and the edge values of each of its numeric flags.
 _FUZZED_COMMANDS = {
-    "analyze --example oscillator --T 1 --N-max 4 --brute-samples 16": {
+    "analyze --example oscillator --T 1 --N-max 4": {
         "--T": _EDGE_FLOATS, "--delta": _EDGE_FLOATS, "--N-max": _EDGE_INTS,
-        "--brute-samples": _EDGE_INTS, "--seed": _EDGE_INTS},
-    "analyze --example frac-heat --modes 4 --T 1 --N-max 4 --brute-samples 16": {
+        "--seed": _EDGE_INTS},
+    "analyze --example frac-heat --modes 4 --T 1 --N-max 4": {
         "--T": _EDGE_FLOATS, "--s": _EDGE_FLOATS, "--c": _EDGE_FLOATS,
         "--xi-max": _EDGE_FLOATS, "--modes": _EDGE_INTS, "--N-max": _EDGE_INTS},
-    "analyze --example schrodinger --modes 4 --T 1 --N-max 4 --brute-samples 16": {
-        "--T": _EDGE_FLOATS, "--xi-max": _EDGE_FLOATS, "--delta": _EDGE_FLOATS,
-        "--brute-samples": _EDGE_INTS},
+    "analyze --example schrodinger --modes 4 --T 1 --N-max 4": {
+        "--T": _EDGE_FLOATS, "--xi-max": _EDGE_FLOATS, "--delta": _EDGE_FLOATS},
     "sweep --example oscillator --sweep 0.5:1:0.5 --N-max 4": {
         "--delta": _EDGE_FLOATS, "--N-max": _EDGE_INTS},
     "sweep --example frac-heat --modes 4 --sweep 0.5:1:0.5 --N-max 4": {
@@ -434,7 +462,6 @@ def numeric_flags(draw):
 @example(argv=["witness", "--T=1", "--N=2", "--epsilon=1e300"])
 @example(argv=["witness", "--T=1", f"--N={_HUGE}"])
 @example(argv=["analyze", "--example", "oscillator", "--T=1", f"--N-max={_HUGE}"])
-@example(argv=["analyze", "--example", "oscillator", "--T=1", f"--brute-samples={_HUGE}"])
 @example(argv=["simulate", "--example", "oscillator", "--T=1", "--horizon=2",
                f"--steps-per-period={_HUGE}"])
 def test_fuzzed_numeric_flags_exit_cleanly(argv):
@@ -956,10 +983,10 @@ _OUTPUT = {"out": ".", "seed": 0}
 _MINIMAL_ARGS = {
     "analyze --example oscillator --T 1": {
         "command": "analyze", "system": None, "example": "oscillator", "T": 1.0,
-        "N_max": 16, "delta": 0.9, "brute_samples": 2000, **_SPECTRAL, **_OUTPUT},
+        "N_max": 16, "delta": 0.9, **_SPECTRAL, **_OUTPUT},
     "analyze --system f.json --T 1": {
         "command": "analyze", "system": "f.json", "example": None, "T": 1.0,
-        "N_max": 16, "delta": 0.9, "brute_samples": 2000, **_SPECTRAL, **_OUTPUT},
+        "N_max": 16, "delta": 0.9, **_SPECTRAL, **_OUTPUT},
     "synthesize --example frac-heat --T 1": {
         "command": "synthesize", "system": None, "example": "frac-heat", "T": 1.0,
         "tol": 1e-12, "max_iter": 64, **_SPECTRAL, **_OUTPUT},
@@ -981,6 +1008,25 @@ _MINIMAL_ARGS = {
 def test_parser_keeps_every_dest_and_default(argv):
     # report.json echoes vars(args): a dest or default that moves changes its bytes.
     assert vars(cli._build_parser().parse_args(argv.split())) == _MINIMAL_ARGS[argv]
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of parser and of its subcommands' parsers."""
+    out = set()
+    for action in parser._actions:
+        out.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _long_options(sub)
+    return out
+
+
+def test_readme_flags_are_the_parser_options():
+    # Each option is documented, and each flag the README names exists;
+    # pip's flag and argparse's own --help are not the program's.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme)) - {"--no-build-isolation"}
+    assert named == _long_options(cli._build_parser()) - {"--help"}
 
 
 def test_a_reused_parser_writes_the_reports_of_fresh_ones(tmp_path):
