@@ -355,7 +355,21 @@ def test_count_past_the_float_range_is_config_error(tmp_path, argv):
     assert len(err) == 1 and err[0].startswith("error: ") and "must lie in [1, " in err[0]
 
 
-_EDGE_NUMBERS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 10 ** 400,
+@pytest.mark.parametrize("argv", [
+    "analyze --example oscillator --T 1",
+    "analyze --example frac-heat --modes 4 --T 1",
+])
+def test_brute_samples_is_not_an_option(tmp_path, capsys, argv):
+    # Every certificate is re-decided exactly, so no count of random states
+    # is taken: the parser refuses the flag before any search or write.
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--brute-samples", "16", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --brute-samples 16" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_EDGE_NUMBERS =(math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 10 ** 400,
                  True, False, "1", None)
 
 

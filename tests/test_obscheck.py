@@ -17,7 +17,8 @@ from sampstab import linsys, obscheck
 from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
-from conftest import (bisect_verdict, decide_cc_oracle, decide_dc_oracle, gramian_quadratic_form, outcome_fields, pathological_periods_loop,
+from conftest import (bisect_verdict, decide_cc_oracle, decide_dc_oracle,
+                      gramian_quadratic_form, outcome_fields, pathological_periods_loop,
                       random_complex, random_mixed_system, random_neutral_system,
                       random_stable_system, random_unit_states, scratch_bundle,
                       to_dense, transition_quadratic_form)
@@ -859,6 +860,60 @@ class TestBruteForceAgreement:
         C = cert.C * scale
         got, tolerance = brute_force_max_violation(sys, cert.bundle, C, cert.delta, basis)
         assert abs(got - st.check_inequality(cert.bundle, C, cert.delta).margin) <= tolerance
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+    def test_dense_check_rotates_by_a_seeded_unitary(self, monkeypatch, seed):
+        # The re-decided system is (Q* A Q, Q* B), Q unitary: each Markov
+        # parameter B* A^k B and ||A||_F are kept.  One seed builds the same
+        # bits twice; the next seed builds another basis.
+        sys = random_mixed_system(3)
+        g = st.discrete_gramian(sys, 0.7, 2)
+        built = []
+
+        def record(dense, *args, gramian=obscheck.discrete_gramian):
+            built.append((dense.A, dense.B))
+            return gramian(dense, *args)
+
+        monkeypatch.setattr(obscheck, "discrete_gramian", record)
+        for s in (seed, seed, seed + 1):
+            brute_force_max_violation(sys, g, 1.0, 0.9, s)
+        (A, B), again, other = built
+        assert np.array_equal(A, again[0]) and np.array_equal(B, again[1])
+        assert not np.allclose(A, other[0])
+        assert_allclose(np.linalg.norm(A), np.linalg.norm(sys.A), rtol=1e-13)
+        Ak, sys_Ak = np.eye(4), np.eye(4)
+        for _ in range(4):
+            assert_allclose(B.conj().T @ Ak @ B, sys.B.conj().T @ sys_Ak @ sys.B,
+                            rtol=0, atol=1e-12)
+            Ak, sys_Ak = A @ Ak, sys.A @ sys_Ak
+
+    @pytest.mark.parametrize("C", [0.0, 3.5, 1e9])
+    def test_dense_tolerance_bounds_the_rounding(self, C):
+        # max(1e-8, 64 eps (C ||G||_2 + ||R||_F^2)) of the certificate's
+        # bundle; at C = 1e9 the rounding term passes the floor.  Either way
+        # the re-decided margin lies within it of the bundle's own.
+        sys = random_mixed_system(3)
+        g = st.discrete_gramian(sys, 0.7, 2)
+        got, tolerance = brute_force_max_violation(sys, g, C, 0.9, 0)
+        bound = 64 * np.finfo(float).eps * (C * np.linalg.norm(g.G, 2)
+                                            + np.linalg.norm(g.R) ** 2)
+        assert_allclose(tolerance, max(1e-8, bound), rtol=1e-12, atol=0)
+        assert (tolerance > 1e-8) == (C == 1e9)
+        assert abs(got - st.check_inequality(g, C, 0.9).margin) <= tolerance
+
+    @pytest.mark.parametrize("system", [st.fractional_heat(8, 1.5, 1.0), st.schrodinger(8, 4.0)],
+                             ids=["frac-heat", "schrodinger"])
+    def test_spectral_and_dense_forms_re_decide_alike(self, system):
+        # Under 32 modes the binding modes are all of them: the check of the
+        # spectral certificate and that of its dense form in a random basis
+        # re-decide one inequality, to the same verdict.
+        cert = st.decide_dc(system, 1.0)
+        dense = to_dense(system)
+        g = st.discrete_gramian(dense, 1.0, int(cert.N))
+        spectral = brute_force_max_violation(system, cert.bundle, cert.C, cert.delta, 0)
+        rotated = brute_force_max_violation(dense, g, cert.C, cert.delta, 3)
+        assert abs(spectral[0] - rotated[0]) <= max(spectral[1], rotated[1])
+        assert spectral[0] <= spectral[1] and rotated[0] <= rotated[1]
 
     @pytest.mark.parametrize("system,T", [
         (st.fractional_heat(256, 1.5, 1.0), 1.0),
