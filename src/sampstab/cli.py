@@ -1,12 +1,12 @@
 """Command-line front end: analyze / synthesize / simulate / sweep / witness / example.
 
 Reports are deterministic JSON (sorted keys, no timestamps) with their bulk
-arrays in .npy files: the same configuration and seed produce byte-identical
-files.  Wall time goes to stdout only.  Exit codes: 0 success, 2
-configuration error (a bad system definition, an out-of-range argument or a
-file that cannot be read or written: every ValueError and OSError), 3
-feasibility search exhausted, 4 numeric failure (numpy's LinAlgError included,
-though it is a ValueError).
+arrays in .npy files: the same configuration produces byte-identical files.
+Wall time goes to stdout only.  Exit codes: 0 success, 2 configuration error
+(a bad system definition, an out-of-range argument or a file that cannot be
+read or written: every ValueError and OSError), 3 feasibility search
+exhausted, 4 numeric failure (numpy's LinAlgError included, though it is a
+ValueError).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ EXIT_NUMERIC = 4
 
 # report.json layout: 3 saves K, F and the closed loop as .npy files (per mode for a
 # spectral system) and gives each array's file, shape, dtype and SHA-256 in its place;
-# 4 reports analyze's cross-check as an exact margin and its rounding tolerance.
-REPORT_SCHEMA = 4
+# 4 reports analyze's cross-check as an exact margin and its rounding tolerance; 5 drops
+# the top-level seed, which only analyze's config holds.
+REPORT_SCHEMA = 5
 
 # The built-in systems, by name, from the spectral options.
 _EXAMPLES = {
@@ -64,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     period.add_argument("--T", type=float, required=True)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=".", help="output directory")
-    output.add_argument("--seed", type=int, default=0,
-                        help="seed of the random basis that analyze re-decides a dense "
-                             "certificate in")
 
     p = argparse.ArgumentParser(
         prog="sampstab",
@@ -80,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("analyze", "decide the observability inequalities at a period", source, period)
     sp.add_argument("--N-max", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.9)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the random basis that a dense certificate is re-decided in")
 
     sp = command("synthesize", "sampled LQ gain via the Riccati kernel", source, period)
     sp.add_argument("--tol", type=float, default=lqsynth.DEFAULT_TOL)
@@ -134,7 +134,6 @@ def _write_report(args, results: dict) -> None:
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
         "library_version": __version__,
         "backend": f"numpy {np.__version__}, expm=pade13-scaling-squaring",
-        "seed": args.seed,
         "results": results,
     }
     dump_json(report, _out_path(args, "report.json"))

@@ -162,15 +162,6 @@ class GramianBundle:
     def kernel_dim(self) -> int:
         return int(np.count_nonzero(self.kernel_mask))
 
-    @property
-    def kernel_basis(self) -> np.ndarray:
-        if self.eigenvectors is not None:
-            return self.eigenvectors[:, :self.kernel_dim]
-        modes = np.flatnonzero(self.kernel_mask)
-        P = np.zeros((self.G.size, modes.size), dtype=complex)
-        P[modes, np.arange(modes.size)] = 1.0
-        return P
-
 
 class _Stack:
     """The bundles of one horizon stacked over periods: GramianBundle's fields

@@ -82,15 +82,23 @@ def random_mixed_system(seed: int, n: int = 4, m: int = 2,
     return ContinuousSystem(A, B)
 
 
-def _pbh_stabilizable(Phi: np.ndarray, D: np.ndarray) -> bool:
-    n = Phi.shape[0]
-    for lam in np.linalg.eigvals(Phi):
-        if abs(lam) < 1.0 - 1e-9:
-            continue
-        pencil = np.hstack([lam * np.eye(n) - Phi, D])
-        if np.linalg.svd(pencil, compute_uv=False)[-1] <= 1e-8:
-            return False
-    return True
+def _pbh_full_rank(M: np.ndarray, D: np.ndarray, eigenvalues) -> bool:
+    """rank [lam I - M, D] = n at each of the given eigenvalues lam of M."""
+    n = M.shape[0]
+    return all(np.linalg.svd(np.hstack([lam * np.eye(n) - M, D]), compute_uv=False)[-1] > 1e-8
+               for lam in eigenvalues)
+
+
+def pbh_discrete(Phi: np.ndarray, D: np.ndarray) -> bool:
+    """Popov-Belevitch-Hautus test: (Phi, D) is stabilizable, checked at every |mu| >= 1."""
+    mu = np.linalg.eigvals(Phi)
+    return _pbh_full_rank(Phi, D, mu[np.abs(mu) >= 1.0 - 1e-9])
+
+
+def pbh_continuous(A: np.ndarray, B: np.ndarray) -> bool:
+    """Popov-Belevitch-Hautus test: (A, B) is stabilizable, checked at every Re lam >= 0."""
+    lam = np.linalg.eigvals(A)
+    return _pbh_full_rank(A, B, lam[lam.real >= -1e-9])
 
 
 def random_stabilizable_pair(seed: int, n: int = 4) -> SampledSystem:
@@ -104,7 +112,7 @@ def random_stabilizable_pair(seed: int, n: int = 4) -> SampledSystem:
     Phi = random_complex(rng, (n, n)) / np.sqrt(2 * n)
     Phi *= rng.uniform(0.5, 1.5) / np.abs(np.linalg.eigvals(Phi)).max()
     D = random_complex(rng, (n, m)) / np.sqrt(2 * m)
-    assert _pbh_stabilizable(Phi, D)
+    assert pbh_discrete(Phi, D)
     return SampledSystem(Phi, D, 1.0)
 
 
@@ -148,6 +156,16 @@ def scratch_bundle(sys, T: float, N: int, mode: str) -> GramianBundle:
     D = [(J[i] - J[i - 1]) @ B for i in range(1, N + 1)]
     G = sum(d @ d.conj().T for d in D)
     return GramianBundle(R, G, mode, T, float(N))
+
+
+def kernel_basis(g: GramianBundle) -> np.ndarray:
+    """Orthonormal columns spanning ker G: the leading eigenvectors, or unit modes of a 1-D G."""
+    if g.eigenvectors is not None:
+        return g.eigenvectors[:, :g.kernel_dim]
+    modes = np.flatnonzero(g.kernel_mask)
+    P = np.zeros((g.G.size, modes.size), dtype=complex)
+    P[modes, np.arange(modes.size)] = 1.0
+    return P
 
 
 def periodic_schedule(sys: ContinuousSystem, F, T: float, t: float) -> np.ndarray:

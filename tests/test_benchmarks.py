@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +157,21 @@ class TestWitness:
             wit = st.schrodinger_witness(T, 2, 0.05, self.grid(T, 2, 0.05))
             assert wit.observed <= wit.bound + 1e-10
 
+    @given(T=hs.floats(0.05, 3.0), N=hs.integers(1, 8), epsilon=hs.floats(1e-3, 0.3),
+           seed=hs.integers(0, 2 ** 32 - 1), points=hs.integers(32, 600))
+    def test_any_grid_keeps_the_exact_bound(self, T, N, epsilon, seed, points):
+        # |phi1(-i xi^2, T)| < eta T / (2 pi - eta) on the band, so a random,
+        # non-uniform grid needs no error estimate: one observed sum, below the bound.
+        _, lo, hi = st.witness_band(T, N, epsilon)
+        rng = np.random.default_rng(seed)
+        grid = np.unique(np.concatenate([rng.uniform(lo, hi, points),
+                                         rng.uniform(0.0, 2.0 * hi, points // 4)]))
+        with mock.patch.object(benchmarks, "_witness_observed",
+                               wraps=benchmarks._witness_observed) as observed:
+            wit = st.schrodinger_witness(T, N, epsilon, grid)
+        assert observed.call_count == 1
+        assert wit.observed < wit.bound
+
     def test_support_inside_positive_axis(self):
         wit = st.schrodinger_witness(2.0, 1, 0.1, self.grid(2.0, 1, 0.1))
         assert 0.0 < wit.support[0] < wit.support[1]
@@ -171,22 +187,6 @@ class TestWitness:
         u = np.concatenate([-np.linspace(0.99999, 0.9995, 16), np.linspace(0.9995, 0.99999, 16)])
         with pytest.raises(st.GridTooCoarse, match="bump vanished"):
             st.schrodinger_witness(1.0, 2, 0.01, lo + (u + 1) / 2 * (hi - lo))
-
-    def test_quadrature_estimate_past_the_slack(self, monkeypatch):
-        # The coarse grid's estimate is moved by the bound: the difference no
-        # longer fits in bound - observed.
-        grid = self.grid(1.0, 2, 0.01)
-        observed = benchmarks._witness_observed
-        calls = []
-
-        def coarse_moved(g, phi, T, N):
-            calls.append(g.size)
-            return observed(g, phi, T, N) + (0.01 if len(calls) == 2 else 0.0)
-
-        monkeypatch.setattr(benchmarks, "_witness_observed", coarse_moved)
-        with pytest.raises(st.GridTooCoarse, match="quadrature error estimate"):
-            st.schrodinger_witness(1.0, 2, 0.01, grid)
-        assert calls == [grid.size, grid[::2].size]
 
     @pytest.mark.parametrize("T,N,epsilon,match", [
         (0.0, 2, 0.01, "T must be"), (math.inf, 2, 0.01, "T must be"),

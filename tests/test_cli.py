@@ -81,7 +81,9 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "(DC)_T: feasible" in out
         report = read_report(tmp_path)
-        assert report["schema"] == 4
+        assert report["schema"] == 5
+        assert sorted(report) == ["backend", "command", "config", "library_version",
+                                  "results", "schema"]
         assert report["results"]["discrete"]["status"] == "feasible"
         assert report["results"]["discrete"]["brute_force"]["contradicts"] is False
 
@@ -366,6 +368,23 @@ def test_brute_samples_is_not_an_option(tmp_path, capsys, argv):
         main(argv.split() + ["--brute-samples", "16", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments: --brute-samples 16" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "synthesize --example oscillator --T 1",
+    "simulate --example oscillator --T 1 --horizon 2",
+    "sweep --example oscillator --sweep 1:2:1",
+    "witness --T 1",
+    "example oscillator",
+])
+def test_only_analyze_takes_a_seed(tmp_path, capsys, argv):
+    # No other subcommand draws a random number, so none takes a seed: the
+    # parser refuses the flag before any work or write.
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--seed", "0", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -990,17 +1009,17 @@ class TestExample:
 
 
 _SPECTRAL = {"modes": 64, "xi_max": 4.0, "s": 1.5, "c": 1.0}
-_OUTPUT = {"out": ".", "seed": 0}
+_OUTPUT = {"out": "."}
 
 
 # A minimal argv of every subcommand, and the vars(args) it parses to.
 _MINIMAL_ARGS = {
     "analyze --example oscillator --T 1": {
         "command": "analyze", "system": None, "example": "oscillator", "T": 1.0,
-        "N_max": 16, "delta": 0.9, **_SPECTRAL, **_OUTPUT},
+        "N_max": 16, "delta": 0.9, "seed": 0, **_SPECTRAL, **_OUTPUT},
     "analyze --system f.json --T 1": {
         "command": "analyze", "system": "f.json", "example": None, "T": 1.0,
-        "N_max": 16, "delta": 0.9, **_SPECTRAL, **_OUTPUT},
+        "N_max": 16, "delta": 0.9, "seed": 0, **_SPECTRAL, **_OUTPUT},
     "synthesize --example frac-heat --T 1": {
         "command": "synthesize", "system": None, "example": "frac-heat", "T": 1.0,
         "tol": 1e-12, "max_iter": 64, **_SPECTRAL, **_OUTPUT},
@@ -1022,6 +1041,41 @@ _MINIMAL_ARGS = {
 def test_parser_keeps_every_dest_and_default(argv):
     # report.json echoes vars(args): a dest or default that moves changes its bytes.
     assert vars(cli._build_parser().parse_args(argv.split())) == _MINIMAL_ARGS[argv]
+
+
+# Per subcommand, calls that between them take every path through its options:
+# a built-in source that reads the spectral options and a file source that does not.
+_COVERING_ARGVS = {
+    command: [f"{command} --example frac-heat --modes 8 {tail}", f"{command} --system {{}} {tail}"]
+    for command, tail in (("analyze", "--T 1"), ("synthesize", "--T 1"),
+                          ("simulate", "--T 1 --horizon 2"), ("sweep", "--sweep 1:2:1"))
+} | {"witness": ["witness --T 1 --support-points 64"], "example": ["example frac-heat --modes 8"]}
+
+
+@pytest.mark.parametrize("command", list(_COVERING_ARGVS))
+def test_every_option_is_read(tmp_path, monkeypatch, command):
+    # An option that a subcommand accepts but never reads only moves the
+    # config echo.  The report writer is stubbed to read --out alone, so the
+    # echo of vars(args) does not count as a read.
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(st.system_to_json(st.harmonic_oscillator())))
+    monkeypatch.setattr(cli, "_write_report", lambda args, results: args.out)
+    dests, read = set(), set()
+    for i, argv in enumerate(_COVERING_ARGVS[command]):
+        args = cli._build_parser().parse_args(
+            [*argv.format(path).split(), "--out", str(tmp_path / str(i))], namespace=Recording())
+        dests |= set(vars(args)) - {"command"}
+        reads.clear()  # the parser's own reads
+        assert cli._COMMANDS[command](args) == EXIT_OK
+        read |= reads
+    assert dests - read == set()
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:

@@ -18,10 +18,10 @@ from sampstab.linsys import schrodinger_symbol
 from sampstab.obscheck import brute_force_max_violation
 
 from conftest import (bisect_verdict, decide_cc_oracle, decide_dc_oracle,
-                      gramian_quadratic_form, outcome_fields, pathological_periods_loop,
-                      random_complex, random_mixed_system, random_neutral_system,
-                      random_stable_system, random_unit_states, scratch_bundle,
-                      to_dense, transition_quadratic_form)
+                      gramian_quadratic_form, kernel_basis, outcome_fields,
+                      pathological_periods_loop, pbh_continuous, pbh_discrete, random_complex,
+                      random_mixed_system, random_neutral_system, random_stable_system,
+                      random_unit_states, scratch_bundle, to_dense, transition_quadratic_form)
 
 OSC = st.harmonic_oscillator()
 
@@ -40,7 +40,7 @@ class TestDiscreteGramian:
         g = st.discrete_gramian(OSC, np.pi, 2)
         assert g.kernel_dim == 1
         # The kernel is the cos-component direction (0, 1).
-        assert abs(abs(g.kernel_basis[1, 0]) - 1.0) < 1e-12
+        assert abs(abs(kernel_basis(g)[1, 0]) - 1.0) < 1e-12
 
     def test_oscillator_regular_period(self):
         g = st.discrete_gramian(OSC, np.pi / 2, 2)
@@ -56,7 +56,7 @@ class TestDiscreteGramian:
 
     def test_kernel_basis_orthonormal(self):
         g = st.discrete_gramian(OSC, np.pi, 3)
-        P = g.kernel_basis
+        P = kernel_basis(g)
         assert_allclose(P.conj().T @ P, np.eye(P.shape[1]), atol=1e-12)
 
 
@@ -519,7 +519,7 @@ class TestDenseEqualsSpectral:
             assert_allclose(np.diag(d.R), g.R, rtol=1e-12)
             assert g.kernel_dim == d.kernel_dim == 3
             assert_allclose(st.min_delta_on_kernel(g), st.min_delta_on_kernel(d), rtol=1e-12)
-            P = g.kernel_basis
+            P = kernel_basis(g)
             assert_allclose(P.conj().T @ P, np.eye(3))
             assert np.all(g.G[np.flatnonzero(P.any(axis=1))] == 0.0)
             phis = random_unit_states(np.random.default_rng(4), 9, 20)
@@ -1013,3 +1013,58 @@ class TestLocalOpenness:
         for T in grid[1:-1]:
             if feas[T] and abs(T - np.pi) > 0.05:
                 assert feas[round(T - 0.01, 10)] and feas[round(T + 0.01, 10)]
+
+
+def _decoupled_system(seed: int, n: int, a: complex) -> st.ContinuousSystem:
+    """random_mixed_system(seed, n, 1) plus a mode a that no input reaches, in a random basis."""
+    base = random_mixed_system(seed, n, 1)
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    A[:n, :n], A[n, n] = base.A, a
+    B = np.vstack([base.B, np.zeros((1, 1))])
+    Q = np.linalg.qr(random_complex(np.random.default_rng((seed, n)), (n + 1, n + 1)))[0]
+    return st.ContinuousSystem(Q.conj().T @ A @ Q, Q.conj().T @ B)
+
+
+# Deterministic (system, T) cases per family: the oscillator on the README's
+# sweep grid plus the multiples of pi where sampling loses stabilizability;
+# dense mixed systems with n = 2..5 and m = 1..2; and dense systems with a
+# decoupled mode that no input reaches, stable or not.
+_PBH_CASES = {
+    "oscillator": lambda: [(OSC, 0.05 + k * 0.05) for k in range(199)]
+    + [(OSC, k * np.pi) for k in (1, 2, 3)],
+    "mixed": lambda: [(random_mixed_system(seed, n, m), T)
+                      for n in range(2, 6) for m in (1, 2) for seed in range(19)
+                      for T in (0.3, 1.0, 2.5)],
+    "decoupled": lambda: [(_decoupled_system(seed, n, a), T)
+                          for n in (2, 3) for a in (-0.3 + 1j, 0.1 - 2j) for seed in range(4)
+                          for T in (0.3, 1.0, 2.5)],
+}
+
+
+class TestPBHOracle:
+    # In finite dimensions the inequalities hold for some N, C and delta < 1
+    # exactly when the pair is stabilizable, which the PBH rank test decides
+    # directly.  A feasible certificate must find a stabilizable pair, and a
+    # structural infeasible one a pair that is not.  Exhausted searches prove
+    # nothing and are only counted.
+    @pytest.mark.parametrize("family", list(_PBH_CASES))
+    def test_verdicts_agree_with_the_pbh_test(self, family):
+        cases = _PBH_CASES[family]()
+        seen = {"dc": set(), "cc": set()}
+        exhausted = 0
+        for sys, T in cases:
+            pair = linsys.sample(sys, T)
+            pbh = {"dc": pbh_discrete(pair.Phi, pair.D), "cc": pbh_continuous(sys.A, sys.B)}
+            for mode, decide in (("dc", st.decide_dc), ("cc", st.decide_cc)):
+                try:
+                    cert = decide(sys, T)
+                except st.SearchExhausted:
+                    exhausted += 1
+                    continue
+                assert cert.feasible == pbh[mode], (family, mode, T)
+                seen[mode].add(cert.feasible)
+        assert exhausted <= len(cases) // 10
+        want = {"oscillator": {"dc": {True, False}, "cc": {True}},
+                "mixed": {"dc": {True}, "cc": {True}},
+                "decoupled": {"dc": {True, False}, "cc": {True, False}}}[family]
+        assert seen == want
