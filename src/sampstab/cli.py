@@ -35,8 +35,9 @@ EXIT_NUMERIC = 4
 # report.json layout: 3 saves K, F and the closed loop as .npy files (per mode for a
 # spectral system) and gives each array's file, shape, dtype and SHA-256 in its place;
 # 4 reports analyze's cross-check as an exact margin and its rounding tolerance; 5 drops
-# the top-level seed, which only analyze's config holds.
-REPORT_SCHEMA = 5
+# the top-level seed, which only analyze's config holds; 6 drops best_horizon from a
+# search-exhausted entry and synthesize's tol, and gives sweep numeric-failure rows.
+REPORT_SCHEMA = 6
 
 # The built-in systems, by name, from the spectral options.
 _EXAMPLES = {
@@ -82,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="seed of the random basis that a dense certificate is re-decided in")
 
     sp = command("synthesize", "sampled LQ gain via the Riccati kernel", source, period)
-    sp.add_argument("--tol", type=float, default=lqsynth.DEFAULT_TOL)
     sp.add_argument("--max-iter", type=int, default=lqsynth.DEFAULT_MAX_ITER,
                     help="cap on Riccati doublings")
 
@@ -152,13 +152,11 @@ def _outcome(decide, *args):
 
 
 def _entry(outcome) -> dict:
-    """The report entry of a certificate or a SearchExhausted."""
+    """The report entry of a certificate, a SearchExhausted or a NumericOverflowError."""
     if isinstance(outcome, SearchExhausted):
-        return {
-            "status": "search-exhausted",
-            "best_margin": outcome.best_margin,
-            "best_horizon": outcome.best_horizon,
-        }
+        return {"status": "search-exhausted", "best_margin": outcome.best_margin}
+    if isinstance(outcome, NumericOverflowError):
+        return {"status": "numeric-failure"}
     status = "feasible" if outcome.feasible else "infeasible"
     return {"status": status, "certificate": outcome.to_json()}
 
@@ -194,9 +192,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _synthesize(system, T: float, tol: float, max_iter: int):
+def _synthesize(system, T: float, max_iter: int):
     sampled = linsys.sample(system, T)
-    sol = lqsynth.riccati_solve(sampled, tol=tol, max_iter=max_iter)
+    sol = lqsynth.riccati_solve(sampled, max_iter=max_iter)
     if not sol.converged:
         raise RiccatiDivergenceError(
             f"Riccati solve did not converge ({sol.iterations} doublings, "
@@ -208,7 +206,7 @@ def _synthesize(system, T: float, tol: float, max_iter: int):
 
 def cmd_synthesize(args) -> int:
     system = _resolve_system(args)
-    sol, gain = _synthesize(system, args.T, args.tol, args.max_iter)
+    sol, gain = _synthesize(system, args.T, args.max_iter)
     y0 = _default_y0(system.state_dim)
     cost_check = {
         "y0": "normalized ones vector",
@@ -229,7 +227,7 @@ def cmd_simulate(args) -> int:
     # Before the Riccati solve, which may diverge at a T the grid rejects.
     closedloop.check_grid(args.T, args.horizon, args.steps_per_period,
                           system.state_dim + system.input_dim)
-    sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_TOL, lqsynth.DEFAULT_MAX_ITER)
+    sol, gain = _synthesize(system, args.T, lqsynth.DEFAULT_MAX_ITER)
     y0 = (vector_from_json(json.loads(args.y0)) if args.y0
           else _default_y0(system.state_dim))
     simulate = getattr(closedloop, f"simulate_{args.loop}")

@@ -288,14 +288,15 @@ def fit_decay(traj: Trajectory) -> tuple[float, float]:
     """Least-squares decay fit over the trailing half of the horizon.
 
     Fits log||y(t)|| = log c - omega t; omega is clipped to 0 when the slope
-    is not meaningfully negative.  A state hitting exact zero in the window
-    makes the fit degenerate, reported as omega = inf.
+    is not meaningfully negative.  A window of one grid point fits no line and
+    is refused.  A state hitting exact zero in the window makes the fit
+    degenerate, reported as omega = inf.
     """
     norms = traj.norms()
     t = traj.times
     window = t >= 0.5 * t[-1]
-    if np.count_nonzero(norms) < 10:
-        raise ValueError("decay fit needs at least 10 grid points with nonzero states")
+    if np.count_nonzero(window) < 2:
+        raise ValueError("decay fit needs at least 2 grid points in the trailing half")
     t_w, n_w = t[window], norms[window]
     if np.any(n_w == 0.0):
         return math.inf, 0.0

@@ -24,10 +24,9 @@ class SearchExhausted(SampstabError):
     larger horizon.
     """
 
-    def __init__(self, message, best_margin=None, best_horizon=None):
+    def __init__(self, message, best_margin=None):
         super().__init__(message)
         self.best_margin = best_margin
-        self.best_horizon = best_horizon
 
 
 class GridTooCoarse(SampstabError):

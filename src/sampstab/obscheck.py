@@ -317,6 +317,9 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
     The first horizon of _continuous_horizons(sys, T_h).
     """
     _, s = next(_continuous_horizons(sys, T_h))
+    if s is None:
+        raise NumericOverflowError(f"the continuous horizon T_h = {T_h!r} has non-finite "
+                                   "entries or an indefinite Gramian")
     return s.bundles(np.zeros(1, dtype=int))[0]
 
 
@@ -455,27 +458,28 @@ def _constants(s: _Stack, c: np.ndarray, mask: np.ndarray, delta: float):
     return ~over & (margin <= PSD_TOL), C, margin
 
 
-def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
-            best_horizon) -> list:
-    """Decide P periods on the stacked bundles of horizons k = 1..N_max; one outcome per period.
+def _search(horizons, periods: np.ndarray, mode: str, N_max: int, delta: float,
+            exhausted: str) -> list:
+    """Decide periods on the stacked bundles of horizons k = 1..N_max; one outcome per period.
 
     horizons yields (ok, stack) per horizon over the periods still undecided,
-    and is sent the indices of those to keep.  A period's outcome is its
-    first feasible certificate: C computed on, and nudged until its margin
-    passes on, the bundle of that horizon, which the certificate carries.  An
-    infeasible certificate stands when every horizon carried a
-    norm-preserving kernel (a structural proof that no (C, delta<1) works at
-    the searched horizons); else the outcome is SearchExhausted(exhausted).
-    From k = 2 on, a period stops before the first horizon whose bundle failed
-    (ok False) or whose squared transition overflows, and is decided on the
-    horizons before it: an infeasible certificate then stands at the last
-    finite one.  At k = 1 the source raises the first period's failure itself.
+    and is sent the indices of those to keep.  A period stops before its
+    first horizon whose bundle failed (ok False) or whose squared transition
+    overflows, and is decided on the horizons before it; one stopped at
+    k = 1 has none, and its outcome is a NumericOverflowError naming T.
+    Otherwise a period's outcome is its first feasible certificate: C
+    computed on, and nudged until its margin passes on, the bundle of that
+    horizon, which the certificate carries.  An infeasible certificate, at
+    the last horizon reached, stands when every horizon reached carried a
+    norm-preserving kernel (a structural proof that no (C, delta<1) works
+    there); else the outcome is SearchExhausted(exhausted).
     """
+    P = periods.size
     best = np.full(P, np.inf)
     worst, worst_dim = np.zeros(P), np.zeros(P, dtype=int)
     blocked_all, seen = np.ones(P, dtype=bool), np.zeros(P, dtype=bool)
     last_T, last_h = np.zeros(P), np.zeros(P)
-    found, mode = {}, None
+    found = {}
     rows, keep = np.arange(P), None
     for _ in range(N_max):
         ok, s = horizons.send(keep)
@@ -483,7 +487,7 @@ def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
         if not acc.size:
             break
         s = s.take(acc)
-        r, mode = rows[acc], s.mode
+        r = rows[acc]
         seen[r], last_T[r], last_h[r] = True, s.T, s.horizon
         mask = _kernel_mask(s.w)
         dims = mask.sum(axis=-1)
@@ -521,12 +525,15 @@ def _search(horizons, P: int, N_max: int, delta: float, exhausted: str,
         if not rows.size:
             break
     return [found[p] if p in found
+            else NumericOverflowError(f"the first {mode} horizon at T = {float(periods[p])!r} "
+                                      "has non-finite entries or an indefinite Gramian")
+            if not seen[p]
             else ObservabilityCertificate(
                 mode=mode, T=float(last_T[p]), N=float(last_h[p]), C=0.0, delta=delta,
                 margin=float(best[p]), feasible=False, kernel_dim=int(worst_dim[p]),
                 kernel_norm=float(worst[p]))
-            if blocked_all[p] and seen[p]
-            else SearchExhausted(exhausted, best_margin=float(best[p]), best_horizon=best_horizon)
+            if blocked_all[p]
+            else SearchExhausted(exhausted, best_margin=float(best[p]))
             for p in range(P)]
 
 
@@ -540,22 +547,16 @@ def _check_search(N_max: int, delta_target: float) -> None:
 def _discrete_horizons(sys: ContinuousSystem | SpectralSystem, periods: np.ndarray):
     """Stacked discrete bundles of horizons k T, k = 1, 2, ..., over periods, for _search.
 
-    At k = 1 a period whose sampled pair or first bundle fails raises its own
-    error, as discrete_gramian(sys, T, 1) does; the earliest such period's.
+    A non-finite sampled pair fails its period's first horizon: a non-finite
+    Phi fails _Stack.finite_transition, and a non-finite D the bundle's ok.
     """
     Phi, D = sample_periods(sys, periods)
     per_mode = Phi.ndim == 2
-    axes = tuple(range(1, Phi.ndim))
-    sampled = np.isfinite(Phi).all(axis=axes) & np.isfinite(D).all(axis=axes)
     walk = _walk(Phi, D)
     R, G = next(walk)
     T = periods
     for k in count(1):
         G, w, V, ok = _decompose(G, per_mode)
-        if k == 1 and not (ok & sampled).all():
-            first = float(T[np.argmin(ok & sampled)])
-            discrete_gramian(sys, first, 1)  # raises that period's NumericOverflowError
-            raise AssertionError(f"stacked and one-period bundles disagree at T = {first!r}")
         keep = yield ok, _Stack("discrete", T, np.full(T.size, float(k)), R, G, w, V)
         if keep is not None:
             T = T[keep]
@@ -569,8 +570,8 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
     of order n) and s doublings.  A dense horizon 2k T, k a power of two,
     instead continues the raw (G, E) of k T by one doubling when
     max(||A||_1, ||A||_inf) k T >= 1/2: a fresh build then makes s + 1
-    doublings from the same step h, so the bits agree.  An overflow raises at
-    k = 1; later, an overflowing bundle or horizon k T stops the horizons.
+    doublings from the same step h, so the bits agree.  An overflowing bundle
+    or horizon k T yields a failed horizon and stops the horizons.
     """
     spectral = isinstance(sys, SpectralSystem)
     pair = None  # the raw (G, E) of the last power-of-two horizon, if one doubling continues it
@@ -601,8 +602,6 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
                         pair = (G, E) if max(math.frexp(2.0 * x)[1], 0) == s + 1 else None
             G, w, V = _decompose_one(G, spectral, "continuous")
         except NumericOverflowError:
-            if k == 1:
-                raise
             yield np.zeros(1, dtype=bool), None
             return
         yield np.ones(1, dtype=bool), _Stack("continuous", np.array([T_h]), np.array([T_h]),
@@ -618,8 +617,8 @@ def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
     chunk, each of at most _CHUNK_CELLS entries per stacked array (n (n + m)
     a dense period, n a spectral one) by one stacked search, so a
     certificate's bundle (its period's slice) lives only as long as the
-    caller keeps it.  A period whose first horizon overflows raises its
-    NumericOverflowError, as decide_dc does, and ends the iteration.
+    caller keeps it.  A period whose first horizon overflows has its
+    NumericOverflowError as its outcome, which decide_dc raises.
     """
     _check_search(N_max, delta_target)
     periods = np.asarray(periods, dtype=float)
@@ -632,13 +631,13 @@ def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
     exhausted = (f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "
                  "infeasibility not proven")
     return chain.from_iterable(
-        _search(_discrete_horizons(sys, Ts), Ts.size, N_max, delta_target, exhausted, N_max)
+        _search(_discrete_horizons(sys, Ts), Ts, "discrete", N_max, delta_target, exhausted)
         for Ts in chunks)
 
 
 def _certificate(outcome) -> ObservabilityCertificate:
-    """The certificate of a search outcome; a SearchExhausted is raised."""
-    if isinstance(outcome, SearchExhausted):
+    """The certificate of a search outcome; a SearchExhausted or NumericOverflowError is raised."""
+    if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
@@ -653,7 +652,8 @@ def decide_dc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
     KERNEL_ONE_TOL of 1), returns an infeasible certificate: growing N or C
     provably cannot help at the searched horizons.  Otherwise a fruitless
     search raises SearchExhausted, which does not claim anything beyond the
-    horizon.  The one-period slice of sweep_dc.
+    horizon, and a period with no finite first horizon NumericOverflowError.
+    The one-period slice of sweep_dc.
     """
     [outcome] = sweep_dc(sys, [T], N_max, delta_target)
     return _certificate(outcome)
@@ -668,8 +668,8 @@ def decide_cc(sys: ContinuousSystem | SpectralSystem, T: float, N_max: int = 16,
     """
     _check_search(N_max, delta_target)
     [outcome] = _search(
-        _continuous_horizons(sys, T), 1, N_max, delta_target,
-        f"no feasible horizon k*T with k <= {N_max} at delta = {delta_target}", N_max * T)
+        _continuous_horizons(sys, T), np.array([T], dtype=float), "continuous", N_max,
+        delta_target, f"no feasible horizon k*T with k <= {N_max} at delta = {delta_target}")
     return _certificate(outcome)
 
 

@@ -422,22 +422,20 @@ def _oracle_min_constant(R, G, w, V, delta: float) -> float:
     return float(obscheck._pencil_constants(M[None], w[None, :d], np.array([C]))[0])
 
 
-def search_oracle(bundles, mode: str, N_max: int, delta: float, exhausted: str,
-                  best_horizon):
+def search_oracle(bundles, T: float, mode: str, N_max: int, delta: float, exhausted: str):
     """Oracle: one period's horizon search, the scalar loop the stacked search replaced.
 
     bundles yields (R, G, w, V, T, horizon) per horizon and may raise
-    NumericOverflowError.  Returns the certificate or the SearchExhausted.
+    NumericOverflowError.  Returns the certificate, the SearchExhausted, or,
+    when the first horizon fails, the NumericOverflowError the search gives.
     """
     best_margin, worst_kernel, worst_dim = np.inf, 0.0, 0
     all_blocked, last = True, None
     bundles = iter(bundles)
     for _ in range(N_max):
         try:
-            R, G, w, V, T, horizon = g = next(bundles)
+            R, G, w, V, T_g, horizon = g = next(bundles)
         except NumericOverflowError:
-            if last is None:
-                raise
             break
         with np.errstate(over="ignore", invalid="ignore"):
             RR = np.abs(R) ** 2 if R.ndim == 1 else np.vdot(R, R).real
@@ -463,20 +461,23 @@ def search_oracle(bundles, mode: str, N_max: int, delta: float, exhausted: str,
             margin = _oracle_margin(R, G, C, delta)
             if margin <= PSD_TOL:
                 return ObservabilityCertificate(
-                    mode=mode, T=T, N=horizon, C=float(C), delta=float(delta), margin=margin,
+                    mode=mode, T=T_g, N=horizon, C=float(C), delta=float(delta), margin=margin,
                     feasible=True, kernel_dim=dim, kernel_norm=kn)
             C *= 1.0 + np.finfo(float).eps * 4.0 ** i
         best_margin = min(best_margin, margin)
-    if all_blocked and last is not None:
+    if last is None:
+        return NumericOverflowError(f"the first {mode} horizon at T = {float(T)!r} "
+                                    "has non-finite entries or an indefinite Gramian")
+    if all_blocked:
         return ObservabilityCertificate(
             mode=mode, T=last[4], N=last[5], C=0.0, delta=delta, margin=float(best_margin),
             feasible=False, kernel_dim=worst_dim, kernel_norm=worst_kernel)
-    return SearchExhausted(exhausted, best_margin=float(best_margin), best_horizon=best_horizon)
+    return SearchExhausted(exhausted, best_margin=float(best_margin))
 
 
 def decide_dc_oracle(sys, T: float, N_max: int = 16, delta: float = 0.9):
-    """Oracle: decide_dc at one period by the scalar walk and search; the certificate
-    or the SearchExhausted decide_dc raises.  Raises NumericOverflowError at k = 1."""
+    """Oracle: decide_dc at one period by the scalar walk and search; the certificate,
+    or the SearchExhausted or NumericOverflowError decide_dc raises."""
     def bundles():
         Phi, D = _oracle_pair(sys, T)
         spectral = Phi.ndim == 1
@@ -491,9 +492,9 @@ def decide_dc_oracle(sys, T: float, N_max: int = 16, delta: float = 0.9):
                 else:
                     G, R = G + R @ G_1 @ R.conj().T, R @ Phi
 
-    return search_oracle(bundles(), "discrete", N_max, delta,
+    return search_oracle(bundles(), T, "discrete", N_max, delta,
                          f"no feasible (N, C) with N <= {N_max} at delta = {delta}; "
-                         "infeasibility not proven", N_max)
+                         "infeasibility not proven")
 
 
 def decide_cc_oracle(sys, T: float, N_max: int = 16, delta: float = 0.9):
@@ -503,16 +504,16 @@ def decide_cc_oracle(sys, T: float, N_max: int = 16, delta: float = 0.9):
             g = continuous_gramian(sys, k * T)
             yield g.R, g.G, g.eigenvalues, g.eigenvectors, g.T, g.horizon
 
-    return search_oracle(bundles(), "continuous", N_max, delta,
-                         f"no feasible horizon k*T with k <= {N_max} at delta = {delta}",
-                         N_max * T)
+    return search_oracle(bundles(), T, "continuous", N_max, delta,
+                         f"no feasible horizon k*T with k <= {N_max} at delta = {delta}")
 
 
 def outcome_fields(outcome) -> tuple:
     """A search outcome as the exact text of every field a report or sweep row shows."""
     if isinstance(outcome, SearchExhausted):
-        return ("search-exhausted", str(outcome), repr(outcome.best_margin),
-                repr(outcome.best_horizon))
+        return ("search-exhausted", str(outcome), repr(outcome.best_margin))
+    if isinstance(outcome, NumericOverflowError):
+        return ("numeric-failure", str(outcome))
     return ("feasible" if outcome.feasible else "infeasible", outcome.mode, repr(outcome.T),
             repr(outcome.N), repr(outcome.C), repr(outcome.delta), repr(outcome.margin),
             outcome.kernel_dim, repr(outcome.kernel_norm))

@@ -81,7 +81,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "(DC)_T: feasible" in out
         report = read_report(tmp_path)
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert sorted(report) == ["backend", "command", "config", "library_version",
                                   "results", "schema"]
         assert report["results"]["discrete"]["status"] == "feasible"
@@ -304,9 +304,7 @@ class TestAnalyze:
     "analyze --example frac-heat --modes 0 --T 1",
     "analyze --example frac-heat --s 0.5 --T 1",
     "analyze --example schrodinger --xi-max -1 --T 1",
-    "synthesize --example oscillator --T 1 --tol 0",
-    # Validated for spectral systems too, whose per-mode solve uses neither.
-    "synthesize --example frac-heat --modes 8 --T 1 --tol 0",
+    # Validated for spectral systems too, whose per-mode solve does not use it.
     "synthesize --example frac-heat --modes 8 --T 1 --max-iter 0",
     "simulate --example oscillator --T 1 --horizon 2 --steps-per-period 0",
     "simulate --example oscillator --T 1 --horizon 2 --y0 [1,true]",
@@ -368,6 +366,20 @@ def test_brute_samples_is_not_an_option(tmp_path, capsys, argv):
         main(argv.split() + ["--brute-samples", "16", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments: --brute-samples 16" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "synthesize --example oscillator --T 1 --tol 0",
+    "synthesize --example frac-heat --modes 8 --T 1 --tol 1e-9",
+])
+def test_synthesize_takes_no_tol(tmp_path, capsys, argv):
+    # The Riccati doubling stops at lqsynth.DEFAULT_TOL in synthesize as in
+    # simulate: the parser refuses the flag before any solve or write.
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -524,18 +536,17 @@ def strict_json(text: str):
 
 
 class TestNonFiniteValuesAreNull:
-    def test_exhausted_search_without_a_data_point(self, tmp_path, capsys):
+    def test_exhausted_search_without_a_data_point(self, tmp_path):
         # e^{800} overflows the squared transition at k = 1: no horizon gives a
-        # margin, so both best margins are inf, written as null.
+        # margin, so the period is a numeric failure, not an exhausted search
+        # with a null best margin; analyze writes no report.
         (tmp_path / "sys.json").write_text(json.dumps({"A": [[400]], "B": [[0]]}))
-        code = main(["analyze", "--system", str(tmp_path / "sys.json"), "--T", "1",
-                     "--out", str(tmp_path)])
-        assert code == EXIT_EXHAUSTED
-        assert "search-exhausted (best margin inf)" in capsys.readouterr().out
-        results = strict_json((tmp_path / "report.json").read_text())["results"]
-        for mode in ("discrete", "continuous"):
-            assert results[mode]["status"] == "search-exhausted"
-            assert results[mode]["best_margin"] is None
+        code, err = run_quietly(["analyze", "--system", str(tmp_path / "sys.json"), "--T", "1",
+                                 "--out", str(tmp_path / "out")])
+        assert (code, err) == (EXIT_NUMERIC, [
+            "numeric failure: the first discrete horizon at T = 1.0 has non-finite entries "
+            "or an indefinite Gramian"])
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_decay_fit_of_states_that_vanish(self, tmp_path, capsys):
         # e^{-1000} underflows: the sampled states are exactly 0 and the fitted
@@ -700,6 +711,18 @@ class TestSynthesize:
 
 
 class TestSimulate:
+    def test_a_short_horizon_fits_its_trailing_half(self, tmp_path):
+        # One period of 4 steps leaves the fit 3 grid points in [0.5, 1]; one
+        # step leaves it one point, which fits no line.
+        argv = "simulate --example oscillator --T 1 --horizon 1 --steps-per-period {}"
+        code, err = run_quietly([*argv.format(4).split(), "--out", str(tmp_path / "4")])
+        assert (code, err) == (EXIT_OK, [])
+        assert math.isfinite(read_report(tmp_path / "4")["results"]["decay"]["omega"])
+        code, err = run_quietly([*argv.format(1).split(), "--out", str(tmp_path / "1")])
+        assert code == EXIT_CONFIG
+        assert err == ["error: decay fit needs at least 2 grid points in the trailing half"]
+        assert not (tmp_path / "1" / "report.json").exists()
+
     @pytest.mark.parametrize("loop", ["dc", "cc", "dp", "cp"])
     def test_loops_write_trajectory(self, tmp_path, loop):
         code = main(["simulate", "--example", "oscillator", "--T", "1.0",
@@ -911,13 +934,48 @@ class TestSweep:
             assert [row["N"] for row in rows] == [8.0, 5.0, 3.0, 2.0, 2.0] + [1.0] * 6
 
     def test_first_horizon_overflow_is_numeric_failure(self, tmp_path):
-        # exp(300 T) overflows the sampled pair of the third period, T = 2.5.
+        # exp(300 T) squared overflows the first horizon of T = 1.5, and the
+        # sampled pair of T = 2.5 overflows: each is a numeric-failure row, and
+        # the sweep keeps the row of T = 0.5.
         (tmp_path / "sys.json").write_text(json.dumps({"A": [[300.0]], "B": [[0.0]]}))
         code, err = run_quietly(["sweep", "--sweep", "0.5:3:1", "--system",
                                  str(tmp_path / "sys.json"), "--out", str(tmp_path)])
-        assert code == EXIT_NUMERIC
-        assert err == ["numeric failure: sampled pair produced non-finite entries"]
-        assert not (tmp_path / "sweep.csv").exists()
+        assert (code, err) == (EXIT_OK, [])
+        rows = read_report(tmp_path)["results"]["rows"]
+        assert rows[0]["status"] == "infeasible"
+        assert rows[1:] == [{"T": 1.5, "status": "numeric-failure"},
+                            {"T": 2.5, "status": "numeric-failure"}]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[2:] == ["1.5,numeric-failure,,,,,,", "2.5,numeric-failure,,,,,,"]
+
+    @pytest.mark.parametrize("doc,source,spec", [
+        (None, "--example frac-heat --modes 8", "600:800:50"),
+        ({"A": [[300.0]], "B": [[0.0]]}, "--system {}", "0.5:3:0.5"),
+    ], ids=["frac-heat", "scalar"])
+    def test_every_row_is_analyze_at_its_period(self, tmp_path, doc, source, spec):
+        # Grids that straddle the first horizon's overflow: analyze exits 4
+        # exactly at the numeric-failure rows, and elsewhere its discrete
+        # entry has the row's status, N and C.
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        source = source.format(path).split()
+        code, err = run_quietly(["sweep", *source, "--sweep", spec, "--out", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, [])
+        rows = read_report(tmp_path)["results"]["rows"]
+        assert {row["status"] for row in rows} > {"numeric-failure"}
+        for i, row in enumerate(rows):
+            out = tmp_path / str(i)
+            code, err = run_quietly(["analyze", *source, "--T", repr(row["T"]), "--N-max", "8",
+                                     "--out", str(out)])
+            if row["status"] == "numeric-failure":
+                assert code == EXIT_NUMERIC and not out.exists()
+                assert len(err) == 1 and f"at T = {row['T']!r} " in err[0]
+                continue
+            assert code != EXIT_NUMERIC and err == []
+            entry = read_report(out)["results"]["discrete"]
+            cert = entry.get("certificate", {})
+            assert (entry["status"], cert.get("N"), cert.get("C")) == (
+                row["status"], row.get("N"), row.get("C"))
 
     @pytest.mark.parametrize("cells,chunks", [(None, 1), (6 * 7, 3), (1, 20)])
     def test_one_stacked_exponential_per_chunk(self, tmp_path, monkeypatch, cells, chunks):
@@ -1022,7 +1080,7 @@ _MINIMAL_ARGS = {
         "N_max": 16, "delta": 0.9, "seed": 0, **_SPECTRAL, **_OUTPUT},
     "synthesize --example frac-heat --T 1": {
         "command": "synthesize", "system": None, "example": "frac-heat", "T": 1.0,
-        "tol": 1e-12, "max_iter": 64, **_SPECTRAL, **_OUTPUT},
+        "max_iter": 64, **_SPECTRAL, **_OUTPUT},
     "simulate --example oscillator --T 1 --horizon 2": {
         "command": "simulate", "system": None, "example": "oscillator", "T": 1.0,
         "loop": "dc", "horizon": 2.0, "steps_per_period": 16, "y0": None,
@@ -1097,11 +1155,23 @@ def test_readme_flags_are_the_parser_options():
     assert named == _long_options(cli._build_parser()) - {"--help"}
 
 
+def test_readme_statuses_are_the_entry_statuses():
+    # The README lists, in this order, the statuses of one outcome of each
+    # kind the search gives: a certificate either way, an exhausted search
+    # and a period with no finite first horizon.
+    outcomes = [*obscheck.sweep_dc(st.harmonic_oscillator(), [1.0, np.pi]),
+                *obscheck.sweep_dc(st.ContinuousSystem([[-0.001]], [[0.0]]), [1.0], 2, 0.5),
+                *obscheck.sweep_dc(st.ContinuousSystem([[300.0]], [[0.0]]), [2.5])]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [listed] = re.findall(r"has a `status` that is one of (.*?);", readme, flags=re.S)
+    assert [cli._entry(o)["status"] for o in outcomes] == re.findall(r"`([a-z-]+)`", listed)
+
+
 def test_a_reused_parser_writes_the_reports_of_fresh_ones(tmp_path):
     # The parser is built once per process: a command parsed after others
     # must echo the configuration that a process parsing only it echoes.
     assert cli._build_parser() is cli._build_parser()
-    commands = ["synthesize --example frac-heat --modes 8 --T 1 --tol 1e-9",
+    commands = ["synthesize --example frac-heat --modes 8 --T 1 --max-iter 40",
                 "simulate --example frac-heat --T 1 --horizon 2 --loop dp",
                 "analyze --example oscillator --T 1 --seed 3",
                 "sweep --example oscillator --sweep 1:2:0.5"]

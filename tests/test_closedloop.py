@@ -373,10 +373,14 @@ class TestFitDecay:
         assert math.isinf(omega)
 
     def test_needs_enough_points(self):
-        times = np.arange(5.0)
-        traj = st.Trajectory(times, np.ones((5, 1)), np.zeros((5, 1)))
-        with pytest.raises(ValueError):
+        # A trailing half of one grid point fits no line; two points fit one.
+        traj = st.Trajectory(np.arange(2.0), np.ones((2, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="at least 2 grid points"):
             st.fit_decay(traj)
+        times = np.arange(3.0)
+        traj = st.Trajectory(times, np.exp(-0.5 * times)[:, None], np.zeros((3, 1)))
+        omega, c = st.fit_decay(traj)
+        assert abs(omega - 0.5) <= 1e-12 and abs(c - 1.0) <= 1e-12
 
 
 def test_norms_are_kept_read_only():

@@ -8,7 +8,7 @@ from itertools import islice
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
@@ -406,6 +406,8 @@ def _decided(sys, T, N_max, mode, delta):
         cert = decide(sys, T, N_max=N_max, delta_target=delta)
     except st.SearchExhausted as exc:
         return ("exhausted",), exc
+    except st.NumericOverflowError as exc:
+        return ("numeric-failure",), exc
     return (("feasible", cert.N, cert.C) if cert.feasible else ("blocked",)), cert
 
 
@@ -559,6 +561,12 @@ SWEEP_SYSTEMS = {
                                      np.array([1.0, 1.0, 0.0, 0.3, 1.0] * 2)),
     "dense-heat": to_dense(st.fractional_heat(6, 1.5, 1.0,
                                                  mask=np.array([1.0, 0, 1, 1, 0, 1]))),
+    # |R|^2 = exp(600 k T) overflows from k T > 1.183 on: from T = 1.183 on a
+    # period has no finite first horizon, and from T = 2.37 on its sampled
+    # pair overflows too.
+    "overflow": scalar_system(300.0, 0.0),
+    # sweep --example frac-heat --modes 8: |R|^2 overflows at k = 1 from T = 650 on.
+    "frac-heat-8": st.fractional_heat(8, 1.5, 1.0),
 }
 
 
@@ -581,6 +589,11 @@ class TestSweep:
                                       hs.sampled_from([np.pi, 2 * np.pi, 3.1415, 1.0])),
                             min_size=1, max_size=12),
            N_max=hs.integers(1, 8), delta=hs.sampled_from([0.3, 0.5, 0.9]))
+    # Grids that straddle the first horizon's overflow: numeric failures
+    # between decided periods.
+    @example(name="overflow", periods=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0], N_max=8, delta=0.9)
+    @example(name="frac-heat-8", periods=[600.0, 650.0, 700.0, 750.0, 800.0], N_max=8,
+             delta=0.9)
     def test_every_period_is_the_oracle_bit_for_bit(self, name, periods, N_max, delta):
         sys = SWEEP_SYSTEMS[name]
         want = [outcome_fields(decide_dc_oracle(sys, T, N_max, delta)) for T in periods]
@@ -638,21 +651,28 @@ class TestSweep:
             outcome_fields(decide_dc_oracle(sys, T, 16)) for T in periods]
 
     def test_first_horizon_overflow_raises_the_first_periods_error(self):
-        # exp(300 T) overflows the sampled pair from T = 2.37 on; the grid's
-        # earlier periods do not excuse it.
+        # exp(300 T) overflows the sampled pair from T = 2.37 on: that period's
+        # outcome is its NumericOverflowError, which decide_dc raises, and the
+        # grid's other periods are decided.
         sys = scalar_system(300.0, 0.0)
+        got = list(st.sweep_dc(sys, [0.5, 2.5, 0.7]))
+        assert [type(o) for o in got] == [st.ObservabilityCertificate, st.NumericOverflowError,
+                                          st.ObservabilityCertificate]
+        assert str(got[1]) == ("the first discrete horizon at T = 2.5 has non-finite entries "
+                               "or an indefinite Gramian")
         with pytest.raises(st.NumericOverflowError, match="sampled pair"):
-            list(st.sweep_dc(sys, [0.5, 2.5, 0.7]))
-        with pytest.raises(st.NumericOverflowError, match="sampled pair"):
-            decide_dc_oracle(sys, 2.5)
+            st.discrete_gramian(sys, 2.5, 1)
+        with pytest.raises(st.NumericOverflowError) as err:
+            st.decide_dc(sys, 2.5)
+        assert str(err.value) == str(got[1])
         # |D|^2 overflows the first Gramian at T = 0.5; the pair itself at T = 2.5.
         huge = st.ContinuousSystem([[300.0]], [[1e140]])
-        for grid, message in (([0.01, 0.5, 2.5], "discrete Gramian has non-finite"),
-                              ([0.01, 2.5, 0.5], "sampled pair")):
-            with pytest.raises(st.NumericOverflowError, match=message):
-                list(st.sweep_dc(huge, grid))
-            with pytest.raises(st.NumericOverflowError, match=message):
-                [decide_dc_oracle(huge, T) for T in grid]
+        with pytest.raises(st.NumericOverflowError, match="discrete Gramian has non-finite"):
+            st.discrete_gramian(huge, 0.5, 1)
+        for grid in ([0.01, 0.5, 2.5], [0.01, 2.5, 0.5]):
+            got = swept(huge, grid, 16, 0.9)
+            assert [row[0] for row in got] == ["feasible", "numeric-failure", "numeric-failure"]
+            assert got == [outcome_fields(decide_dc_oracle(huge, T)) for T in grid]
 
     @pytest.mark.parametrize("fail", ["batch", "all"])
     def test_a_refused_pencil_keeps_the_bound_per_period(self, fail, monkeypatch):
@@ -697,7 +717,7 @@ class TestSweep:
         with pytest.raises(st.SearchExhausted) as err:
             st.decide_dc(OSC, 1.0, 4)
         assert outcome_fields(err.value) == outcome_fields(decide_dc_oracle(OSC, 1.0, 4))
-        assert (err.value.best_margin, err.value.best_horizon) == (0.04576361304546051, 4)
+        assert err.value.best_margin == 0.04576361304546051
         periods = [0.5, 1.0, 1.5]
         got = swept(OSC, periods, 3, 0.9)
         assert {row[0] for row in got} == {"search-exhausted"}
@@ -728,11 +748,16 @@ class TestSweep:
             st.decide_cc(sys, np.inf)
 
     def test_a_first_continuous_overflow_raises(self):
+        # The first Gramian overflows: the search's outcome is a numeric
+        # failure naming T, which decide_cc raises and the oracle returns.
         sys = st.ContinuousSystem([[200]], [[1]])
-        for decide in (st.decide_cc, decide_cc_oracle):
-            with pytest.raises(st.NumericOverflowError) as err:
-                decide(sys, 2.0)
-            assert str(err.value) == "continuous Gramian has non-finite entries"
+        with pytest.raises(st.NumericOverflowError, match="non-finite"):
+            st.continuous_gramian(sys, 2.0)
+        with pytest.raises(st.NumericOverflowError) as err:
+            st.decide_cc(sys, 2.0)
+        assert str(err.value) == ("the first continuous horizon at T = 2.0 has non-finite "
+                                  "entries or an indefinite Gramian")
+        assert outcome_fields(err.value) == outcome_fields(decide_cc_oracle(sys, 2.0))
 
     def test_certificates_carry_their_periods_slice(self):
         sys = SWEEP_SYSTEMS["mixed"]
@@ -1041,6 +1066,42 @@ _PBH_CASES = {
 }
 
 
+def _unstable_modes_have_inputs(growth: np.ndarray, inputs: np.ndarray) -> bool:
+    """The PBH test of a diagonal pair with one input per mode: every mode whose
+    growth does not decay has an input, with pbh_discrete's thresholds."""
+    return bool(np.all(np.abs(inputs[growth >= -1e-9]) > 1e-8))
+
+
+def _per_mode_pbh(sys: st.SpectralSystem, T: float) -> dict:
+    """PBH per mode: dc needs b phi1(lambda, T) != 0 wherever |e^{lambda T}| >= 1,
+    cc needs b != 0 wherever Re lambda >= 0; phi1 is formed here, not by linsys."""
+    lam, b = sys.symbol_values, sys.control_mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi1 = np.where(lam == 0, T, np.expm1(lam * T) / lam)
+    return {"dc": _unstable_modes_have_inputs(np.abs(np.exp(lam * T)) - 1.0, b * phi1),
+            "cc": _unstable_modes_have_inputs(lam.real, b)}
+
+
+_SCHRODINGER = st.schrodinger(10, 3.0)
+# Spectral (system, T) cases: frac-heat with its unstable modes (|xi| < 1)
+# observed or not, and a neutral mode at xi = 0 (s = 2, c = 0) observed or not;
+# Schroedinger off resonance, and at the T that puts the grid mode xi = 2 at
+# xi^2 T = 2 pi, where its sampled input vanishes.
+_SPECTRAL_PBH_CASES = {
+    "frac-heat": lambda: [(st.fractional_heat(n, s, c, mask=np.asarray(mask, dtype=float)), T)
+                          for n, s, c, mask in (
+                              (12, 1.5, 1.0, [1.0] * 12),
+                              (12, 1.5, 1.0, [1.0, 0.0, 0.5] * 4),
+                              (12, 1.5, 1.0, [0.0] * 5 + [1.0] * 7),
+                              (12, 1.5, 1.0, [1.0] * 5 + [0.0] + [1.0] * 6),
+                              (13, 2.0, 0.0, [1.0] * 13),
+                              (13, 2.0, 0.0, [1.0] * 6 + [0.0] + [1.0] * 6))
+                          for T in (0.3, 1.0, 2.5)],
+    "schrodinger": lambda: [(_SCHRODINGER, T) for T in
+                            (0.3, 1.0, 2.5, 2 * np.pi / _SCHRODINGER.modes[6] ** 2)],
+}
+
+
 class TestPBHOracle:
     # In finite dimensions the inequalities hold for some N, C and delta < 1
     # exactly when the pair is stabilizable, which the PBH rank test decides
@@ -1068,3 +1129,36 @@ class TestPBHOracle:
                 "mixed": {"dc": {True}, "cc": {True}},
                 "decoupled": {"dc": {True, False}, "cc": {True, False}}}[family]
         assert seen == want
+
+    @pytest.mark.parametrize("family", list(_SPECTRAL_PBH_CASES))
+    def test_spectral_verdicts_agree_with_the_per_mode_rule(self, family):
+        # A diagonal pair has one input per mode, so its PBH test reads mode
+        # by mode; it agrees with the dense test on the diagonal matrices.
+        seen = {"dc": set(), "cc": set()}
+        for sys, T in _SPECTRAL_PBH_CASES[family]():
+            pbh = _per_mode_pbh(sys, T)
+            pair = linsys.sample(sys, T)
+            assert pbh["dc"] == pbh_discrete(np.diag(pair.Phi), np.diag(pair.D))
+            assert pbh["cc"] == pbh_continuous(np.diag(sys.symbol_values),
+                                               np.diag(sys.control_mask))
+            for mode, decide in (("dc", st.decide_dc), ("cc", st.decide_cc)):
+                cert = decide(sys, T)  # no case exhausts its search
+                assert cert.feasible == pbh[mode], (family, mode, T)
+                seen[mode].add(cert.feasible)
+        want = {"frac-heat": {"dc": {True, False}, "cc": {True, False}},
+                "schrodinger": {"dc": {True, False}, "cc": {True}}}[family]
+        assert seen == want
+
+    def test_oscillator_fails_pbh_only_at_degenerate_periods(self):
+        # Sampling loses stabilizability where two eigenvalues alias
+        # (pathological_periods) or where phi1(lambda, T) = 0 (T in 2 pi Z).
+        periods = [T for sys, T in _PBH_CASES["oscillator"]()]
+        degenerate = np.array(st.pathological_periods(OSC.A, max(periods))
+                              + [2 * np.pi * k for k in range(1, 3)])
+        failing = []
+        for T in periods:
+            pair = linsys.sample(OSC, T)
+            if not pbh_discrete(pair.Phi, pair.D):
+                failing.append(T)
+                assert np.abs(degenerate - T).min() <= 1e-9, T
+        assert failing == [np.pi, 2 * np.pi, 3 * np.pi]
