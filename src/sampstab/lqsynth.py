@@ -93,23 +93,20 @@ def _value_step(K: np.ndarray, Phi: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing iterate ends the doubling
-def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> RiccatiSolution:
-    """Double the value recursion until its relative step drops to tol.
+def riccati_solve(sys: SampledSystem, max_iter: int = DEFAULT_MAX_ITER) -> RiccatiSolution:
+    """Double the value recursion until its relative step drops to DEFAULT_TOL.
 
     From A_0 = Phi, G_0 = D D*, H_0 = I, each doubling sets W = (I + G H)^{-1}
     and A <- A W A, G <- G + A W G A*, H <- H + A* H W A; H_k equals the
-    value iterate after 2^k steps.  Stops when ||H_{k+1} - H_k|| <= tol
-    ||H_{k+1}|| (2-norms); max_iter counts doublings.  A non-converged result
-    (doubling cap, non-finite entries, or trace blow-up past 1e12) signals
-    that the sampled pair is likely not stabilizable; cross-check with the
-    observability decision procedure.
+    value iterate after 2^k steps.  Stops when ||H_{k+1} - H_k|| <=
+    DEFAULT_TOL ||H_{k+1}|| (2-norms); max_iter counts doublings.  A
+    non-converged result (doubling cap, non-finite entries, or trace blow-up
+    past 1e12) signals that the sampled pair is likely not stabilizable;
+    cross-check with the observability decision procedure.
 
-    A diagonal pair is solved per mode in closed form (_riccati_modes); tol
-    and max_iter then go unused, and iterations is 0.
+    A diagonal pair is solved per mode in closed form (_riccati_modes);
+    max_iter then goes unused, and iterations is 0.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     Phi, D = sys.Phi, sys.D
@@ -128,7 +125,7 @@ def riccati_solve(sys: SampledSystem, tol: float = DEFAULT_TOL,
         A = A @ WA
         step = np.linalg.norm(H_next - H, 2)
         H = H_next
-        if step <= tol * np.linalg.norm(H, 2):
+        if step <= DEFAULT_TOL * np.linalg.norm(H, 2):
             converged = True
             break
         if np.trace(H).real > _DIVERGENCE_TRACE:

@@ -11,12 +11,13 @@ N-period transition and G the Gramian sum of W_i* W_i.  A continuous-mode
 variant replaces the sum with int_0^T exp(At) B B* exp(At)* dt.
 
 Feasibility searches walk N upward and take the smallest C in closed form.
-The discrete search extends G and R by one period per step from the sampled
-pair (Phi, D) of linsys.sample: W_1* W_1 = D D* and W_{i+1} = W_i Phi*.  The
-continuous search takes every horizon k T from one generator, whose first
-horizon is continuous_gramian; a dense horizon 2k T, k a power of two,
-continues the doubling of k T by one step where a fresh build makes that
-doubling last, so it builds no first step and its Gramian is the same bits.
+One search decides both modes on the raw (R, G) that a source yields per
+horizon.  The discrete source (_walk) extends G and R by one period per step
+from the sampled pair (Phi, D): W_1* W_1 = D D* and W_{i+1} = W_i Phi*.  The
+continuous one (_continuous_horizons) builds every horizon k T; a dense 2k T,
+k a power of two, continues the doubling of k T by one step where a fresh
+build makes that doubling last, so it builds no first step and its Gramian is
+the same bits.  Only the search and the GramianBundle constructor decompose.
 The kernel of G supplies a structural obstruction: on ker G the inequality
 collapses to ||R* phi||^2 <= delta ||phi||^2, so if the transition preserves
 norm on the kernel no constant C can help at that horizon.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import NumericOverflowError, SearchExhausted
 from .linsys import (ContinuousSystem, SpectralSystem, _check_count, _hermitize, _phi1,
-                     _van_loan, sample, sample_periods, semigroup)
+                     _van_loan, sample_periods, semigroup)
 
 __all__ = [
     "GramianBundle",
@@ -115,16 +116,6 @@ def _decompose(G: np.ndarray, per_mode: bool):
     return G, w, V, ok
 
 
-def _decompose_one(G: np.ndarray, per_mode: bool, mode: str):
-    """_decompose's (G, w, V) of one Gramian G; NumericOverflowError where ok is False."""
-    if not np.isfinite(G).all():
-        raise NumericOverflowError(f"{mode} Gramian has non-finite entries")
-    G, w, V, ok = _decompose(G[None], per_mode)
-    if not ok[0]:
-        raise NumericOverflowError("Gramian has a significantly negative eigenvalue")
-    return G, w, V
-
-
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
     """Transition R, PSD Gramian G, and its eigendecomposition G = V diag(w) V*.
@@ -135,6 +126,7 @@ class GramianBundle:
     these are the leading columns of V.  A 1-D G holds the diagonal of a
     diagonal system's Gramian (and R the diagonal of its transition): w is G
     itself, V is None (the identity), and ker G is spanned by unit modes.
+    A non-finite R or G or an indefinite G raises NumericOverflowError.
     """
 
     R: np.ndarray
@@ -149,9 +141,12 @@ class GramianBundle:
         per_mode = np.ndim(self.G) == 1
         if per_mode and np.shape(self.R) != np.shape(self.G):
             raise ValueError("a 1-D Gramian needs a 1-D transition of the same length")
-        G, w, V = _decompose_one(np.asarray(self.G), per_mode, self.mode)
-        _set(self, R=np.asarray(self.R, dtype=complex), G=G[0], eigenvalues=w[0],
-             eigenvectors=None if V is None else V[0])
+        R = np.asarray(self.R, dtype=complex)
+        G, w, V, ok = _decompose(np.asarray(self.G)[None], per_mode)
+        if not (ok[0] and np.isfinite(R).all()):
+            raise NumericOverflowError(f"{self.mode} bundle has non-finite entries or a "
+                                       "significantly negative eigenvalue")
+        _set(self, R=R, G=G[0], eigenvalues=w[0], eigenvectors=None if V is None else V[0])
 
     @property
     def kernel_mask(self) -> np.ndarray:
@@ -293,11 +288,11 @@ def _walk(Phi: np.ndarray, D: np.ndarray):
 def discrete_gramian(sys: ContinuousSystem | SpectralSystem, T: float, N: int) -> GramianBundle:
     """Gramian of the N interval-integrated observation blocks, G = sum W_i* W_i.
 
-    A spectral system gives a 1-D bundle (per-mode diagonals).
+    Horizon N of _walk over the period T, as the search takes it.  A spectral
+    system gives a 1-D bundle (per-mode diagonals).
     """
     _check_count(N, "N")
-    pair = sample(sys, T)
-    R, G = next(islice(_walk(pair.Phi[None], pair.D[None]), N - 1, None))
+    R, G = next(islice(_walk(*sample_periods(sys, [T])), N - 1, None))
     return GramianBundle(R[0], G[0], "discrete", T, float(N))
 
 
@@ -313,14 +308,10 @@ def continuous_gramian(sys: ContinuousSystem | SpectralSystem, T_h: float) -> Gr
     G(2t) = G(t) + E G(t) E*, E <- E^2, reach T_h without the exp(-A T_h) that
     loses digits or overflows on long or stiff horizons.  Spectral G is the
     1-D per-mode b^2 phi1(2 Re lambda, T_h).  R is semigroup(sys, T_h), 1-D
-    for a spectral system.  A non-finite G or R raises NumericOverflowError.
-    The first horizon of _continuous_horizons(sys, T_h).
+    for a spectral system.  The first horizon of _continuous_horizons(sys, T_h).
     """
-    _, s = next(_continuous_horizons(sys, T_h))
-    if s is None:
-        raise NumericOverflowError(f"the continuous horizon T_h = {T_h!r} has non-finite "
-                                   "entries or an indefinite Gramian")
-    return s.bundles(np.zeros(1, dtype=int))[0]
+    R, G = next(_continuous_horizons(sys, T_h))
+    return GramianBundle(R[0], G[0], "continuous", float(T_h), float(T_h))
 
 
 def check_inequality(g: GramianBundle, C: float, delta: float) -> ObservabilityCertificate:
@@ -444,16 +435,17 @@ def _constants(s: _Stack, c: np.ndarray, mask: np.ndarray, delta: float):
     smallest constant exceeds _C_CEILING, ok is False, C is the ceiling and
     margin the margin there.
     """
-    C = _min_constants(s.take(c), mask[c], delta)
+    s = s.take(c)
+    C = _min_constants(s, mask[c], delta)
     over = ~(C <= _C_CEILING)
     C[over] = _C_CEILING
-    margin = s.take(c).margins(C, delta)
+    margin = s.margins(C, delta)
     todo = np.flatnonzero(~over & ~(margin <= PSD_TOL))
     for i in range(_NUDGES - 1):
         if not todo.size:
             break
         C[todo] *= 1.0 + np.finfo(float).eps * 4.0 ** i
-        margin[todo] = s.take(c[todo]).margins(C[todo], delta)
+        margin[todo] = s.take(todo).margins(C[todo], delta)
         todo = todo[~(margin[todo] <= PSD_TOL)]
     return ~over & (margin <= PSD_TOL), C, margin
 
@@ -462,17 +454,18 @@ def _search(horizons, periods: np.ndarray, mode: str, N_max: int, delta: float,
             exhausted: str) -> list:
     """Decide periods on the stacked bundles of horizons k = 1..N_max; one outcome per period.
 
-    horizons yields (ok, stack) per horizon over the periods still undecided,
-    and is sent the indices of those to keep.  A period stops before its
-    first horizon whose bundle failed (ok False) or whose squared transition
-    overflows, and is decided on the horizons before it; one stopped at
-    k = 1 has none, and its outcome is a NumericOverflowError naming T.
-    Otherwise a period's outcome is its first feasible certificate: C
-    computed on, and nudged until its margin passes on, the bundle of that
-    horizon, which the certificate carries.  An infeasible certificate, at
-    the last horizon reached, stands when every horizon reached carried a
-    norm-preserving kernel (a structural proof that no (C, delta<1) works
-    there); else the outcome is SearchExhausted(exhausted).
+    horizons yields the raw stacked (R, G) of each horizon over the periods
+    still undecided, and is sent the indices of those to keep; the search
+    decomposes each and labels it (T, k), or (k T, k T) in continuous mode.
+    A period stops before its first horizon whose Gramian failed (_decompose)
+    or whose squared transition overflows, and is decided on the horizons
+    before it; one stopped at k = 1 has none, and its outcome is a
+    NumericOverflowError naming T.  Otherwise its outcome is its first
+    feasible certificate: C computed on, and nudged until its margin passes
+    on, the bundle of that horizon, which the certificate carries.  An
+    infeasible certificate, at the last horizon reached, stands when every
+    horizon reached carried a norm-preserving kernel (a structural proof
+    that no (C, delta<1) works there); else SearchExhausted(exhausted).
     """
     P = periods.size
     best = np.full(P, np.inf)
@@ -481,9 +474,13 @@ def _search(horizons, periods: np.ndarray, mode: str, N_max: int, delta: float,
     last_T, last_h = np.zeros(P), np.zeros(P)
     found = {}
     rows, keep = np.arange(P), None
-    for _ in range(N_max):
-        ok, s = horizons.send(keep)
-        acc = np.flatnonzero((ok & s.finite_transition()) if s is not None else ok)
+    for k in range(1, N_max + 1):
+        R, G = horizons.send(keep)
+        G, w, V, ok = _decompose(G, G.ndim == 2)
+        with np.errstate(over="ignore"):  # a k T past the float range fails its transition
+            h = k * periods[rows] if mode == "continuous" else np.full(rows.size, float(k))
+        s = _Stack(mode, h if mode == "continuous" else periods[rows], h, R, G, w, V)
+        acc = np.flatnonzero(ok & s.finite_transition())
         if not acc.size:
             break
         s = s.take(acc)
@@ -521,7 +518,7 @@ def _search(horizons, periods: np.ndarray, mode: str, N_max: int, delta: float,
             keep = np.delete(acc, passed)
         best[r] = np.where(point < best[r], point, best[r])
         rows = rows[keep]
-        del s  # before the next horizon is built
+        del s, R, G, w, V  # before the next horizon is built
         if not rows.size:
             break
     return [found[p] if p in found
@@ -544,68 +541,49 @@ def _check_search(N_max: int, delta_target: float) -> None:
         raise ValueError("delta_target must lie in (0, 1)")
 
 
-def _discrete_horizons(sys: ContinuousSystem | SpectralSystem, periods: np.ndarray):
-    """Stacked discrete bundles of horizons k T, k = 1, 2, ..., over periods, for _search.
-
-    A non-finite sampled pair fails its period's first horizon: a non-finite
-    Phi fails _Stack.finite_transition, and a non-finite D the bundle's ok.
-    """
-    Phi, D = sample_periods(sys, periods)
-    per_mode = Phi.ndim == 2
-    walk = _walk(Phi, D)
-    R, G = next(walk)
-    T = periods
-    for k in count(1):
-        G, w, V, ok = _decompose(G, per_mode)
-        keep = yield ok, _Stack("discrete", T, np.full(T.size, float(k)), R, G, w, V)
-        if keep is not None:
-            T = T[keep]
-        R, G = walk.send(keep)
-
-
 def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
-    """Continuous bundles of horizons k T, k = 1, 2, ..., as one-period stacks for _search.
+    """Raw (R, G) of the continuous horizons k T, k = 1, 2, ..., as one-period stacks.
 
     Each is built as continuous_gramian says: one first step (linsys._van_loan,
     of order n) and s doublings.  A dense horizon 2k T, k a power of two,
     instead continues the raw (G, E) of k T by one doubling when
     max(||A||_1, ||A||_inf) k T >= 1/2: a fresh build then makes s + 1
-    doublings from the same step h, so the bits agree.  An overflowing bundle
-    or horizon k T yields a failed horizon and stops the horizons.
+    doublings from the same step h, so the bits agree.  A horizon k T past
+    the float range yields NaN for R and G, one whose semigroup overflows NaN
+    for R; an overflowing G is yielded as it comes out.
     """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T_h must be finite and > 0")
     spectral = isinstance(sys, SpectralSystem)
+    nan = np.full((sys.state_dim,) * (1 if spectral else 2), np.nan)
     pair = None  # the raw (G, E) of the last power-of-two horizon, if one doubling continues it
     for k in count(1):
         T_h, power = k * T, k & (k - 1) == 0
-        if k == 1 and not (math.isfinite(T_h) and T_h > 0):
-            raise ValueError("T_h must be finite and > 0")
+        if not math.isfinite(T_h):
+            yield nan[None], nan[None]
+            continue
         try:
-            if not math.isfinite(T_h):
-                raise NumericOverflowError("horizon k T overflows")
             R = semigroup(sys, T_h)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if spectral:
-                    G = sys.control_mask ** 2 * _phi1(2.0 * sys.symbol_values.real, T_h).real
-                else:
-                    A, B = sys.A, sys.B
-                    x = max(np.linalg.norm(A, 1), np.linalg.norm(A, np.inf)) * T_h
-                    s = max(math.frexp(x)[1], 0)
-                    if power and pair is not None:
-                        (G, E), steps = pair, 1
-                    else:  # F = exp(-Ah) G(h)
-                        h = math.ldexp(T_h, -s)
-                        E, F = _van_loan(h * A, h * (B @ B.conj().T))
-                        G, steps = E @ F, s
-                    for _ in range(steps):
-                        G, E = G + E @ G @ E.conj().T, E @ E
-                    if power:
-                        pair = (G, E) if max(math.frexp(2.0 * x)[1], 0) == s + 1 else None
-            G, w, V = _decompose_one(G, spectral, "continuous")
         except NumericOverflowError:
-            yield np.zeros(1, dtype=bool), None
-            return
-        yield np.ones(1, dtype=bool), _Stack("continuous", np.array([T_h]), np.array([T_h]),
-                                             R[None], G, w, V)
+            R = nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spectral:
+                G = sys.control_mask ** 2 * _phi1(2.0 * sys.symbol_values.real, T_h).real
+            else:
+                A, B = sys.A, sys.B
+                x = max(np.linalg.norm(A, 1), np.linalg.norm(A, np.inf)) * T_h
+                s = max(math.frexp(x)[1], 0)
+                if power and pair is not None:
+                    (G, E), steps = pair, 1
+                else:  # F = exp(-Ah) G(h)
+                    h = math.ldexp(T_h, -s)
+                    E, F = _van_loan(h * A, h * (B @ B.conj().T))
+                    G, steps = E @ F, s
+                for _ in range(steps):
+                    G, E = G + E @ G @ E.conj().T, E @ E
+                if power:
+                    pair = (G, E) if max(math.frexp(2.0 * x)[1], 0) == s + 1 else None
+        yield R[None], G[None]
 
 
 def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
@@ -631,7 +609,7 @@ def sweep_dc(sys: ContinuousSystem | SpectralSystem, periods, N_max: int = 16,
     exhausted = (f"no feasible (N, C) with N <= {N_max} at delta = {delta_target}; "
                  "infeasibility not proven")
     return chain.from_iterable(
-        _search(_discrete_horizons(sys, Ts), Ts, "discrete", N_max, delta_target, exhausted)
+        _search(_walk(*sample_periods(sys, Ts)), Ts, "discrete", N_max, delta_target, exhausted)
         for Ts in chunks)
 
 

@@ -662,16 +662,18 @@ class TestSynthesize:
 
         O(n^2) lists of K, F and the closed loop took 525 MiB at n = 1024, so
         the child's address space is capped 512 MiB above its size after import.
+        The peak is the child's own VmHWM: on Linux its ru_maxrss carries the
+        spawning process's peak across exec.
         """
         argv = ["synthesize", "--example", "frac-heat", "--modes", str(modes), "--T", "1",
                 "--out", str(out)]
         code = ("import resource; from sampstab.cli import main\n"
-                "vm = next(int(line.split()[1]) for line in open('/proc/self/status') "
-                "if line.startswith('VmSize:'))\n"
-                "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (512 << 20), "
+                "kib = lambda key: next(int(line.split()[1]) for line in "
+                "open('/proc/self/status') if line.startswith(key))\n"
+                "resource.setrlimit(resource.RLIMIT_AS, ((kib('VmSize:') << 10) + (512 << 20), "
                 "resource.RLIM_INFINITY))\n"
                 f"assert main({argv!r}) == 0\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+                "print(kib('VmHWM:'))")
         return int(fresh_stdout(code)[-1])
 
     def test_report_bytes_are_linear_in_the_modes(self, tmp_path):

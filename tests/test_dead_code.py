@@ -5,7 +5,8 @@ used by a test module or another helper, every fixture is a test's parameter.
 No stale names either: every private name that a src docstring or comment
 names, and every module._name in README.md, is defined in src.  A deletion
 that leaves a helper, an oracle, a constant, an import or a mention behind
-fails here."""
+fails here.  Only the search and the GramianBundle constructor decompose a
+Gramian."""
 
 import ast
 import io
@@ -164,3 +165,23 @@ def test_every_named_private_name_is_defined():
              for entry in _stale(text, module, anywhere, qualified_only=False)]
     readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
     assert stale + _stale(readme, "README.md", anywhere, qualified_only=True) == []
+
+
+def _call_sites(node, callee: str, scope: str) -> list[str]:
+    """The qualified name of the def or class around each call of callee under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        func = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and getattr(func, "id", getattr(func, "attr", "")) == callee:
+            out.append(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        out += _call_sites(child, callee, f"{scope}.{child.name}" if named else scope)
+    return out
+
+
+def test_gramians_are_decomposed_in_two_places():
+    # Horizon sources yield raw (R, G): _search decomposes a stacked horizon,
+    # the GramianBundle constructor a one-period bundle, and nothing else does.
+    sites = [site for module, tree in MODULES.items()
+             for site in _call_sites(tree, "_decompose", module.removesuffix(".py"))]
+    assert sorted(sites) == ["obscheck.GramianBundle.__post_init__", "obscheck._search"]

@@ -83,10 +83,11 @@ class TestRiccatiSolve:
                 assert np.linalg.norm(sol.K - P, 2) <= 1e-12 * np.linalg.norm(P, 2)
 
     def test_parameter_validation(self):
-        # Checked for a diagonal pair too, whose closed form uses neither.
+        # Checked for a diagonal pair too, whose closed form does not use it.
+        # The stop rule is DEFAULT_TOL; there is no tolerance parameter.
         for pair in (scalar_pair(1.0, 1.0), st.SampledSystem([1.0], [1.0], 1.0)):
-            with pytest.raises(ValueError):
-                st.riccati_solve(pair, tol=0.0)
+            with pytest.raises(TypeError, match="tol"):
+                st.riccati_solve(pair, tol=1e-12)
             with pytest.raises(ValueError):
                 st.riccati_solve(pair, max_iter=0)
 

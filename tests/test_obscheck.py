@@ -30,6 +30,15 @@ def scalar_system(a, b):
     return st.ContinuousSystem([[a]], [[b]])
 
 
+def assert_same_bundle(g, public):
+    """g and public are the same bundle, bit for bit."""
+    assert (g.mode, g.T, g.horizon) == (public.mode, public.T, public.horizon)
+    assert np.array_equal(g.R, public.R) and np.array_equal(g.G, public.G)
+    assert np.array_equal(g.eigenvalues, public.eigenvalues)
+    assert (g.eigenvectors is public.eigenvectors is None
+            or np.array_equal(g.eigenvectors, public.eigenvectors))
+
+
 class TestDiscreteGramian:
     def test_scalar_integrator(self):
         g = st.discrete_gramian(scalar_system(0.0, 1.0), 1.0, 3)
@@ -105,6 +114,15 @@ class TestRefusals:
         for R, G in ((np.eye(2), np.diag([1.0, -0.5])), (np.ones(2), np.array([1.0, -0.5]))):
             with pytest.raises(st.NumericOverflowError, match="significantly negative"):
                 st.GramianBundle(R, G, "discrete", 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_bundle(self, bad):
+        # Refused in the transition as in the Gramian, dense and per mode.
+        for shape in ((1, 1), (1,)):
+            for R, G in ((np.full(shape, bad), np.ones(shape)),
+                         (np.ones(shape), np.full(shape, bad))):
+                with pytest.raises(st.NumericOverflowError, match="continuous bundle has non-fin"):
+                    st.GramianBundle(R, G, "continuous", 1.0, 1.0)
 
     @pytest.mark.parametrize("fields,match", [
         ({"delta": 1.0}, "delta in"), ({"delta": 0.0}, "delta in"), ({"C": -1.0}, "C >= 0"),
@@ -337,7 +355,8 @@ class TestHorizonWalk:
             assert np.linalg.norm(G - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
     def test_public_gramians_are_the_walk(self):
-        # Each is its period's slice of the walk stacked over a grid.
+        # Each is its period's slice of the walk stacked over a grid, and a
+        # sweep's certificate carries that bundle, eigenvectors and all.
         periods = [0.4, 1.3, 0.05]
         for sys in WALK_SYSTEMS.values():
             walk = obscheck._walk(*st.sample_periods(sys, periods))
@@ -347,6 +366,8 @@ class TestHorizonWalk:
                     G_p = G[p] if G.ndim == 2 else 0.5 * (G[p] + G[p].conj().T)
                     assert np.array_equal(g.R, R[p]) and np.array_equal(g.G, G_p)
                     assert (g.T, g.horizon) == (T, float(N))
+            for T, cert in zip(periods, st.sweep_dc(sys, periods)):
+                assert_same_bundle(cert.bundle, st.discrete_gramian(sys, T, int(cert.N)))
 
     @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
     def test_first_step_is_the_sampled_pair(self, name, monkeypatch):
@@ -660,14 +681,16 @@ class TestSweep:
                                           st.ObservabilityCertificate]
         assert str(got[1]) == ("the first discrete horizon at T = 2.5 has non-finite entries "
                                "or an indefinite Gramian")
-        with pytest.raises(st.NumericOverflowError, match="sampled pair"):
+        with pytest.raises(st.NumericOverflowError) as err:
             st.discrete_gramian(sys, 2.5, 1)
+        assert str(err.value) == ("discrete bundle has non-finite entries or a significantly "
+                                  "negative eigenvalue")
         with pytest.raises(st.NumericOverflowError) as err:
             st.decide_dc(sys, 2.5)
         assert str(err.value) == str(got[1])
         # |D|^2 overflows the first Gramian at T = 0.5; the pair itself at T = 2.5.
         huge = st.ContinuousSystem([[300.0]], [[1e140]])
-        with pytest.raises(st.NumericOverflowError, match="discrete Gramian has non-finite"):
+        with pytest.raises(st.NumericOverflowError, match="^discrete bundle has non-finite"):
             st.discrete_gramian(huge, 0.5, 1)
         for grid in ([0.01, 0.5, 2.5], [0.01, 2.5, 0.5]):
             got = swept(huge, grid, 16, 0.9)
@@ -829,16 +852,19 @@ class TestPowerOfTwoHorizons:
     @given(name=hs.sampled_from(sorted(CC_SYSTEMS)), frac=hs.floats(0.0, 1.0),
            N_max=hs.integers(1, 8), delta=hs.sampled_from([0.3, 0.5, 0.9]))
     def test_every_horizon_is_the_one_shot_gramian(self, name, frac, N_max, delta):
+        # The source yields raw one-period stacks; decomposed as the search
+        # decomposes them, each is the one-shot bundle, or fails where it is refused.
         sys, lo, hi = CC_SYSTEMS[name]
         T = lo + frac * (hi - lo)
-        for k, (ok, s) in enumerate(islice(obscheck._continuous_horizons(sys, T), N_max), 1):
+        for k, (R, G) in enumerate(islice(obscheck._continuous_horizons(sys, T), N_max), 1):
+            G, w, V, ok = obscheck._decompose(G, G.ndim == 2)
             try:
                 g = st.continuous_gramian(sys, k * T)
             except st.NumericOverflowError:
-                assert not ok[0] and s is None
+                assert not (ok[0] and np.isfinite(R).all())
                 break
-            assert ok[0] and np.array_equal(s.G[0], g.G) and np.array_equal(s.R[0], g.R)
-            assert np.array_equal(s.w[0], g.eigenvalues)
+            assert ok[0] and np.array_equal(G[0], g.G) and np.array_equal(R[0], g.R)
+            assert np.array_equal(w[0], g.eigenvalues) and np.array_equal(V[0], g.eigenvectors)
         assert outcome_fields(_decided(sys, T, N_max, "continuous", delta)[1]) == (
             outcome_fields(decide_cc_oracle(sys, T, N_max, delta)))
 
@@ -861,6 +887,17 @@ class TestPowerOfTwoHorizons:
         assert cert.N == 3.0 and steps == [128, 128]
         assert orders == [128] * 3  # R = semigroup(sys, k T) at each horizon, nothing of order 2n
         assert outcome_fields(cert) == outcome_fields(decide_cc_oracle(sys, 1.0))
+
+    def test_certificate_at_a_continued_horizon_carries_the_one_shot_bundle(self, monkeypatch):
+        # Certified at 2 T, which continues the doubling of T (||A||_1 T >= 1/2):
+        # the search builds one first step, and its bundle is continuous_gramian's.
+        sys = CC_SYSTEMS["mixed-4"][0]
+        steps = []
+        monkeypatch.setattr(obscheck, "_van_loan",
+                            lambda X, Y, step=obscheck._van_loan: steps.append(1) or step(X, Y))
+        cert = st.decide_cc(sys, 0.3, delta_target=0.5)
+        assert cert.N == 2 * 0.3 and steps == [1]
+        assert_same_bundle(cert.bundle, st.continuous_gramian(sys, cert.N))
 
 
 class TestBruteForceAgreement:
