@@ -11,7 +11,8 @@ from .benchmarks import (CounterexampleWitness, ThickSetSpec, det_lambda,
                          fractional_heat, harmonic_oscillator, is_thick,
                          schrodinger, schrodinger_witness, witness_band)
 from .closedloop import (Trajectory, fit_decay, simulate_cc, simulate_cp,
-                         simulate_dc, simulate_dp, trajectory_to_csv)
+                         simulate_dc, simulate_dp, trajectory_table,
+                         trajectory_to_csv)
 from .errors import (GridTooCoarse, NumericOverflowError,
                      RiccatiDivergenceError, SampstabError, SearchExhausted,
                      SpectralRadiusError)
@@ -38,7 +39,7 @@ __all__ = [
     "RiccatiSolution", "FeedbackGain", "riccati_solve", "dp_value_iterate",
     "feedback_gain", "lq_optimal_cost", "closed_loop_cost",
     "Trajectory", "simulate_cc", "simulate_dc", "simulate_dp", "simulate_cp",
-    "fit_decay", "trajectory_to_csv",
+    "fit_decay", "trajectory_table", "trajectory_to_csv",
     "harmonic_oscillator", "det_lambda", "fractional_heat", "schrodinger",
     "schrodinger_witness", "witness_band", "ThickSetSpec", "CounterexampleWitness",
     "is_thick",

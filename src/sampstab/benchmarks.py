@@ -177,8 +177,7 @@ class CounterexampleWitness:
     def __post_init__(self):
         if not (0 < self.eta < 2 * math.pi):
             raise ValueError("eta must lie in (0, 2 pi)")
-        w = _trapezoid_weights(self.grid)
-        norm = math.sqrt(float(np.sum(w * np.abs(self.phi) ** 2)))
+        norm = self.norm()
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"witness state norm {norm} differs from 1 beyond 1e-12")
         if self.observed > self.bound + 1e-10:

@@ -36,8 +36,9 @@ EXIT_NUMERIC = 4
 # spectral system) and gives each array's file, shape, dtype and SHA-256 in its place;
 # 4 reports analyze's cross-check as an exact margin and its rounding tolerance; 5 drops
 # the top-level seed, which only analyze's config holds; 6 drops best_horizon from a
-# search-exhausted entry and synthesize's tol, and gives sweep numeric-failure rows.
-REPORT_SCHEMA = 6
+# search-exhausted entry and synthesize's tol, and gives sweep numeric-failure rows;
+# 7 saves simulate's trajectory table as trajectory.npy and gives its descriptor.
+REPORT_SCHEMA = 7
 
 # The built-in systems, by name, from the spectral options.
 _EXAMPLES = {
@@ -238,7 +239,7 @@ def cmd_simulate(args) -> int:
             f"{args.loop} loop is not stable: its one-period map has spectral radius "
             f"{radius:.6g} >= 1 under the sampled LQ gain")
     rate = -math.log(radius) / args.T if radius > 0 else math.inf
-    # The trajectory keeps its norms: the fit, the CSV and the ratio share one computation.
+    # The trajectory keeps its norms: the fit, the CSV, the table and the ratio share them.
     omega, c = closedloop.fit_decay(traj)
 
     closedloop.trajectory_to_csv(traj, _out_path(args, "trajectory.csv"), header={
@@ -248,11 +249,13 @@ def cmd_simulate(args) -> int:
         "omega": omega,
         "c": c,
     })
+    save = _array_saver(args)
     norms = traj.norms()
     results = {
         "loop": args.loop,
         "riccati": {"iterations": sol.iterations, "residual": sol.residual},
-        "gain": gain.to_json(_array_saver(args)),
+        "gain": gain.to_json(save),
+        "trajectory": save("trajectory", closedloop.trajectory_table(traj)),
         "decay": {"omega": omega, "c": c},
         "loop_radius": radius,
         "loop_rate": rate,
@@ -318,14 +321,15 @@ def cmd_witness(args) -> int:
     _, lo, hi = benchmarks.witness_band(args.T, args.N, args.epsilon)
     grid = _witness_grid(lo, hi, args.support_points)
     wit = benchmarks.schrodinger_witness(args.T, args.N, args.epsilon, grid)
+    norm = wit.norm()
     results = {
         "witness": wit.to_json(),
-        "state_norm": wit.norm(),
+        "state_norm": norm,
         "input_operator": "-i * identity (unit-modulus factor absorbed by the mask)",
     }
     _write_report(args, results)
     print(f"witness: observed {wit.observed:.3g} <= bound {wit.bound:.3g} "
-          f"<= epsilon {args.epsilon:g}; ||phi|| = {wit.norm():.12f}")
+          f"<= epsilon {args.epsilon:g}; ||phi|| = {norm:.12f}")
     return EXIT_OK
 
 

@@ -33,11 +33,14 @@ diagonal pair) stays diagonal: every map is a row of per-mode factors, 2n
 wide for state and control, with A = diag(lambda), B = diag(b), mu = lambda + b f
 and tau = j h.  cc and dp are exp(mu tau); dc is the per-mode sampled pair,
 exp(lambda tau) + b phi1(lambda, tau) f; cp is the same RK4 on the 1-D factors.
+
+trajectory_table lays a trajectory out as one float table, which the
+command line saves bit-exact as trajectory.npy; trajectory_to_csv writes
+its decay curve, t and ||y|| per grid time, as text that reads back exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -58,6 +61,7 @@ __all__ = [
     "simulate_dp",
     "simulate_cp",
     "fit_decay",
+    "trajectory_table",
     "trajectory_to_csv",
 ]
 
@@ -316,194 +320,27 @@ def system_hash(sys: ContinuousSystem | SpectralSystem) -> str:
     return digest.hexdigest()[:12]
 
 
+def trajectory_table(traj: Trajectory) -> np.ndarray:
+    """The trajectory as one float table, a row per grid time: t, ||y||, then
+    Re/Im of each state component and of each control component."""
+    # Viewing complex as float interleaves Re/Im, matching the column order.
+    return np.column_stack([traj.times, traj.norms(),
+                            np.ascontiguousarray(traj.states).view(float),
+                            np.ascontiguousarray(traj.controls).view(float)])
+
+
 def trajectory_to_csv(traj: Trajectory, path, header: dict | None = None) -> None:
-    """CSV export: t, ||y||, Re/Im of each state and control component.
+    """CSV export of the decay curve: one t,norm_y row per grid time.
 
     A JSON header line (prefixed '#') records the header's metadata, with
-    sorted keys, a schema number and non-finite floats as null.  Cells are
-    "%.16g", the bytes np.savetxt writes, formatted by the _csv_rows kernel
-    (exact: a cell it cannot certify is formatted by Python).  The header,
-    the column line and the rows go through one binary handle.
+    sorted keys, a schema number and non-finite floats as null.  Each cell is
+    repr(float), the shortest text that reads back to the same double.  The
+    full table is trajectory_table's, which simulate saves as .npy.
     """
     meta = dict(header or {})
-    meta.setdefault("schema", 1)
-    n = traj.states.shape[1]
-    m = traj.controls.shape[1]
-    cols = ["t", "norm_y"]
-    cols += [f"y{i}_{p}" for i in range(n) for p in ("re", "im")]
-    cols += [f"u{j}_{p}" for j in range(m) for p in ("re", "im")]
-    # Viewing complex as float interleaves Re/Im, matching the column order.
-    table = np.column_stack([traj.times, traj.norms(),
-                             np.ascontiguousarray(traj.states).view(float),
-                             np.ascontiguousarray(traj.controls).view(float)])
-    head = "# " + json.dumps(nulled(meta), sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "wb") as fh:
-        fh.write((head + ",".join(cols) + "\n").encode("ascii"))
-        fh.writelines(_csv_rows(table))
-
-
-# Cells per kernel chunk: its temporaries and its 32-byte cell rows stay near 1 MB.
-_CHUNK = 1 << 13
-# Exponents E = floor(log10 |x|) of finite non-zero doubles, subnormals included.
-_E_LO, _E_HI = -324, 308
-# Bound on |y' - y| / y' for y' = |x| * 10^(15 - E) computed in long double from
-# the correctly rounded power: two roundings of half an ulp each, doubled as margin.
-_ERR = 2 * float(np.finfo(np.longdouble).eps)
-# A cell whose log10 is this close to an integer (E may be off by one, and y
-# near 10^15 or 10^16) takes the exact fallback.
-_DECADE = 1e-12
-_LE64 = np.dtype("<u8")
-
-
-def _ratio_bits(p: int, q: int, bits: int) -> tuple[int, int]:
-    """(m, e) with m * 2^e the p/q > 0 rounded to nearest, m at most 2^bits.
-
-    Ties are not handled: a power of ten is never halfway between two floats
-    (10^k is exact for 5^k below 2^bits, and a tie needs an odd part that
-    short; 10^-k is not dyadic)."""
-    e = p.bit_length() - q.bit_length() - bits
-    m, r = divmod(p << max(-e, 0), q << max(e, 0))
-    if m >> bits:
-        e += 1
-        m, r = divmod(p << max(-e, 0), q << max(e, 0))
-    return m + (2 * r > q << max(e, 0)), e
-
-
-def _word(s: bytes) -> int:
-    """The little-endian 64-bit word holding up to 8 bytes, NUL-padded."""
-    return int.from_bytes(s.ljust(8, b"\0"), "little")
-
-
-@functools.cache
-def _tables():
-    """The kernel's read-only tables, built on first use.
-
-    pow10[E - _E_LO] is 10^(15 - E) correctly rounded to long double.  A cell
-    is written into four little-endian words, whose NUL bytes are dropped:
-    the sign byte then prefix[E - _E_LO] ("0." and zeros for E = -1..-4), the
-    16-digit mantissa in words 1-3, the exponent suffix[E - _E_LO] after the
-    mantissa's 17th byte, and the separator in the last byte.  For the
-    mantissa's three words, low[i][k] keeps its first k bytes, high[i][q] its
-    bytes past q, and dot[i][q] is "." at byte q.
-    """
-    bits = np.finfo(np.longdouble).nmant + 1
-    pow10 = np.empty(_E_HI - _E_LO + 1, dtype=np.longdouble)
-    with np.errstate(over="ignore"):  # a long double as narrow as a double
-        for i, k in enumerate(range(15 - _E_LO, 15 - _E_HI - 1, -1)):
-            m, e = _ratio_bits(10 ** max(k, 0), 10 ** max(-k, 0), bits)
-            pow10[i] = np.ldexp(np.longdouble(m >> 32) * 2 ** 32 + (m & 0xFFFFFFFF), e)
-
-    def mantissa(byte_string, count):
-        return np.array([[_word(byte_string(k)[8 * i:8 * i + 8]) for k in range(count)]
-                         for i in range(3)], dtype=np.uint64)
-
-    exponents = range(_E_LO, _E_HI + 1)
-    tables = (
-        pow10,
-        mantissa(lambda k: b"\xff" * k, 25),
-        ~mantissa(lambda q: b"\xff" * (q + 1), 25),
-        mantissa(lambda q: b"\0" * q + b".", 25),
-        np.array([_word(b"\0" + (b"0." + b"0" * (-E - 1) if -4 <= E < 0 else b""))
-                  for E in exponents], dtype=np.uint64),
-        np.array([_word(b"\0" + (b"" if -4 <= E < 16 else b"e%+03d" % E))
-                  for E in exponents], dtype=np.uint64),
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _ascii8(n: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each n < 10^8 as byte values 0..9, the most
-    significant in the lowest byte (SWAR: 4-, 2-, then 1-digit lanes)."""
-    u = np.uint64
-    v = (n * u(109951163)) >> u(40)  # n // 10^4, exact for n < 10^8
-    v |= (n - v * u(10000)) << u(32)
-    t = (v * u(10486)) >> u(20) & u(0x0000007F0000007F)  # lane // 100
-    v = t | (v - t * u(100)) << u(16)
-    t = (v * u(103)) >> u(10) & u(0x000F000F000F000F)  # lane // 10
-    return t | (v - t * u(10)) << u(8)
-
-
-def _used_bytes(r: np.ndarray) -> np.ndarray:
-    """Bytes up to the highest non-zero one of each digit word: a digit byte is
-    below 16, so the float conversion cannot round its bit length past the byte."""
-    return (np.frexp(r.astype(float))[1] + 7) // 8
-
-
-def _exact_cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
-    """'%.16g' % x and its separator, per cell, as NUL-padded 32-byte rows."""
-    cells = [b"%.16g%c" % pair for pair in zip(x.tolist(), sep.tolist())]
-    return np.array(cells, dtype="S32").view(np.uint8).reshape(-1, 32)
-
-
-# A long double as narrow as a double rounds the largest powers to inf: y - r
-# is then nan, which fails the half-integer test and takes the fallback.
-@np.errstate(invalid="ignore")
-def _chunk_bytes(x: np.ndarray, sep: np.ndarray, words: np.ndarray) -> bytes:
-    """The cells x, each followed by its separator byte, as "%.16g" text.
-
-    A finite non-zero |x| = D 10^(E - 15), with D = rint(y) for y = |x|
-    10^(15 - E) in long double: unless y lies within _ERR y of a half-integer
-    or log10 |x| within _DECADE of an integer, D is the correctly rounded
-    16-digit mantissa.  Those cells and the non-finite ones take _exact_cells.
-    words is the (len(x), 4) little-endian scratch the rows are built in.
-    """
-    pow10, low, high, dot, prefix, suffix = _tables()
-    u = np.uint64
-    a = np.abs(x)
-    zero = a == 0
-    i = np.flatnonzero(~zero & (a <= np.finfo(float).max))
-    v = a[i]
-    f = np.log10(v)
-    Ef = np.floor(f)
-    k = Ef.astype(np.intp) - _E_LO
-    y = v.astype(np.longdouble) * pow10[k]
-    r = np.rint(y)
-    exact = ((np.abs(f - Ef - 0.5) < 0.5 - _DECADE)
-             & (np.abs((y - r).astype(float)) < 0.5 - _ERR * y.astype(float)))
-    D = r.astype(u)
-    hi = D // u(10 ** 8)
-    r0, r1 = _ascii8(hi), _ascii8(D - hi * u(10 ** 8))
-    nsig = np.where(r1 != 0, 8 + _used_bytes(r1), _used_bytes(r0))
-    # %g: fixed for -4 <= E < 16, else d.ddd e+XX; trailing zeros and a bare
-    # "." dropped.  nd digits are written, with "." at byte q (24: none).
-    E = k + _E_LO
-    whole = (E >= 0) & (E < 16)
-    nd = np.where(whole, np.maximum(nsig, E + 1), nsig)
-    q = np.where(whole, E + 1, 1)
-    q[(nsig <= q) | ((E < 0) & (E >= -4))] = 24
-    m0 = (r0 | u(0x3030303030303030)) & low[0][nd]
-    m1 = (r1 | u(0x3030303030303030)) & low[1][nd]
-    sign = np.signbit(x).astype(u) * u(ord("-"))
-    last = sep.astype(u) << u(56)
-    rows = np.empty((i.size, 4), _LE64)
-    rows[:, 0] = prefix[k] | sign[i]
-    rows[:, 1] = m0 & low[0][q] | (m0 << u(8)) & high[0][q] | dot[0][q]
-    rows[:, 2] = m1 & low[1][q] | (m1 << u(8) | m0 >> u(56)) & high[1][q] | dot[1][q]
-    rows[:, 3] = (m1 >> u(56)) & high[2][q] | suffix[k] | last[i]
-    words[:, 0] = sign | u(ord("0") << 8)  # +-0; every other row is overwritten
-    words[:, 1:3] = 0
-    words[:, 3] = last
-    np.put(words.view("V32").reshape(-1), i, rows.view("V32").reshape(-1))
-    cells = words.view(np.uint8)
-    fallback = ~np.isfinite(x)
-    fallback[i[~exact]] = True
-    fallback = np.flatnonzero(fallback)
-    if fallback.size:
-        cells[fallback] = _exact_cells(x[fallback], sep[fallback])
-    return cells[cells != 0].tobytes()
-
-
-def _csv_rows(table: np.ndarray):
-    """The rows of a 2-D float table as CSV bytes: each cell exactly
-    '%.16g' % x, joined by "," and ended by a newline.  Yields one bytes object per
-    chunk of at most _CHUNK cells, so the text is never held whole."""
-    flat = np.ascontiguousarray(table, dtype=float).reshape(-1)
-    cols = table.shape[1]
-    words = np.empty((min(flat.size, _CHUNK), 4), _LE64)
-    for start in range(0, flat.size, _CHUNK):
-        x = flat[start:start + _CHUNK]
-        ends = np.arange(start, start + x.size) % cols == cols - 1
-        sep = np.where(ends, ord("\n"), ord(",")).astype(np.uint8)
-        yield _chunk_bytes(x, sep, words[:x.size])
+    meta.setdefault("schema", 2)
+    head = "# " + json.dumps(nulled(meta), sort_keys=True, allow_nan=False) + "\nt,norm_y\n"
+    rows = (f"{t!r},{y!r}\n" for t, y in zip(traj.times.tolist(), traj.norms().tolist()))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(head)
+        fh.writelines(rows)

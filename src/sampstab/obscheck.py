@@ -555,17 +555,18 @@ def _continuous_horizons(sys: ContinuousSystem | SpectralSystem, T: float):
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T_h must be finite and > 0")
     spectral = isinstance(sys, SpectralSystem)
-    nan = np.full((sys.state_dim,) * (1 if spectral else 2), np.nan)
+    shape = (sys.state_dim,) * (1 if spectral else 2)
     pair = None  # the raw (G, E) of the last power-of-two horizon, if one doubling continues it
     for k in count(1):
         T_h, power = k * T, k & (k - 1) == 0
-        if not math.isfinite(T_h):
-            yield nan[None], nan[None]
+        if not math.isfinite(T_h):  # stand-ins built only here: one of n^2 NaNs raises peak RSS
+            nan = np.full((1, *shape), np.nan)
+            yield nan, nan
             continue
         try:
             R = semigroup(sys, T_h)
         except NumericOverflowError:
-            R = nan
+            R = np.full(shape, np.nan)
         with np.errstate(over="ignore", invalid="ignore"):
             if spectral:
                 G = sys.control_mask ** 2 * _phi1(2.0 * sys.symbol_values.real, T_h).real

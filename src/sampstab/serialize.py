@@ -97,8 +97,13 @@ def save_array(a: np.ndarray, path: Path) -> dict:
     """Save a to the .npy file path; return its report descriptor.
 
     The descriptor names the file relative to the report and gives its shape,
-    dtype and the SHA-256 of its bytes.
+    dtype and the SHA-256 of its bytes, read back in blocks so that the file
+    is never held whole.
     """
     np.save(path, a, allow_pickle=False)
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
     return {"file": path.name, "shape": list(a.shape), "dtype": str(a.dtype),
-            "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            "sha256": digest.hexdigest()}

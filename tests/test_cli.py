@@ -26,8 +26,8 @@ from sampstab.benchmarks import _trapezoid_weights, _witness_observed
 from sampstab.cli import (EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_NUMERIC, EXIT_OK,
                           main)
 
-from conftest import (csv_bytes_oracle, decide_dc_oracle, random_mixed_system,
-                      random_stable_system, to_dense, witness_grid_padded)
+from conftest import (decide_dc_oracle, random_mixed_system, random_stable_system, to_dense,
+                      witness_grid_padded)
 
 
 def read_report(out_dir):
@@ -81,7 +81,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "(DC)_T: feasible" in out
         report = read_report(tmp_path)
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert sorted(report) == ["backend", "command", "config", "library_version",
                                   "results", "schema"]
         assert report["results"]["discrete"]["status"] == "feasible"
@@ -735,8 +735,13 @@ class TestSimulate:
         assert report["results"]["decay"]["omega"] > 0
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         meta = json.loads(lines[0].lstrip("# "))
-        assert meta["law"] == loop
-        assert lines[1].startswith("t,norm_y,y0_re")
+        assert meta["law"] == loop and meta["schema"] == 2
+        assert meta["omega"] == report["results"]["decay"]["omega"]
+        assert lines[1] == "t,norm_y"
+        assert len(lines) == 2 + 12 * 8 + 1
+        table = load_array(tmp_path, report["results"]["trajectory"])
+        assert report["results"]["trajectory"]["file"] == "trajectory.npy"
+        assert table.shape == (12 * 8 + 1, 2 + 2 * 2 + 2 * 1)
 
     @pytest.mark.parametrize("loop", ["dc", "cc", "dp", "cp"])
     def test_every_loop_rounds_the_horizon_up_to_whole_periods(self, tmp_path, loop):
@@ -771,8 +776,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("loop", ["dc", "dp", "cp", "cc"])
     @pytest.mark.parametrize("system", ["frac-heat", "dense"])
-    def test_trajectory_rows_are_the_old_writers_bytes(self, tmp_path, monkeypatch, loop,
-                                                       system):
+    def test_trajectory_files_are_the_runs_values(self, tmp_path, monkeypatch, loop, system):
         written = []
         write = closedloop.trajectory_to_csv
 
@@ -791,10 +795,13 @@ class TestSimulate:
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         traj, = written
-        table = np.column_stack([traj.times, traj.norms(), traj.states.view(float),
-                                 traj.controls.view(float)])
-        rows = (tmp_path / "trajectory.csv").read_bytes().split(b"\n", 2)[2]
-        assert rows == csv_bytes_oracle(table)
+        # Every CSV cell reads back to its time and norm, bit for bit.
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
+        cells = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert cells[:, 0].tobytes() == traj.times.tobytes()
+        assert cells[:, 1].tobytes() == traj.norms().tobytes()
+        table = load_array(tmp_path, read_report(tmp_path)["results"]["trajectory"])
+        assert table.tobytes() == st.trajectory_table(traj).tobytes()
 
     @pytest.mark.parametrize("loop", ["dc", "dp", "cp", "cc"])
     def test_report_carries_the_loop_radius_and_rate(self, tmp_path, loop):
@@ -818,10 +825,11 @@ class TestSimulate:
         assert code == EXIT_NUMERIC
         assert len(err) == 1 and "spectral radius" in err[0] and ">= 1" in err[0]
         assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "trajectory.npy").exists()
         assert not (tmp_path / "report.json").exists()
 
     def test_norms_are_computed_once(self, tmp_path, monkeypatch):
-        # The decay fit, the CSV's norm column and the final ratio share one array.
+        # The decay fit, the CSV, the table's norm column and the final ratio share one array.
         seen = []
         norms = closedloop.Trajectory.norms
 
@@ -833,7 +841,7 @@ class TestSimulate:
         code = main(["simulate", "--example", "frac-heat", "--modes", "8", "--T", "1",
                      "--horizon", "4", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert len(seen) == 3 and all(x is seen[0] for x in seen)
+        assert len(seen) == 4 and all(x is seen[0] for x in seen)
 
     def test_spectral_system_pipeline(self, tmp_path):
         code = main(["simulate", "--example", "frac-heat", "--modes", "17",
@@ -852,7 +860,8 @@ class TestArrayFiles:
          st.fractional_heat(16, 1.5, 1.0, xi_max=4.0), {"K.npy", "F.npy", "closed_loop.npy"}),
         (["simulate", "--example", "frac-heat", "--modes", "16", "--T", "1", "--horizon", "4",
           "--loop", "dp"],
-         st.fractional_heat(16, 1.5, 1.0, xi_max=4.0), {"F.npy", "closed_loop.npy"}),
+         st.fractional_heat(16, 1.5, 1.0, xi_max=4.0),
+         {"F.npy", "closed_loop.npy", "trajectory.npy"}),
     ])
     def test_arrays_repeat_describe_themselves_and_are_the_solve(self, tmp_path, argv,
                                                                  system, files):
@@ -872,9 +881,13 @@ class TestArrayFiles:
         sol = st.riccati_solve(pair)
         gain = st.feedback_gain(sol, pair)
         want = {"K.npy": sol.K, "F.npy": gain.F, "closed_loop.npy": gain.closed_loop}
+        if argv[0] == "simulate":
+            n = system.state_dim
+            traj = st.simulate_dp(system, gain.F, 1.0, np.ones(n) / math.sqrt(n), 4.0, 16)
+            want["trajectory.npy"] = st.trajectory_table(traj)
         results = read_report(out)["results"]
         descriptors = [d for block in results.values() if isinstance(block, dict)
-                       for d in block.values() if isinstance(d, dict) and "sha256" in d]
+                       for d in (block, *block.values()) if isinstance(d, dict) and "sha256" in d]
         assert {d["file"] for d in descriptors} == files
         for d in descriptors:
             # A plain .npy, not a zip archive, whose entries would carry a timestamp.
@@ -1167,6 +1180,27 @@ def test_readme_statuses_are_the_entry_statuses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     [listed] = re.findall(r"has a `status` that is one of (.*?);", readme, flags=re.S)
     assert [cli._entry(o)["status"] for o in outcomes] == re.findall(r"`([a-z-]+)`", listed)
+
+
+def test_readme_outputs_are_the_files_the_subcommands_write(tmp_path):
+    # The README's Outputs paragraph names every file a subcommand writes,
+    # and no other; example's file is named after its system, <name>.json.
+    commands = ["analyze --example oscillator --T 1",
+                "synthesize --example frac-heat --modes 8 --T 1",
+                "simulate --example frac-heat --modes 8 --T 1 --horizon 2",
+                "sweep --example oscillator --sweep 1:2:0.5",
+                "witness --T 1 --support-points 32",
+                "example oscillator"]
+    written = set()
+    for i, command in enumerate(commands):
+        out = tmp_path / str(i)
+        assert run_quietly([*command.split(), "--out", str(out)]) == (EXIT_OK, [])
+        written |= {p.name.replace("oscillator.json", "<name>.json") for p in out.iterdir()}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [outputs] = re.findall(r"^Outputs: (.*?)\n\n", readme, flags=re.S | re.M)
+    named = set(re.findall(r"`([\w<>]+\.(?:json|csv|npy))`", outputs))
+    assert written == named == {"report.json", "sweep.csv", "<name>.json", "K.npy", "F.npy",
+                                "closed_loop.npy", "trajectory.npy", "trajectory.csv"}
 
 
 def test_a_reused_parser_writes_the_reports_of_fresh_ones(tmp_path):

@@ -1,11 +1,8 @@
 """Closed-loop simulators, the periodic feedback law, and decay fits."""
 
-import io
 import json
 import math
-import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +15,8 @@ import sampstab as st
 from sampstab import closedloop
 from sampstab.closedloop import system_hash
 
-from conftest import (cc_stepper, cp_stepper, csv_bytes_oracle, csv_rows_oracle,
-                      periodic_schedule, random_cc_stabilized, random_complex,
-                      random_stable_system, to_dense)
+from conftest import (cc_stepper, cp_stepper, periodic_schedule, random_cc_stabilized,
+                      random_complex, random_stable_system, to_dense)
 
 SCALAR = st.ContinuousSystem([[0.0]], [[1.0]])
 LOOPS = {"cc": st.simulate_cc, "dc": st.simulate_dc, "dp": st.simulate_dp, "cp": st.simulate_cp}
@@ -393,29 +389,46 @@ def test_norms_are_kept_read_only():
 
 
 class TestTrajectoryExport:
-    @pytest.mark.parametrize("case", ["real", "complex", "negative-zero"])
-    def test_rows_are_the_bytes_savetxt_writes(self, tmp_path, case):
-        heat = st.fractional_heat(6, 1.5, 1.0)
-        pair = st.sample(heat, 1.0)
-        F = st.feedback_gain(st.riccati_solve(pair), pair).F
-        traj = st.simulate_dp(heat, F, 1.0, np.ones(6), 3.0, 4)
-        if case == "complex":
+    @pytest.mark.parametrize("case", ["frac-heat", "schrodinger", "dense"])
+    def test_cells_read_back_bit_for_bit(self, tmp_path, case):
+        if case == "frac-heat":
+            heat = st.fractional_heat(64, 1.5, 1.0)
+            pair = st.sample(heat, 1.0)
+            F = st.feedback_gain(st.riccati_solve(pair), pair).F
+            traj = st.simulate_dc(heat, F, 1.0, np.ones(64) / 8, 40.0, 16)
+            # The decay curve that "%.16g" could not carry.
+            assert any(float("%.16g" % x) != x for x in traj.norms())
+        elif case == "schrodinger":
             traj = st.simulate_dc(st.schrodinger(5, 2.0), -0.4 * np.ones(5), 1.0,
                                   np.ones(5), 3.0, 4)
-        elif case == "negative-zero":
-            traj.states.imag[5, 2] = -0.0
+        else:
+            traj = st.simulate_cp(*random_cc_stabilized(2), 0.6, np.ones(3), 3.0, 7)
         path = tmp_path / "traj.csv"
         st.trajectory_to_csv(traj, path)
-        table = np.column_stack([traj.times, traj.norms(), traj.states.view(float),
-                                 traj.controls.view(float)])
-        if case == "real":
-            assert not table[:, 3::2].any()  # the all-zero columns are exercised
-        want = io.StringIO()
-        np.savetxt(want, table, fmt="%.16g", delimiter=",")
-        rows = path.read_text().split("\n", 2)[2]
-        assert rows == want.getvalue()
-        if case == "negative-zero":
-            assert rows.splitlines()[5].split(",")[2 + 2 * 2 + 1] == "-0"
+        lines = path.read_text().splitlines()
+        assert lines[1] == "t,norm_y"
+        cells = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+        assert cells.shape == (traj.times.size, 2)
+        assert cells[:, 0].tobytes() == traj.times.tobytes()
+        assert cells[:, 1].tobytes() == traj.norms().tobytes()
+
+    @pytest.mark.parametrize("loop", ["dc", "cp"])
+    @pytest.mark.parametrize("system", ["spectral", "dense"])
+    def test_table_columns_are_the_trajectorys(self, loop, system):
+        if system == "spectral":
+            sys, F = st.schrodinger(5, 2.0), -0.4 * np.ones(5)
+        else:
+            sys, F = random_cc_stabilized(1)
+        traj = LOOPS[loop](sys, F, 0.6, np.ones(sys.state_dim), 1.8, 4)
+        table = st.trajectory_table(traj)
+        n, m = traj.states.shape[1], traj.controls.shape[1]
+        assert table.dtype == float and table.flags.c_contiguous
+        assert table.shape == (traj.times.size, 2 + 2 * n + 2 * m)
+        want = [traj.times, traj.norms()]
+        want += [part[:, i] for i in range(n) for part in (traj.states.real, traj.states.imag)]
+        want += [part[:, j] for j in range(m)
+                 for part in (traj.controls.real, traj.controls.imag)]
+        assert table.T.tobytes() == np.array(want).tobytes()
 
     def test_spectral_hash_covers_the_per_mode_arrays(self):
         heat = st.fractional_heat(6, 1.5, 1.0)
@@ -434,137 +447,23 @@ class TestTrajectoryExport:
                                                  "T": 1.0, "omega": omega, "c": c})
         lines = path.read_text().splitlines()
         meta = json.loads(lines[0].lstrip("# "))
-        assert meta["law"] == "cc" and "omega" in meta
-        cols = lines[1].split(",")
-        assert cols == ["t", "norm_y", "y0_re", "y0_im", "y1_re", "y1_im", "u0_re", "u0_im"]
+        assert meta == {"system_hash": system_hash(osc), "law": "cc", "T": 1.0,
+                        "omega": omega, "c": c, "schema": 2}
+        assert lines[1] == "t,norm_y"
         assert len(lines) == 2 + len(traj.times)
-        first = [float(x) for x in lines[2].split(",")]
-        assert first[0] == 0.0 and abs(first[1] - 1.0) < 1e-15
+        assert lines[2] == "0.0,1.0"
 
-        # Edge values print exactly as the shortest-round-trip "%.16g" cell.
-        edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
-                         np.nan, 1.7976931348623157e308, 0.1, -1 / 3, 123456789.0])
-        states = np.zeros((2, 5), dtype=complex)
-        states.real[1], states.imag[1] = edge[0::2], edge[1::2]
-        controls = np.array([[0.0], [-2.5e-17 + 1e300j]])
-        odd = st.Trajectory([0.0, 1e-9], states, controls)
+        # Every cell is repr(float), non-finite norms and subnormals included.
+        states = np.array([[0.0, 0.0], [5e-324, 0.0], [1e300, 1e300j], [np.inf, 0.0],
+                           [np.nan, 1.0]])
+        odd = st.Trajectory([0.0, 1e-9, 0.1, 1 / 3, 1e300], states, np.zeros((5, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
             st.trajectory_to_csv(odd, path)
-            norm = odd.norms()[1]
-        cells = path.read_text().splitlines()[3].split(",")
-        want = [1e-9, norm, *edge, -2.5e-17, 1e300]
-        assert cells == [f"{x:.16g}" for x in want]
-
-
-def _kernel_bytes(table) -> bytes:
-    return b"".join(closedloop._csv_rows(np.asarray(table, dtype=float)))
-
-
-class TestCsvKernel:
-    """closedloop._csv_rows against the writer it replaced, byte for byte."""
-
-    def test_random_bit_patterns(self):
-        bits = np.random.default_rng(11).integers(0, 2 ** 64, size=(1024, 1024), dtype=np.uint64)
-        table = bits.view(float)
-        exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
-        assert (exponent == 0).any() and (exponent == 0x7FF).any()  # subnormals, inf and nan
-        assert np.signbit(table).any() and not np.signbit(table).all()
-        assert _kernel_bytes(table) == csv_bytes_oracle(table)
-
-    def test_powers_of_ten_their_neighbours_and_powers_of_two(self):
-        p = np.array([float(f"1e{k}") for k in range(-324, 309)])
-        edges = np.column_stack([p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p])
-        assert _kernel_bytes(edges) == csv_bytes_oracle(edges)
-        # 2^-24 = 5.9604644775390625e-08 is a 16-digit tie, like many powers of two.
-        twos = np.ldexp(1.0, np.arange(-1074, 1024))[:, None] * [1.0, -1.5]
-        assert _kernel_bytes(twos) == csv_bytes_oracle(twos)
-
-    def test_exact_ties_round_half_even(self):
-        table = np.array([[1234567890123456.5, 1234567890123457.5, -1234567890123456.5,
-                           2.0 ** -24]])
-        assert _kernel_bytes(table) == b"1234567890123456,1234567890123458,-1234567890123456,"\
-                                       b"5.960464477539062e-08\n"
-        assert _kernel_bytes(table) == csv_bytes_oracle(table)
-
-    @settings(max_examples=300, deadline=None)
-    @given(values=hs.lists(hs.floats(), min_size=1, max_size=48), column=hs.booleans())
-    def test_any_float(self, values, column):
-        table = np.array(values)[:, None] if column else np.array(values)[None, :]
-        assert _kernel_bytes(table) == csv_bytes_oracle(table)
-
-    @pytest.mark.parametrize("cells", [2 ** 13 - 1, 2 ** 13, 2 ** 13 + 1, 3 * 2 ** 13 + 5])
-    @pytest.mark.parametrize("shape", ["column", "row", "block"])
-    def test_chunk_boundaries(self, cells, shape):
-        rng = np.random.default_rng(cells)
-        x = rng.standard_normal(cells) * 10.0 ** rng.integers(-30, 30, cells)
-        x[rng.random(cells) < 0.3] = 0.0
-        table = {"column": x[:, None], "row": x[None, :]}.get(shape)
-        if table is None:  # rows that straddle the chunks
-            table = np.append(x, np.zeros(-cells % 7)).reshape(-1, 7)
-        chunks = list(closedloop._csv_rows(table))
-        assert len(chunks) == math.ceil(table.size / 2 ** 13)
-        assert b"".join(chunks) == csv_bytes_oracle(table)
-
-    def test_normal_draws_at_every_scale(self):
-        rng = np.random.default_rng(3)
-        scales = 10.0 ** np.arange(-310, 201, 10)
-        table = rng.standard_normal((64, scales.size)) * scales
-        assert _kernel_bytes(table) == csv_bytes_oracle(table)
-
-    def test_powers_of_ten_are_correctly_rounded(self):
-        pow10 = closedloop._tables()[0]
-        assert pow10.size == closedloop._E_HI - closedloop._E_LO + 1
-        for E, x in zip(range(closedloop._E_LO, closedloop._E_HI + 1), pow10):
-            want = Fraction(10) ** (15 - E)
-            err = abs(Fraction(*x.as_integer_ratio()) - want)
-            for side in (-np.inf, np.inf):
-                assert err < abs(Fraction(*np.nextafter(x, side).as_integer_ratio()) - want), E
-
-    def test_ties_decades_and_non_finite_cells_take_the_fallback(self, monkeypatch):
-        seen = []
-        exact = closedloop._exact_cells
-
-        def spy(x, sep):
-            seen.extend(x.tolist())
-            return exact(x, sep)
-
-        monkeypatch.setattr(closedloop, "_exact_cells", spy)
-        # Ties, log10 within 1e-12 of an integer (10^k and 1e-13 off it), non-finite.
-        fallback = [1234567890123456.5, -1234567890123457.5, 100.0, 1e-300, 1.0000000000001,
-                    -9.9999999999999e22, np.inf, -np.inf]
-        kernel = [0.3, -2.5e-300, 123.456, 7e22, 5e-324, 1.7976931348623157e308, 0.0, -0.0]
-        table = np.array([fallback + [np.nan] + kernel])
-        assert _kernel_bytes(table) == csv_bytes_oracle(table)
-        assert seen[:-1] == fallback and math.isnan(seen[-1])
-
-    def test_peak_memory_is_at_most_the_old_writers(self, tmp_path):
-        # The frac-heat n = 64 dc table of the benchmark's certify workload, 641 x 258.
-        heat = st.fractional_heat(64, 1.5, 1.0)
-        pair = st.sample(heat, 1.0)
-        F = st.feedback_gain(st.riccati_solve(pair), pair).F
-        traj = st.simulate_dc(heat, F, 1.0, np.ones(64) / 8, 40.0, 16)
-        traj.norms()
-        closedloop._tables()
-
-        def old_writer():
-            table = np.column_stack([traj.times, traj.norms(), traj.states.view(float),
-                                     traj.controls.view(float)])
-            assert table.shape == (641, 258)
-            with open(tmp_path / "old.csv", "w", encoding="utf-8") as fh:
-                fh.write("# {}\n")
-                csv_rows_oracle(table, fh)
-
-        peaks = []
-        for write in (old_writer, lambda: st.trajectory_to_csv(traj, tmp_path / "new.csv")):
-            tracemalloc.start()
-            try:
-                write()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0]
-        new = (tmp_path / "new.csv").read_bytes().split(b"\n", 2)[2]
-        assert new == (tmp_path / "old.csv").read_bytes().split(b"\n", 1)[1]
+            norms = odd.norms()
+        assert norms[0] == 0.0 and np.isinf(norms[3]) and np.isnan(norms[4])
+        rows = path.read_text().splitlines()[2:]
+        assert rows == [f"{t!r},{y!r}" for t, y in zip(odd.times.tolist(), norms.tolist())]
+        assert rows[1] == "1e-09,5e-324"
 
 
 def _monodromy(sys, F, T, loop, steps):

@@ -1,8 +1,10 @@
 """report.json writer: the same bytes as json.dump(indent=2, sort_keys=True), non-finite
 floats written as null."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as hs
 
 from sampstab.cli import EXIT_OK, main
 from sampstab.serialize import (dump_json, matrix_from_json, matrix_to_json, reals_from_json,
-                                vector_from_json)
+                                save_array, vector_from_json)
 
 from conftest import (json_dump_oracle, matrix_from_json_loop, matrix_to_json_loop,
                       reals_from_json_loop, vector_from_json_loop)
@@ -267,3 +269,21 @@ def test_cli_files_are_the_standard_library_text(argv, name, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
     text = (tmp_path / name).read_text(encoding="utf-8")
     assert text == json_dump_oracle(json.loads(text))
+
+
+def test_save_array_never_holds_the_whole_file(tmp_path):
+    # A 16 MiB table: save_array hashes the file it wrote block by block, so
+    # its traced peak stays well below the file's size.
+    a = np.arange(2 ** 21, dtype=float).reshape(-1, 64)
+    path = tmp_path / "a.npy"
+    tracemalloc.start()
+    try:
+        d = save_array(a, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 16 * 2 ** 20 and peak < size / 4
+    assert d == {"file": "a.npy", "shape": [2 ** 15, 64], "dtype": "float64",
+                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert np.load(path).tobytes() == a.tobytes()

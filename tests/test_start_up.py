@@ -94,13 +94,6 @@ def test_import_loads_no_scipy(package):
     assert _fresh(f"import sys, {package}; print({_LOADED.format('scipy')})") == "[]"
 
 
-def test_import_builds_no_csv_tables():
-    # The CSV kernel's power-of-ten table is built on the first trajectory written.
-    code = ("import sampstab.cli; from sampstab import closedloop; "
-            "print(closedloop._tables.cache_info().currsize)")
-    assert _fresh(code) == "0"
-
-
 @pytest.mark.parametrize("argv", [
     "analyze --example frac-heat --modes 16 --T 1",
     "analyze --example schrodinger --modes 16 --T 1",
